@@ -3,12 +3,18 @@
 // google-benchmark micros (micro_util.h) and the canon_doctor tool.
 //
 // Flags are "--name=value" (a bare "--name" is the empty string, which
-// flag_bool treats as true). Unknown flags are ignored by these helpers;
-// binaries that want strictness can enumerate argv themselves.
+// flag_bool treats as true). A numeric flag whose value does not parse
+// stops the program with exit code 2 and an error naming the flag and the
+// value. Unknown flags are ignored by these helpers; binaries that want
+// strictness can enumerate argv themselves.
 #ifndef CANON_BENCH_FLAGS_H
 #define CANON_BENCH_FLAGS_H
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -36,17 +42,47 @@ inline bool flag_present(int argc, char** argv, const char* name) {
   return flag_raw(argc, argv, name) != nullptr;
 }
 
-/// Parses "--name=value" from argv; returns `fallback` if absent.
+/// Reports a numeric flag value that cannot be used and exits with code 2.
+[[noreturn]] inline void reject_flag(const char* name, const char* value,
+                                     const char* expected) {
+  std::fprintf(stderr, "error: --%s=%s: expected %s\n", name, value,
+               expected);
+  std::exit(2);
+}
+
+/// Parses "--name=value" from argv as an unsigned decimal integer; returns
+/// `fallback` if absent. Empty values, signs, trailing characters and
+/// values past 2^64 - 1 exit with code 2 (see reject_flag).
 inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
                               std::uint64_t fallback) {
   const char* v = flag_raw(argc, argv, name);
-  return (v && *v) ? std::strtoull(v, nullptr, 10) : fallback;
+  if (v == nullptr) return fallback;
+  // strtoull would skip whitespace and wrap "-1" to 2^64 - 1.
+  if (*v < '0' || *v > '9') reject_flag(name, v, "an unsigned integer");
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (*end != '\0') reject_flag(name, v, "an unsigned integer");
+  if (errno == ERANGE) reject_flag(name, v, "an integer below 2^64");
+  return x;
 }
 
+/// Parses "--name=value" from argv as a finite number; returns `fallback`
+/// if absent. Empty values, trailing characters and values that overflow a
+/// double (or are inf/nan) exit with code 2.
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
   const char* v = flag_raw(argc, argv, name);
-  return (v && *v) ? std::strtod(v, nullptr) : fallback;
+  if (v == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  const bool blank = std::isspace(static_cast<unsigned char>(*v)) != 0;
+  if (end == v || *end != '\0' || blank) reject_flag(name, v, "a number");
+  if (errno == ERANGE || !std::isfinite(x)) {
+    reject_flag(name, v, "a finite number");
+  }
+  return x;
 }
 
 inline std::string flag_str(int argc, char** argv, const char* name,

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/parallel.h"
-#include "dht/chord.h"
 #include "dht/kademlia.h"
 #include "telemetry/scoped_timer.h"
 
@@ -52,11 +51,10 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
       const ZoneTree& t = tree(chain[static_cast<std::size_t>(level)]);
       const int len = t.zone(m).len;
       for (int pos = 0; pos < len; ++pos) {
-        if (pos < lower_len) {
-          // Keep only if the child domain is empty across this face.
-          const std::uint64_t child_d = bucket_closest_distance(
-              net, child_ring, net.id(m), bits - 1 - pos);
-          if (child_d != kNoLimit) continue;
+        // Keep only if the child domain is empty across this face.
+        if (pos < lower_len &&
+            bucket_count(net, child_ring, net.id(m), bits - 1 - pos) != 0) {
+          continue;
         }
         face.clear();
         t.face_neighbors(m, pos, face);

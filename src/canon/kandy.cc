@@ -3,24 +3,18 @@
 #include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
-#include "dht/chord.h"
-
 namespace canon {
 
 void add_kandy_links(const OverlayNetwork& net, std::uint32_t m,
                      BucketChoice choice, MergePolicy policy, Rng& rng,
                      LinkTable& out) {
+  // Leaf domain first, then each enclosing domain: the bucket state one
+  // level leaves behind is the child-ring filter of the level above.
   const auto& chain = net.domains().domain_chain(m);
-  const int leaf = static_cast<int>(chain.size()) - 1;
-  add_kademlia_links(
-      net, net.domain_ring(chain[static_cast<std::size_t>(leaf)]), m,
-      /*child=*/nullptr, choice, policy, rng, out);
-  for (int level = leaf - 1; level >= 0; --level) {
-    const RingView child_ring =
-        net.domain_ring(chain[static_cast<std::size_t>(level + 1)]);
-    add_kademlia_links(
-        net, net.domain_ring(chain[static_cast<std::size_t>(level)]), m,
-        &child_ring, choice, policy, rng, out);
+  ChildBuckets child;
+  for (auto d = chain.rbegin(); d != chain.rend(); ++d) {
+    add_kademlia_links(net, net.domain_ring(*d), m, child, choice, policy, rng,
+                       out);
   }
 }
 

@@ -5,6 +5,14 @@
 // members but throws away any candidate whose XOR distance exceeds the
 // distance of the closest node in its own child domain (the shortest link
 // it can possess at the lower level).
+//
+// The child ring is never searched again: domains nest, so a bucket that
+// holds a member of the child ring holds one at every level above it.
+// add_kandy_links walks m's domain chain from the leaf up with one
+// ChildBuckets value (dht/kademlia.h) that each level reads as its child
+// filter and leaves describing its own ring: a mask of filled buckets
+// under MergePolicy::kFrugal, plus each bucket's closest distance under
+// kLiteral.
 #ifndef CANON_CANON_KANDY_H
 #define CANON_CANON_KANDY_H
 

@@ -13,6 +13,8 @@
 #ifndef CANON_DHT_KADEMLIA_H
 #define CANON_DHT_KADEMLIA_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -40,14 +42,30 @@ enum class MergePolicy {
   kLiteral,
 };
 
-/// Adds node `m`'s Kademlia bucket links over `ring`. If `child` is
-/// non-null (a sub-ring containing m), buckets are filtered per
-/// `MergePolicy` (see above). `replication` > 1 keeps up to that many
-/// links per bucket (real Kademlia's k-buckets, which the paper sets aside
-/// "for resilience"): the primary link follows `choice`, the extras are
-/// random distinct bucket members.
+/// Node m's bucket occupancy in its child ring, carried up the domain chain
+/// by the Canon merge (Kandy). Domains nest, so a bucket that holds a
+/// member of the child ring holds one at every level above it; a fresh
+/// value (nothing filled) describes an empty child ring, i.e. a leaf or
+/// flat ring.
+struct ChildBuckets {
+  /// Bit k set: the child ring has a member in bucket k.
+  std::uint64_t filled = 0;
+  /// MergePolicy::kLiteral only: for each filled bucket, the XOR distance
+  /// of the child ring's closest member in it.
+  std::array<std::uint64_t, 64> closest{};
+};
+
+/// Adds node `m`'s Kademlia bucket links over `ring` (which contains m).
+/// `child` describes m's child ring, a subset of `ring`; its buckets are
+/// filtered per `MergePolicy` (see above). On return `child` describes
+/// `ring` itself, ready for the next level up. Only buckets that can yield
+/// a link are searched: none below the lowest non-empty one and, under
+/// kFrugal, none the child ring fills. `replication` > 1 keeps up to that
+/// many links per bucket (real Kademlia's k-buckets, which the paper sets
+/// aside "for resilience"): the primary link follows `choice`, the extras
+/// are random distinct bucket members.
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
-                        std::uint32_t m, const RingView* child,
+                        std::uint32_t m, ChildBuckets& child,
                         BucketChoice choice, MergePolicy policy, Rng& rng,
                         LinkTable& out, int replication = 1);
 
@@ -61,6 +79,10 @@ std::uint64_t closest_xor_distance(const OverlayNetwork& net,
 std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       const RingView& ring, NodeId m_id,
                                       int k);
+
+/// Number of members of `ring` within id `m_id`'s bucket [2^k, 2^{k+1}).
+std::size_t bucket_count(const OverlayNetwork& net, const RingView& ring,
+                         NodeId m_id, int k);
 
 /// Builds the complete flat Kademlia network.
 LinkTable build_kademlia(const OverlayNetwork& net, BucketChoice choice,

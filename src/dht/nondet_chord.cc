@@ -15,12 +15,11 @@ void add_nondet_chord_links(const OverlayNetwork& net, const RingView& ring,
 
   // Successor link (distance >= 1), required for routing completeness.
   const std::uint64_t succ_dist = ring.successor_distance(mid);
-  if (succ_dist < limit &&
-      succ_dist != std::numeric_limits<std::uint64_t>::max()) {
-    out.add(m, ring.first_at_distance(mid, 1));
-  }
+  if (succ_dist == std::numeric_limits<std::uint64_t>::max()) return;
+  if (succ_dist < limit) out.add(m, ring.first_at_distance(mid, 1));
 
-  for (int k = 0; k < space.bits(); ++k) {
+  // Every bucket below the successor's is empty and draws nothing.
+  for (int k = floor_log2(succ_dist); k < space.bits(); ++k) {
     const std::uint64_t lo_dist = std::uint64_t{1} << k;
     if (lo_dist >= limit) break;
     const std::uint64_t hi_dist =

@@ -1,65 +1,43 @@
 #include "dht/xor_util.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace canon {
 
-std::vector<IdRange> xor_ball_ranges(NodeId center, std::uint64_t radius,
-                                     const IdSpace& space) {
-  std::vector<IdRange> ranges;
-  if (radius == 0) return ranges;
-  // Clamp: a radius covering the whole space is the single full range.
-  if (space.bits() < 64 && radius >= (std::uint64_t{1} << space.bits())) {
-    ranges.push_back(IdRange{0, std::uint64_t{1} << space.bits()});
-    return ranges;
-  }
-  center = space.wrap(center);
-  // One aligned block per set bit b of `radius`: distances d that agree with
-  // radius above bit b and have bit b clear; the low b bits of x are free.
-  for (int b = space.bits() - 1; b >= 0; --b) {
-    if (!((radius >> b) & 1)) continue;
-    const std::uint64_t low_mask = (std::uint64_t{1} << b) - 1;
-    const std::uint64_t d_fixed =
-        radius & ~(low_mask | (std::uint64_t{1} << b));
-    const NodeId lo = (center ^ d_fixed) & ~low_mask;
-    ranges.push_back(IdRange{space.wrap(lo), std::uint64_t{1} << b});
-  }
-  return ranges;
-}
-
-std::uint32_t xor_closest_in_range(const RingView& ring, NodeId lo,
+std::uint32_t xor_closest_in_range(const OverlayNetwork& net,
+                                   const RingView& ring, NodeId lo,
                                    std::uint64_t size, NodeId key) {
   if (size == 0 || (size & (size - 1)) != 0 || (lo % size) != 0) {
     throw std::invalid_argument("xor_closest_in_range: unaligned range");
   }
-  const std::size_t count = ring.count_in(lo, size);
-  if (count == 0) return RingView::kNone;
+  const std::vector<NodeId>& ids = net.ids();
+  const auto members = ring.members();
+  const auto id_less = [&ids](NodeIndex m, NodeId k) { return ids[m] < k; };
+  const auto less_id = [&ids](NodeId k, NodeIndex m) { return k < ids[m]; };
   // Aligned ranges never wrap in ID space, so the candidates occupy the
-  // contiguous positions [lo_idx, hi_idx).
-  std::size_t lo_idx = ring.successor_pos(lo);
-  std::size_t hi_idx = lo_idx + count;
+  // contiguous positions [first, last).
+  auto first = std::lower_bound(members.begin(), members.end(), lo, id_less);
+  auto last = std::upper_bound(first, members.end(), lo + (size - 1), less_id);
+  if (first == last) return RingView::kNone;
 
-  // Descend bit by bit, preferring the half whose bit matches the key.
-  std::uint64_t half = size >> 1;
-  NodeId prefix = lo;
-  while (half > 0 && hi_idx - lo_idx > 1) {
-    const NodeId split = prefix | half;
-    // Position of the first member >= split; successor_pos wraps to 0 when
-    // every member is below split, in which case the upper half is empty.
-    std::size_t mid = ring.successor_pos(split);
-    if (mid < lo_idx || mid > hi_idx) mid = hi_idx;
-    const bool prefer_high = (key & half) != 0;
-    const bool high_nonempty = mid < hi_idx;
-    const bool low_nonempty = lo_idx < mid;
-    if (prefer_high ? high_nonempty : !low_nonempty) {
-      lo_idx = mid;
-      prefix = split;
+  // Every candidate shares the prefix above the highest bit where the
+  // first and last differ; split there, preferring the half whose bit
+  // matches the key. Both halves are non-empty, so each search shrinks
+  // the candidate positions.
+  while (last - first > 1) {
+    const NodeId a = ids[*first];
+    const NodeId b = ids[*(last - 1)];
+    const std::uint64_t half = std::bit_floor(a ^ b);
+    const NodeId split = b & ~(half - 1);  // first ID of the upper half
+    const auto mid = std::lower_bound(first, last, split, id_less);
+    if ((key & half) != 0) {
+      first = mid;
     } else {
-      hi_idx = mid;
+      last = mid;
     }
-    half >>= 1;
   }
-  return ring.at(lo_idx);
+  return *first;
 }
 
 }  // namespace canon

@@ -6,12 +6,14 @@
 
 #include "canon/cacophony.h"
 #include "canon/cancan.h"
+#include "canon/crescendo.h"
 #include "canon/kandy.h"
 #include "canon/nondet_crescendo.h"
 #include "common/rng.h"
 #include "dht/kademlia.h"
 #include "dht/nondet_chord.h"
 #include "dht/symphony.h"
+#include "link_oracles.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
 
@@ -204,6 +206,89 @@ TEST(Kandy, RespectsPerBucketConditionB) {
           bucket_closest_distance(net, leaf_ring, net.id(m), floor_log2(d));
       EXPECT_LT(d, leaf_bucket_best);
     }
+  }
+}
+
+// The hierarchical builders against the linear-scan oracles of
+// link_oracles.h, level by level, on 3-level populations (dht_test runs the
+// same oracles on flat ones).
+TEST(BruteForceOracle, CrescendoFingersMatchLinearScanLevelByLevel) {
+  for (const oracle::Case& c : oracle::cases({3})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 11);
+    EXPECT_TRUE(oracle::rows_match(net, build_crescendo(net), [&](NodeIndex m) {
+      return oracle::crescendo_links(net, m);
+    })) << c.name();
+  }
+}
+
+TEST(BruteForceOracle, NondetCrescendoBucketDrawsMatchLinearScan) {
+  for (const oracle::Case& c : oracle::cases({3})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 12);
+    Rng rng(c.n + 13);
+    const Rng base = rng;
+    EXPECT_TRUE(oracle::rows_match(
+        net, build_nondet_crescendo(net, rng), [&](NodeIndex m) {
+          return oracle::nondet_crescendo_links(net, m, base.fork(m));
+        }))
+        << c.name();
+  }
+}
+
+TEST(BruteForceOracle, KandyClosestPerBucketMatchesLinearScan) {
+  for (const oracle::Case& c : oracle::cases({3})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 14);
+    for (const MergePolicy policy :
+         {MergePolicy::kFrugal, MergePolicy::kLiteral}) {
+      Rng rng(15);
+      EXPECT_TRUE(oracle::rows_match(
+          net, build_kandy(net, BucketChoice::kClosest, rng, policy),
+          [&](NodeIndex m) {
+            return oracle::kandy_closest_links(net, m, policy);
+          }))
+          << c.name() << " literal=" << (policy == MergePolicy::kLiteral);
+    }
+  }
+}
+
+TEST(BruteForceOracle, CanCanChildBucketEmptinessMatchesLinearScan) {
+  // Can-Can keeps a face edge above the leaf only when the face lies
+  // beyond the child zone or the child domain has no member across it
+  // (its XOR bucket is empty); the oracle decides emptiness by scan.
+  const auto expected = [](const OverlayNetwork& net,
+                           const CanCanNetwork& cancan, NodeIndex m) {
+    const auto chain = net.domains().domain_chain(m);
+    const int leaf = static_cast<int>(chain.size()) - 1;
+    const int bits = net.space().bits();
+    const auto tree = [&](int level) -> const ZoneTree& {
+      return cancan.tree(chain[static_cast<std::size_t>(level)]);
+    };
+    const auto leaf_edges = tree(leaf).neighbors(m);
+    std::set<NodeIndex> links(leaf_edges.begin(), leaf_edges.end());
+    for (int level = leaf - 1; level >= 0; --level) {
+      const auto child = oracle::others(net, m, level + 1);
+      const int lower_len = tree(level + 1).zone(m).len;
+      for (int pos = 0; pos < tree(level).zone(m).len; ++pos) {
+        const int k = bits - 1 - pos;
+        if (pos < lower_len &&
+            oracle::xor_closest_in_bucket(net, m, child, k,
+                                          oracle::bucket_top(bits, k)) !=
+                kInvalidNodeIndex) {
+          continue;
+        }
+        std::vector<std::uint32_t> face;
+        tree(level).face_neighbors(m, pos, face);
+        links.insert(face.begin(), face.end());
+      }
+    }
+    links.erase(m);
+    return links;
+  };
+  for (const oracle::Case& c : oracle::cases({3})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 16);
+    const CanCanNetwork cancan(net);
+    EXPECT_TRUE(oracle::rows_match(net, cancan.links(), [&](NodeIndex m) {
+      return expected(net, cancan, m);
+    })) << c.name();
   }
 }
 

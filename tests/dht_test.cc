@@ -14,6 +14,7 @@
 #include "dht/nondet_chord.h"
 #include "dht/symphony.h"
 #include "dht/xor_util.h"
+#include "link_oracles.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
 
@@ -188,12 +189,11 @@ TEST(XorUtil, BallRangesCoverExactlyTheBall) {
   for (int trial = 0; trial < 50; ++trial) {
     const NodeId center = space.wrap(rng());
     const std::uint64_t radius = rng.uniform(1024);
-    const auto ranges = xor_ball_ranges(center, radius, space);
     std::set<NodeId> covered;
-    for (const auto& r : ranges) {
+    for_each_xor_ball_range(center, radius, space, [&](const IdRange& r) {
       EXPECT_EQ(r.lo % r.size, 0u) << "range must be aligned";
       for (std::uint64_t i = 0; i < r.size; ++i) covered.insert(r.lo + i);
-    }
+    });
     std::set<NodeId> expected;
     for (NodeId x = 0; x < 1024; ++x) {
       if (space.xor_distance(center, x) < radius) expected.insert(x);
@@ -214,7 +214,7 @@ TEST(XorUtil, ClosestInRangeMatchesBruteForce) {
     const std::uint64_t size = std::uint64_t{1} << len_bits;
     const NodeId lo = (net.space().wrap(rng()) / size) * size;
     const NodeId key = net.space().wrap(rng());
-    const auto got = xor_closest_in_range(ring, lo, size, key);
+    const auto got = xor_closest_in_range(net, ring, lo, size, key);
     std::uint32_t want = RingView::kNone;
     for (std::uint32_t i = 0; i < net.size(); ++i) {
       if (net.id(i) < lo || net.id(i) >= lo + size) continue;
@@ -289,6 +289,53 @@ TEST(Kademlia, ClosestXorDistanceMatchesBruteForce) {
       }
     }
     EXPECT_EQ(closest_xor_distance(net, ring, m), want);
+  }
+}
+
+// The flat builders against the linear-scan oracles of link_oracles.h, on
+// small and extreme rings (IDs 0 and 2^bits - 1 always present).
+TEST(BruteForceOracle, ChordFingersMatchLinearScan) {
+  for (const oracle::Case& c : oracle::cases({1})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 1);
+    EXPECT_TRUE(oracle::rows_match(net, build_chord(net), [&](NodeIndex m) {
+      return oracle::crescendo_links(net, m);
+    })) << c.name();
+  }
+}
+
+TEST(BruteForceOracle, NondetChordBucketDrawsMatchLinearScan) {
+  for (const oracle::Case& c : oracle::cases({1})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 2);
+    Rng rng(c.n + 3);
+    const Rng base = rng;
+    EXPECT_TRUE(oracle::rows_match(
+        net, build_nondet_chord(net, rng), [&](NodeIndex m) {
+          return oracle::nondet_crescendo_links(net, m, base.fork(m));
+        }))
+        << c.name();
+  }
+}
+
+TEST(BruteForceOracle, KademliaClosestPerBucketMatchesLinearScan) {
+  for (const oracle::Case& c : oracle::cases({1})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 4);
+    Rng rng(5);
+    EXPECT_TRUE(oracle::rows_match(
+        net, build_kademlia(net, BucketChoice::kClosest, rng),
+        [&](NodeIndex m) {
+          return oracle::kandy_closest_links(net, m, MergePolicy::kFrugal);
+        }))
+        << c.name();
+    const RingView ring = net.ring();
+    for (NodeIndex m = 0; m < net.size(); ++m) {
+      const auto mates = oracle::others(net, m, 0);
+      std::uint64_t want = kNoLimit;
+      for (const NodeIndex v : mates) {
+        want = std::min(want, net.space().xor_distance(net.id(m), net.id(v)));
+      }
+      ASSERT_EQ(closest_xor_distance(net, ring, m), want)
+          << c.name() << " node " << m;
+    }
   }
 }
 

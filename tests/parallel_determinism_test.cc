@@ -7,14 +7,19 @@
 // any other thread count are byte-identical. These tests pin that promise
 // for every link-builder family across 3 seeds x 2 hierarchy shapes, for
 // the LatencyMatrix, and for parallel_for itself (coverage, empty ranges,
-// grain > n, exception propagation).
+// grain > n, exception propagation). The same families and shapes also
+// pin a digest of every table, so a builder that changes a table or its
+// RNG draw order fails by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "canon/cacophony.h"
@@ -84,6 +89,10 @@ const std::vector<Family>& families() {
        [](const OverlayNetwork& net, std::uint64_t) {
          return build_crescendo(net);
        }},
+      {"crescendo_streamed",
+       [](const OverlayNetwork& net, std::uint64_t) {
+         return build_crescendo_streamed(net, 100);
+       }},
       {"clique_crescendo",
        [](const OverlayNetwork& net, std::uint64_t) {
          return build_clique_crescendo(net);
@@ -111,10 +120,25 @@ const std::vector<Family>& families() {
          Rng rng(seed * 2 + 1);
          return build_kademlia(net, BucketChoice::kClosest, rng);
        }},
+      {"kademlia_closest_r3",
+       [](const OverlayNetwork& net, std::uint64_t seed) {
+         Rng rng(seed * 2 + 1);
+         return build_kademlia(net, BucketChoice::kClosest, rng, 3);
+       }},
+      {"kademlia_random",
+       [](const OverlayNetwork& net, std::uint64_t seed) {
+         Rng rng(seed * 2 + 1);
+         return build_kademlia(net, BucketChoice::kRandom, rng);
+       }},
       {"kademlia_random_r2",
        [](const OverlayNetwork& net, std::uint64_t seed) {
          Rng rng(seed * 2 + 1);
          return build_kademlia(net, BucketChoice::kRandom, rng, 2);
+       }},
+      {"kademlia_random_r3",
+       [](const OverlayNetwork& net, std::uint64_t seed) {
+         Rng rng(seed * 2 + 1);
+         return build_kademlia(net, BucketChoice::kRandom, rng, 3);
        }},
       {"cacophony",
        [](const OverlayNetwork& net, std::uint64_t seed) {
@@ -130,6 +154,18 @@ const std::vector<Family>& families() {
        [](const OverlayNetwork& net, std::uint64_t seed) {
          Rng rng(seed * 2 + 1);
          return build_kandy(net, BucketChoice::kRandom, rng);
+       }},
+      {"kandy_closest_literal",
+       [](const OverlayNetwork& net, std::uint64_t seed) {
+         Rng rng(seed * 2 + 1);
+         return build_kandy(net, BucketChoice::kClosest, rng,
+                            MergePolicy::kLiteral);
+       }},
+      {"kandy_random_literal",
+       [](const OverlayNetwork& net, std::uint64_t seed) {
+         Rng rng(seed * 2 + 1);
+         return build_kandy(net, BucketChoice::kRandom, rng,
+                            MergePolicy::kLiteral);
        }},
       {"nondet_crescendo",
        [](const OverlayNetwork& net, std::uint64_t seed) {
@@ -177,6 +213,192 @@ TEST(ParallelDeterminism, EveryFamilySerialEqualsParallel) {
       }
     }
   }
+}
+
+/// FNV-1a over a finalized table's rows: each row's degree, then its
+/// targets.
+std::uint64_t table_digest(const LinkTable& table) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((x >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  for (NodeIndex m = 0; m < table.node_count(); ++m) {
+    const auto row = table.neighbors(m);
+    mix(row.size());
+    for (const NodeIndex v : row) mix(v);
+  }
+  return h;
+}
+
+struct PinnedDigest {
+  const char* family;
+  const char* shape;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+// Every family's table on the shapes and seeds above, as built by the
+// per-exponent, per-bucket reference builders. A builder may search less,
+// but any change to a table, or to the order in which a randomized builder
+// draws from its Rng, shows up here by name.
+constexpr PinnedDigest kPinnedDigests[] = {
+    {"chord", "flat", 1, 0xffa976afc409f593ull},
+    {"crescendo", "flat", 1, 0xffa976afc409f593ull},
+    {"crescendo_streamed", "flat", 1, 0xffa976afc409f593ull},
+    {"clique_crescendo", "flat", 1, 0xbaec899367182c25ull},
+    {"can", "flat", 1, 0x7af52c1c8c98e9b5ull},
+    {"cancan", "flat", 1, 0x7af52c1c8c98e9b5ull},
+    {"symphony", "flat", 1, 0x1106a0df7e23b00eull},
+    {"nondet_chord", "flat", 1, 0x64f264f820beb885ull},
+    {"kademlia_closest", "flat", 1, 0x6ef508b84748fe19ull},
+    {"kademlia_closest_r3", "flat", 1, 0x5214c0374d6414c3ull},
+    {"kademlia_random", "flat", 1, 0x22fd831f8e66fcacull},
+    {"kademlia_random_r2", "flat", 1, 0x8a52dd26af20aec1ull},
+    {"kademlia_random_r3", "flat", 1, 0xa8b4587143a37713ull},
+    {"cacophony", "flat", 1, 0x1106a0df7e23b00eull},
+    {"kandy_closest", "flat", 1, 0x6ef508b84748fe19ull},
+    {"kandy_random", "flat", 1, 0x22fd831f8e66fcacull},
+    {"kandy_closest_literal", "flat", 1, 0x6ef508b84748fe19ull},
+    {"kandy_random_literal", "flat", 1, 0x22fd831f8e66fcacull},
+    {"nondet_crescendo", "flat", 1, 0x64f264f820beb885ull},
+    {"chord_prox", "flat", 1, 0x5689804face35a67ull},
+    {"crescendo_prox", "flat", 1, 0x5689804face35a67ull},
+    {"chord", "flat", 42, 0x7e1f12187c454b7bull},
+    {"crescendo", "flat", 42, 0x7e1f12187c454b7bull},
+    {"crescendo_streamed", "flat", 42, 0x7e1f12187c454b7bull},
+    {"clique_crescendo", "flat", 42, 0xbaec899367182c25ull},
+    {"can", "flat", 42, 0x34ba8aa35696133cull},
+    {"cancan", "flat", 42, 0x34ba8aa35696133cull},
+    {"symphony", "flat", 42, 0x2b531564db63153bull},
+    {"nondet_chord", "flat", 42, 0x5f31eb98ad1af050ull},
+    {"kademlia_closest", "flat", 42, 0xc5c50d4b674d5692ull},
+    {"kademlia_closest_r3", "flat", 42, 0xf98ecae7b86806c3ull},
+    {"kademlia_random", "flat", 42, 0xcec31c92635c39d3ull},
+    {"kademlia_random_r2", "flat", 42, 0xc15648f6dbbfd366ull},
+    {"kademlia_random_r3", "flat", 42, 0x6907c5a54e9de785ull},
+    {"cacophony", "flat", 42, 0x2b531564db63153bull},
+    {"kandy_closest", "flat", 42, 0xc5c50d4b674d5692ull},
+    {"kandy_random", "flat", 42, 0xcec31c92635c39d3ull},
+    {"kandy_closest_literal", "flat", 42, 0xc5c50d4b674d5692ull},
+    {"kandy_random_literal", "flat", 42, 0xcec31c92635c39d3ull},
+    {"nondet_crescendo", "flat", 42, 0x5f31eb98ad1af050ull},
+    {"chord_prox", "flat", 42, 0xff3814eeef7f6d00ull},
+    {"crescendo_prox", "flat", 42, 0xff3814eeef7f6d00ull},
+    {"chord", "flat", 1234, 0x1a0de67899db1f08ull},
+    {"crescendo", "flat", 1234, 0x1a0de67899db1f08ull},
+    {"crescendo_streamed", "flat", 1234, 0x1a0de67899db1f08ull},
+    {"clique_crescendo", "flat", 1234, 0xbaec899367182c25ull},
+    {"can", "flat", 1234, 0xd48ccfab79fc6e6cull},
+    {"cancan", "flat", 1234, 0xd48ccfab79fc6e6cull},
+    {"symphony", "flat", 1234, 0xa8336928a6e6bfb9ull},
+    {"nondet_chord", "flat", 1234, 0xaf625875d288ad4bull},
+    {"kademlia_closest", "flat", 1234, 0xc472c4a315f9d769ull},
+    {"kademlia_closest_r3", "flat", 1234, 0xbd086e239daad21aull},
+    {"kademlia_random", "flat", 1234, 0x986f8f7ca795bb24ull},
+    {"kademlia_random_r2", "flat", 1234, 0x7f7560f994cca8d6ull},
+    {"kademlia_random_r3", "flat", 1234, 0x8c47eabb2feee95full},
+    {"cacophony", "flat", 1234, 0xa8336928a6e6bfb9ull},
+    {"kandy_closest", "flat", 1234, 0xc472c4a315f9d769ull},
+    {"kandy_random", "flat", 1234, 0x986f8f7ca795bb24ull},
+    {"kandy_closest_literal", "flat", 1234, 0xc472c4a315f9d769ull},
+    {"kandy_random_literal", "flat", 1234, 0x986f8f7ca795bb24ull},
+    {"nondet_crescendo", "flat", 1234, 0xaf625875d288ad4bull},
+    {"chord_prox", "flat", 1234, 0x706f3c02dc1e5205ull},
+    {"crescendo_prox", "flat", 1234, 0x706f3c02dc1e5205ull},
+    {"chord", "deep", 1, 0xffa976afc409f593ull},
+    {"crescendo", "deep", 1, 0x4aad1f2a17eb7e10ull},
+    {"crescendo_streamed", "deep", 1, 0x4aad1f2a17eb7e10ull},
+    {"clique_crescendo", "deep", 1, 0x79df5f45de478908ull},
+    {"can", "deep", 1, 0x7af52c1c8c98e9b5ull},
+    {"cancan", "deep", 1, 0x8b426548396a9f25ull},
+    {"symphony", "deep", 1, 0x1106a0df7e23b00eull},
+    {"nondet_chord", "deep", 1, 0x64f264f820beb885ull},
+    {"kademlia_closest", "deep", 1, 0x6ef508b84748fe19ull},
+    {"kademlia_closest_r3", "deep", 1, 0x5214c0374d6414c3ull},
+    {"kademlia_random", "deep", 1, 0x22fd831f8e66fcacull},
+    {"kademlia_random_r2", "deep", 1, 0x8a52dd26af20aec1ull},
+    {"kademlia_random_r3", "deep", 1, 0xa8b4587143a37713ull},
+    {"cacophony", "deep", 1, 0xd1b8e3e206228906ull},
+    {"kandy_closest", "deep", 1, 0xa173b9f8858167ddull},
+    {"kandy_random", "deep", 1, 0xe8eccc86e2c9269eull},
+    {"kandy_closest_literal", "deep", 1, 0x15cbaa47650be4d3ull},
+    {"kandy_random_literal", "deep", 1, 0xf671300d7f322649ull},
+    {"nondet_crescendo", "deep", 1, 0x979e8f5cfbd744c0ull},
+    {"chord_prox", "deep", 1, 0x5689804face35a67ull},
+    {"crescendo_prox", "deep", 1, 0x9c864fda2d85676ull},
+    {"chord", "deep", 42, 0x7e1f12187c454b7bull},
+    {"crescendo", "deep", 42, 0x557da3ac7a9f06b7ull},
+    {"crescendo_streamed", "deep", 42, 0x557da3ac7a9f06b7ull},
+    {"clique_crescendo", "deep", 42, 0x54f59009fe75f4efull},
+    {"can", "deep", 42, 0x34ba8aa35696133cull},
+    {"cancan", "deep", 42, 0xb7ade7da42dcf628ull},
+    {"symphony", "deep", 42, 0x2b531564db63153bull},
+    {"nondet_chord", "deep", 42, 0x5f31eb98ad1af050ull},
+    {"kademlia_closest", "deep", 42, 0xc5c50d4b674d5692ull},
+    {"kademlia_closest_r3", "deep", 42, 0xf98ecae7b86806c3ull},
+    {"kademlia_random", "deep", 42, 0xcec31c92635c39d3ull},
+    {"kademlia_random_r2", "deep", 42, 0xc15648f6dbbfd366ull},
+    {"kademlia_random_r3", "deep", 42, 0x6907c5a54e9de785ull},
+    {"cacophony", "deep", 42, 0x9078275e2156311full},
+    {"kandy_closest", "deep", 42, 0x84a8be43a707dbe8ull},
+    {"kandy_random", "deep", 42, 0xc7729de740e7full},
+    {"kandy_closest_literal", "deep", 42, 0x4e8cc239e9109d1ull},
+    {"kandy_random_literal", "deep", 42, 0xee4dfaf0b1f60fffull},
+    {"nondet_crescendo", "deep", 42, 0x1788fd9a82fab83dull},
+    {"chord_prox", "deep", 42, 0xff3814eeef7f6d00ull},
+    {"crescendo_prox", "deep", 42, 0xa1013519b6a25892ull},
+    {"chord", "deep", 1234, 0x1a0de67899db1f08ull},
+    {"crescendo", "deep", 1234, 0x58f61f542bba9f8aull},
+    {"crescendo_streamed", "deep", 1234, 0x58f61f542bba9f8aull},
+    {"clique_crescendo", "deep", 1234, 0x4d29382a4ddac72ull},
+    {"can", "deep", 1234, 0xd48ccfab79fc6e6cull},
+    {"cancan", "deep", 1234, 0x1a3d920ce9f355b0ull},
+    {"symphony", "deep", 1234, 0xa8336928a6e6bfb9ull},
+    {"nondet_chord", "deep", 1234, 0xaf625875d288ad4bull},
+    {"kademlia_closest", "deep", 1234, 0xc472c4a315f9d769ull},
+    {"kademlia_closest_r3", "deep", 1234, 0xbd086e239daad21aull},
+    {"kademlia_random", "deep", 1234, 0x986f8f7ca795bb24ull},
+    {"kademlia_random_r2", "deep", 1234, 0x7f7560f994cca8d6ull},
+    {"kademlia_random_r3", "deep", 1234, 0x8c47eabb2feee95full},
+    {"cacophony", "deep", 1234, 0x8c2890562d2119eeull},
+    {"kandy_closest", "deep", 1234, 0x59587f6b2ed218e6ull},
+    {"kandy_random", "deep", 1234, 0xb824b9df28e74f75ull},
+    {"kandy_closest_literal", "deep", 1234, 0xccf97729ddd3826bull},
+    {"kandy_random_literal", "deep", 1234, 0x81b0ab021a51a6b7ull},
+    {"nondet_crescendo", "deep", 1234, 0xac8e8eef0ad6b5e6ull},
+    {"chord_prox", "deep", 1234, 0x706f3c02dc1e5205ull},
+    {"crescendo_prox", "deep", 1234, 0x7962c0e40cb23456ull},
+};
+
+TEST(ParallelDeterminism, EveryFamilyMatchesItsPinnedDigest) {
+  std::size_t checked = 0;
+  for (const Shape& shape : kShapes) {
+    for (const std::uint64_t seed : kSeeds) {
+      const OverlayNetwork net = make_net(shape, seed);
+      for (const Family& fam : families()) {
+        const std::uint64_t digest = table_digest(fam.build(net, seed));
+        const auto pin = std::find_if(
+            std::begin(kPinnedDigests), std::end(kPinnedDigests),
+            [&](const PinnedDigest& p) {
+              return std::string_view(p.family) == fam.name &&
+                     std::string_view(p.shape) == shape.name &&
+                     p.seed == seed;
+            });
+        if (pin == std::end(kPinnedDigests)) {
+          ADD_FAILURE() << "no pinned digest for {\"" << fam.name << "\", \""
+                        << shape.name << "\", " << seed << ", 0x" << std::hex
+                        << digest << std::dec << "ull}";
+          continue;
+        }
+        ++checked;
+        EXPECT_EQ(digest, pin->digest)
+            << fam.name << " shape=" << shape.name << " seed=" << seed;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPinnedDigests)) << "stale pinned entries";
 }
 
 TEST(ParallelDeterminism, RepeatedParallelBuildsAreIdentical) {
