@@ -3,8 +3,8 @@
 // (docs/PERFORMANCE.md "Scaling to millions of nodes", docs/TELEMETRY.md
 // §10 "Resource observatory").
 //
-// Each row builds a fresh population of n nodes (SoA metadata), streams
-// the Crescendo link table shard by shard (build_crescendo_streamed), and
+// Each row builds a fresh population of n nodes (SoA metadata), builds
+// the Crescendo link table shard by shard (build_crescendo), and
 // fires --lookups uniform queries through the batch QueryEngine's probe
 // hot path. A fresh MemoryAccountant is installed per row, so every row
 // carries a per-subsystem byte ledger; current_rss_mb() is sampled at
@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
   const std::uint64_t max_n = run.u64("max-nodes", std::uint64_t{1} << 20);
   const std::uint64_t lookups = run.u64("lookups", 100000);
   const int levels = static_cast<int>(run.u64("levels", 3));
-  const std::uint64_t shard_nodes = run.u64("shard-nodes", kStreamShardNodes);
   const std::uint64_t landmark_nodes =
       run.u64("landmark-nodes", std::uint64_t{1} << 16);
   run.header("Mega-scale crescendo: streamed build + batch lookups",
@@ -190,9 +189,8 @@ int main(int argc, char** argv) {
     const double after_pop_mb = bench::current_rss_mb();
 
     start = std::chrono::steady_clock::now();
-    const auto links = build_crescendo_streamed(
-        net, shard_nodes,
-        [&timeline](std::size_t, std::size_t) { timeline.sample(); });
+    const auto links = build_crescendo(
+        net, [&timeline](std::size_t, std::size_t) { timeline.sample(); });
     const double build_s = seconds_since(start);
     timeline.sample();
     const double after_build_mb = bench::current_rss_mb();
@@ -283,9 +281,8 @@ int main(int argc, char** argv) {
     const double after_pop_mb = bench::current_rss_mb();
 
     start = std::chrono::steady_clock::now();
-    const auto links = build_crescendo_streamed(
-        net, shard_nodes,
-        [&timeline](std::size_t, std::size_t) { timeline.sample(); });
+    const auto links = build_crescendo(
+        net, [&timeline](std::size_t, std::size_t) { timeline.sample(); });
     const double build_s = seconds_since(start);
     timeline.sample();
     const double after_build_mb = bench::current_rss_mb();

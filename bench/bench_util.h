@@ -108,6 +108,7 @@ class BenchRun {
         argv_(argv),
         json_path_(flag_str(argc, argv, "json", "")),
         report_(bench_name, seed) {
+    known_ = {"seed", "json", "threads", "grain", "batch-width"};
     params_.emplace_back("seed", std::to_string(seed));
     if (json_enabled()) {
       prev_registry_ = telemetry::install_registry(&registry_);
@@ -149,13 +150,16 @@ class BenchRun {
   }
 
   /// Flag accessors that also record the effective value as a report
-  /// param and in the printed header.
+  /// param and in the printed header. Every name an accessor (or
+  /// present()) asks about becomes a valid flag for header().
   std::uint64_t u64(const char* name, std::uint64_t fallback) {
+    known_.emplace_back(name);
     const std::uint64_t v = flag_u64(argc_, argv_, name, fallback);
     record(name, std::to_string(v), telemetry::JsonValue(v));
     return v;
   }
   double f64(const char* name, double fallback) {
+    known_.emplace_back(name);
     const double v = flag_double(argc_, argv_, name, fallback);
     char buf[32];
     std::snprintf(buf, sizeof buf, "%g", v);
@@ -163,11 +167,13 @@ class BenchRun {
     return v;
   }
   std::string str(const char* name, const char* fallback) {
+    known_.emplace_back(name);
     std::string v = flag_str(argc_, argv_, name, fallback);
     record(name, v, telemetry::JsonValue(v));
     return v;
   }
   bool boolean(const char* name, bool fallback) {
+    known_.emplace_back(name);
     const bool v = flag_bool(argc_, argv_, name, fallback);
     record(name, v ? "true" : "false", telemetry::JsonValue(v));
     return v;
@@ -176,13 +182,17 @@ class BenchRun {
   /// True iff the flag was passed at all. Does not record anything: use it
   /// to gate an optional flag's u64/f64 call so an unused feature leaves
   /// the report's params byte-identical to a build that predates the flag.
-  bool present(const char* name) const {
+  bool present(const char* name) {
+    known_.emplace_back(name);
     return flag_present(argc_, argv_, name);
   }
 
   /// Prints the bench header plus one line with every recorded param, so
-  /// a pasted output snippet is reproducible on its own.
+  /// a pasted output snippet is reproducible on its own. Call it after
+  /// reading every flag: it first exits with code 2 on any flag no
+  /// accessor asked about (reject_unknown_flags).
   void header(const char* title, const char* paper_ref) const {
+    reject_unknown_flags(argc_, argv_, known_);
     std::printf("== %s ==\n", title);
     std::printf("   reproduces: %s\n", paper_ref);
     std::printf("  ");
@@ -229,6 +239,7 @@ class BenchRun {
   telemetry::MetricsRegistry registry_;
   telemetry::MetricsRegistry* prev_registry_ = nullptr;
   std::vector<std::pair<std::string, std::string>> params_;
+  std::vector<std::string> known_;  // flag names the binary reads
 };
 
 }  // namespace canon::bench

@@ -3,13 +3,14 @@
 // google-benchmark micros (micro_util.h) and the canon_doctor tool.
 //
 // Flags are "--name=value" (a bare "--name" is the empty string, which
-// flag_bool treats as true). A numeric flag whose value does not parse
-// stops the program with exit code 2 and an error naming the flag and the
-// value. Unknown flags are ignored by these helpers; binaries that want
-// strictness can enumerate argv themselves.
+// flag_bool treats as true). A numeric or boolean flag whose value does
+// not parse stops the program with exit code 2 and an error naming the
+// flag and the value. reject_unknown_flags() does the same for an
+// argument no accessor asked about (BenchRun::header calls it).
 #ifndef CANON_BENCH_FLAGS_H
 #define CANON_BENCH_FLAGS_H
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace canon::bench {
 
@@ -92,13 +94,42 @@ inline std::string flag_str(int argc, char** argv, const char* name,
 }
 
 /// "--name" and "--name=true/1/yes/on" are true; "--name=false/0/no/off"
-/// is false; absent is `fallback`.
+/// is false; absent is `fallback`. Any other value exits with code 2.
 inline bool flag_bool(int argc, char** argv, const char* name, bool fallback) {
   const char* v = flag_raw(argc, argv, name);
   if (!v) return fallback;
-  if (!*v) return true;
   const std::string s(v);
-  return !(s == "false" || s == "0" || s == "no" || s == "off");
+  if (s.empty() || s == "true" || s == "1" || s == "yes" || s == "on") {
+    return true;
+  }
+  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
+  reject_flag(name, v, "true/false/1/0/yes/no/on/off");
+}
+
+/// Exits with code 2 when argv holds anything but "--name" or
+/// "--name=value" for a name in `known`: a misspelled or retired flag
+/// must not run silently with defaults. The error lists the valid flags.
+inline void reject_unknown_flags(int argc, char** argv,
+                                 std::vector<std::string> known) {
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    const char* eq = std::strchr(arg, '=');
+    const std::string name =
+        std::strncmp(arg, "--", 2) == 0
+            ? std::string(arg + 2, eq ? eq : arg + std::strlen(arg))
+            : std::string();
+    if (!name.empty() &&
+        std::find(known.begin(), known.end(), name) != known.end()) {
+      continue;
+    }
+    std::sort(known.begin(), known.end());
+    known.erase(std::unique(known.begin(), known.end()), known.end());
+    std::string valid;
+    for (const std::string& k : known) valid += " --" + k;
+    std::fprintf(stderr, "error: unknown flag %s (valid flags:%s)\n", arg,
+                 valid.c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace canon::bench

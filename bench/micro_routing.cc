@@ -114,8 +114,7 @@ void BM_RouteKandy(benchmark::State& state) {
 BENCHMARK(BM_RouteKandy)->Arg(8192);
 
 /// Shared population+links fixture for the probe-kernel benchmarks,
-/// streamed-built (byte-identical to build_crescendo) so the 2^20 entry
-/// stays inside the bench's memory budget, and cached across re-entries —
+/// cached across re-entries —
 /// google-benchmark re-runs a benchmark function while estimating
 /// iteration counts, and a 2^20 build is far too expensive to repeat.
 const std::pair<OverlayNetwork, LinkTable>& probe_fixture(std::size_t n) {
@@ -125,7 +124,7 @@ const std::pair<OverlayNetwork, LinkTable>& probe_fixture(std::size_t n) {
   auto& slot = cache[n];
   if (!slot) {
     auto net = bench::bench_population(n, 4);
-    auto links = build_crescendo_streamed(net);
+    auto links = build_crescendo(net);
     slot = std::make_unique<std::pair<OverlayNetwork, LinkTable>>(
         std::move(net), std::move(links));
   }

@@ -16,6 +16,7 @@
 // (exit 1) if lookups fail under load, post-failure routing drops below
 // 99%, or the structural audit reports any violation.
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "audit/auditor.h"
@@ -24,7 +25,7 @@
 #include "canon/crescendo.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/population.h"
 #include "overlay/resilient_routing.h"
 #include "telemetry/flame_export.h"
@@ -81,9 +82,12 @@ int main(int argc, char** argv) {
     run.report().add_row(std::move(row));
   }
 
-  // Phase 1: concurrent lookups, Poisson-ish arrivals. Failed lookups
-  // land in the journal as lookup_failure events.
-  EventSimulator sim(net, links);
+  // Phase 1: concurrent lookups, Poisson-ish arrivals, through the message
+  // simulator at α=1 with no inbox bound. Failed lookups land in the
+  // journal as lookup_failure events.
+  MessageSimConfig config;
+  config.inbox_capacity = std::numeric_limits<int>::max();
+  MessageSimulator sim(net, links, {}, {}, config);
   telemetry::TimeSeriesRecorder series(/*window_ms=*/50.0);
   SimSinks sinks;
   sinks.journal = journal.get();

@@ -69,9 +69,6 @@ std::string AuditReport::summary() const {
 StructureAuditor::StructureAuditor(const OverlayNetwork& net,
                                    const LinkTable& links)
     : net_(&net), links_(&links) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("StructureAuditor: links not finalized");
-  }
   if (links.node_count() != net.size()) {
     throw std::invalid_argument(
         "StructureAuditor: link table size does not match the network");
@@ -126,17 +123,15 @@ void StructureAuditor::check_csr(AuditReport& r) const {
                 : "row not sorted ascending at position " + std::to_string(k));
         sorted_ok = false;
       }
-      if (links_->has_inline_ids()) {
-        ++evaluated;
-        if (links_->neighbor_ids(m)[k] != net_->id(row[k]) && ids_ok) {
-          add_violation(r, "csr.inline_ids", m, -1,
-                        "inline NodeId misaligned at position " +
-                            std::to_string(k) + " (have " +
-                            id_to_hex(links_->neighbor_ids(m)[k],
-                                      net_->space().bits()) +
-                            ", index says " + hex_of(*net_, row[k]) + ")");
-          ids_ok = false;
-        }
+      ++evaluated;
+      if (links_->neighbor_ids(m)[k] != net_->id(row[k]) && ids_ok) {
+        add_violation(r, "csr.inline_ids", m, -1,
+                      "inline NodeId misaligned at position " +
+                          std::to_string(k) + " (have " +
+                          id_to_hex(links_->neighbor_ids(m)[k],
+                                    net_->space().bits()) +
+                          ", index says " + hex_of(*net_, row[k]) + ")");
+        ids_ok = false;
       }
     }
   }
@@ -241,57 +236,64 @@ void StructureAuditor::check_ring_closure(AuditReport& r, int min_level,
 void StructureAuditor::check_chord_fingers(AuditReport& r,
                                            bool hierarchical) const {
   // Recompute every node's finger set with the construction rule itself —
-  // conditions (a) and (b) — and byte-diff against the live table.
-  LinkTable expected(net_->size());
+  // conditions (a) and (b) — and byte-diff it against the live row.
   const RingView whole = net_->ring();
+  LinkRow want;
+  std::uint64_t evaluated = 0;
   for (std::uint32_t m = 0; m < net_->size(); ++m) {
+    want.clear();
     if (hierarchical) {
-      add_crescendo_links(*net_, m, expected);
+      add_crescendo_links(*net_, m, want);
     } else {
-      add_chord_fingers(*net_, whole, m, kNoLimit, expected);
+      add_chord_fingers(*net_, whole, m, kNoLimit, want);
     }
+    sanitize_row(m, net_->size(), want);
+    evaluated += diff_row(r, "chord.finger", m, want);
   }
-  expected.finalize();
-  check_expected(r, expected, "chord.finger");
+  count_checks(r, "chord.finger", evaluated);
 }
 
 void StructureAuditor::check_expected(AuditReport& r,
                                       const LinkTable& expected,
                                       std::string_view check_name) const {
-  if (!expected.finalized() || expected.node_count() != net_->size()) {
+  if (expected.node_count() != net_->size()) {
     throw std::invalid_argument(
         "StructureAuditor::check_expected: bad expected table");
   }
   std::uint64_t evaluated = 0;
   for (std::uint32_t m = 0; m < net_->size(); ++m) {
-    const auto actual = links_->neighbors(m);
-    const auto want = expected.neighbors(m);
-    evaluated += actual.size() + want.size();
-    std::size_t a = 0, w = 0;
-    while (a < actual.size() || w < want.size()) {
-      if (w == want.size() ||
-          (a < actual.size() && actual[a] < want[w])) {
-        add_violation(r, std::string(check_name), m,
-                      actual[a] < net_->size()
-                          ? net_->lca_level(m, actual[a])
-                          : -1,
-                      "unexpected link to " +
-                          (actual[a] < net_->size()
-                               ? hex_of(*net_, actual[a])
-                               : "index " + std::to_string(actual[a])));
-        ++a;
-      } else if (a == actual.size() || want[w] < actual[a]) {
-        add_violation(r, std::string(check_name), m,
-                      net_->lca_level(m, want[w]),
-                      "missing link to " + hex_of(*net_, want[w]));
-        ++w;
-      } else {
-        ++a;
-        ++w;
-      }
-    }
+    evaluated += diff_row(r, check_name, m, expected.neighbors(m));
   }
   count_checks(r, check_name, evaluated);
+}
+
+std::uint64_t StructureAuditor::diff_row(
+    AuditReport& r, std::string_view check_name, std::uint32_t m,
+    std::span<const NodeIndex> want) const {
+  const auto actual = links_->neighbors(m);
+  std::size_t a = 0, w = 0;
+  while (a < actual.size() || w < want.size()) {
+    if (w == want.size() || (a < actual.size() && actual[a] < want[w])) {
+      add_violation(r, std::string(check_name), m,
+                    actual[a] < net_->size()
+                        ? net_->lca_level(m, actual[a])
+                        : -1,
+                    "unexpected link to " +
+                        (actual[a] < net_->size()
+                             ? hex_of(*net_, actual[a])
+                             : "index " + std::to_string(actual[a])));
+      ++a;
+    } else if (a == actual.size() || want[w] < actual[a]) {
+      add_violation(r, std::string(check_name), m,
+                    net_->lca_level(m, want[w]),
+                    "missing link to " + hex_of(*net_, want[w]));
+      ++w;
+    } else {
+      ++a;
+      ++w;
+    }
+  }
+  return actual.size() + want.size();
 }
 
 void StructureAuditor::check_xor_buckets(AuditReport& r,

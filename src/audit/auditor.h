@@ -96,8 +96,8 @@ struct AuditReport {
 
 class StructureAuditor {
  public:
-  /// `links` must be finalized (throws std::invalid_argument otherwise);
-  /// both references are borrowed for the auditor's lifetime.
+  /// `links` must span the network's nodes (throws std::invalid_argument
+  /// otherwise); both references are borrowed for the auditor's lifetime.
   StructureAuditor(const OverlayNetwork& net, const LinkTable& links);
 
   // Individual batteries. Each appends to `r.violations`, bumps its entry
@@ -168,6 +168,12 @@ class StructureAuditor {
                       int leaf_set) const;
 
  private:
+  /// Diffs node `m`'s live row against `want` (sorted, unique), records
+  /// each missing and unexpected link under `check_name`, and returns the
+  /// links evaluated (both rows' sizes).
+  std::uint64_t diff_row(AuditReport& r, std::string_view check_name,
+                         std::uint32_t m,
+                         std::span<const NodeIndex> want) const;
   void add_violation(AuditReport& r, std::string check, std::uint32_t node,
                      int level, std::string detail) const;
   void count_checks(AuditReport& r, std::string_view battery,

@@ -1,6 +1,5 @@
 #include "canon/cacophony.h"
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 #include "dht/chord.h"
@@ -9,7 +8,7 @@
 namespace canon {
 
 void add_cacophony_links(const OverlayNetwork& net, std::uint32_t m, Rng& rng,
-                         LinkTable& out) {
+                         LinkRow& out) {
   const auto& chain = net.domains().domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   add_symphony_links(
@@ -27,18 +26,13 @@ void add_cacophony_links(const OverlayNetwork& net, std::uint32_t m, Rng& rng,
 
 LinkTable build_cacophony(const OverlayNetwork& net, Rng& rng) {
   telemetry::ScopedTimer timer("build.cacophony_ms");
-  LinkTable out(net.size());
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      add_cacophony_links(net, static_cast<std::uint32_t>(m), node_rng, out);
-    }
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = base.fork(m);
+    add_cacophony_links(net, m, node_rng, row);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 }  // namespace canon

@@ -10,7 +10,7 @@
 namespace canon {
 
 CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
-    : net_(&net), links_(net.size()) {
+    : net_(&net) {
   telemetry::ScopedTimer timer("build.cancan_ms");
   const DomainTree& dom = net.domains();
   trees_.resize(static_cast<std::size_t>(dom.domain_count()));
@@ -26,14 +26,13 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
                  }
                });
 
-  const auto add_node_links = [&](std::uint32_t m,
-                                  std::vector<std::uint32_t>& face) {
+  const auto add_node_links = [&](NodeIndex m, LinkRow& row) {
     const auto& chain = dom.domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
     // Leaf domain: every CAN edge.
     for (const std::uint32_t v :
          tree(chain[static_cast<std::size_t>(leaf)]).neighbors(m)) {
-      links_.add(m, v);
+      row.push_back(v);
     }
     // Higher levels: a face edge survives the merge only if it is shorter
     // than the shortest lower-level link *for that face* (the per-bucket
@@ -56,20 +55,11 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
             bucket_count(net, child_ring, net.id(m), bits - 1 - pos) != 0) {
           continue;
         }
-        face.clear();
-        t.face_neighbors(m, pos, face);
-        for (const std::uint32_t v : face) links_.add(m, v);
+        t.face_neighbors(m, pos, row);
       }
     }
   };
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin,
-                                           std::size_t end) {
-    std::vector<std::uint32_t> face;  // per-shard scratch
-    for (std::size_t m = begin; m < end; ++m) {
-      add_node_links(static_cast<std::uint32_t>(m), face);
-    }
-  });
-  links_.finalize(net.ids());
+  links_ = LinkTable::build(net.ids(), add_node_links);
 }
 
 std::uint32_t CanCanNetwork::responsible(NodeId key) const {

@@ -1,13 +1,12 @@
 #include "canon/crescendo.h"
 
-#include "common/parallel.h"
 #include "dht/chord.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
 
 void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
-                         LinkTable& out) {
+                         LinkRow& out) {
   const auto& chain = net.domains().domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   // Leaf domain: plain Chord among the members.
@@ -24,29 +23,17 @@ void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
   }
 }
 
-LinkTable build_crescendo_streamed(
-    const OverlayNetwork& net, std::size_t shard_nodes,
-    const std::function<void(std::size_t done, std::size_t shards)>&
-        on_shard) {
-  telemetry::ScopedTimer timer("build.crescendo_streamed_ms");
-  return LinkTable::build_streaming(
-      net.size(), net.ids(), shard_nodes,
-      [&net](NodeIndex m, LinkTable& sink) {
-        add_crescendo_links(net, m, sink);
-      },
+LinkTable build_crescendo(const OverlayNetwork& net,
+                          const LinkTable::ShardProgress& on_shard) {
+  telemetry::ScopedTimer timer("build.crescendo_ms");
+  return LinkTable::build(
+      net.ids(),
+      [&net](NodeIndex m, LinkRow& row) { add_crescendo_links(net, m, row); },
       on_shard);
 }
 
-LinkTable build_crescendo(const OverlayNetwork& net) {
-  telemetry::ScopedTimer timer("build.crescendo_ms");
-  LinkTable out(net.size());
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      add_crescendo_links(net, static_cast<std::uint32_t>(m), out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+LinkTable build_crescendo_streamed(const OverlayNetwork& net) {
+  return build_crescendo(net);
 }
 
 }  // namespace canon

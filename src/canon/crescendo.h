@@ -20,29 +20,19 @@ namespace canon {
 
 /// Adds all of node `m`'s Crescendo links (every hierarchy level).
 void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
-                         LinkTable& out);
+                         LinkRow& out);
 
 /// Builds the complete Crescendo network. With a flat population this is
-/// exactly Chord.
-LinkTable build_crescendo(const OverlayNetwork& net);
+/// exactly Chord. `on_shard` is LinkTable::build's progress hook (never
+/// influences the table); the resource observatory samples the RSS
+/// timeline through it.
+LinkTable build_crescendo(const OverlayNetwork& net,
+                          const LinkTable::ShardProgress& on_shard = {});
 
-/// Default shard size for build_crescendo_streamed: large enough that one
-/// shard's sort/compact amortizes the claim, small enough that in-flight
-/// build rows never dominate peak RSS.
-inline constexpr std::size_t kStreamShardNodes = 8192;
-
-/// Builds the same network as build_crescendo (byte-identical: operator==
-/// compares equal) through LinkTable::build_streaming, compacting and
-/// freeing each shard's build rows as it completes. This is the mega-scale
-/// entry point: at 10^6+ nodes it trims the construction's peak RSS by the
-/// per-node build-vector overhead the plain path holds across the whole
-/// population. `on_shard` is LinkTable::build_streaming's progress hook
-/// (thread-safe callback, never influences the built table) — the
-/// resource observatory samples the RSS timeline through it.
-LinkTable build_crescendo_streamed(
-    const OverlayNetwork& net, std::size_t shard_nodes = kStreamShardNodes,
-    const std::function<void(std::size_t done, std::size_t shards)>&
-        on_shard = {});
+/// Forwards to build_crescendo. Kept only for the repository benchmark's
+/// build workload (perfbench/workloads.cc), which calls it by name; it goes
+/// with the next change to the benchmark.
+LinkTable build_crescendo_streamed(const OverlayNetwork& net);
 
 }  // namespace canon
 

@@ -26,7 +26,7 @@ namespace canon {
 /// Adds all of node `m`'s Kandy links.
 void add_kandy_links(const OverlayNetwork& net, std::uint32_t m,
                      BucketChoice choice, MergePolicy policy, Rng& rng,
-                     LinkTable& out);
+                     LinkRow& out);
 
 /// Builds the complete Kandy network. Flat populations yield plain
 /// Kademlia.

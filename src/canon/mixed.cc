@@ -1,23 +1,21 @@
 #include "canon/mixed.h"
 
-#include "telemetry/scoped_timer.h"
-
-#include "common/parallel.h"
 #include "dht/chord.h"
+#include "telemetry/scoped_timer.h"
 
 namespace canon {
 
 namespace {
 
 void add_clique_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
-                                LinkTable& out) {
+                                LinkRow& out) {
   const DomainTree& dom = net.domains();
   const auto& chain = dom.domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   // Leaf domain: complete graph.
   const RingView leaf_ring =
       net.domain_ring(chain[static_cast<std::size_t>(leaf)]);
-  for (const std::uint32_t v : leaf_ring.members()) out.add(m, v);
+  for (const std::uint32_t v : leaf_ring.members()) out.push_back(v);
   // Higher levels: the standard Crescendo merge.
   for (int level = leaf - 1; level >= 0; --level) {
     const std::uint64_t limit =
@@ -33,14 +31,9 @@ void add_clique_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
 
 LinkTable build_clique_crescendo(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.clique_crescendo_ms");
-  LinkTable out(net.size());
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      add_clique_crescendo_links(net, static_cast<std::uint32_t>(m), out);
-    }
+  return LinkTable::build(net.ids(), [&net](NodeIndex m, LinkRow& row) {
+    add_clique_crescendo_links(net, m, row);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 }  // namespace canon

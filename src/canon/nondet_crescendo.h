@@ -13,7 +13,7 @@ namespace canon {
 
 /// Adds all of node `m`'s nondeterministic-Crescendo links.
 void add_nondet_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
-                                Rng& rng, LinkTable& out);
+                                Rng& rng, LinkRow& out);
 
 /// Builds the complete network. Flat populations yield plain
 /// nondeterministic Chord.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "common/prefetch.h"
 #include "dht/chord.h"
 #include "overlay/batch_probe.h"
@@ -111,7 +110,7 @@ void add_group_links(const OverlayNetwork& /*net*/,
                      const GroupedOverlay& groups,
                      std::uint32_t m, std::uint64_t group_limit,
                      const HopCost& latency, const ProximityConfig& cfg,
-                     Rng& rng, LinkTable& out) {
+                     Rng& rng, LinkRow& out) {
   const int T = groups.prefix_bits();
   const NodeId g = groups.gid_of_node(m);
   for (int k = 0; k < T; ++k) {
@@ -124,15 +123,15 @@ void add_group_links(const OverlayNetwork& /*net*/,
     if (covered == 0 || covered >= group_limit) continue;
     const std::uint32_t v =
         pick_nearest(target.members, m, latency, cfg.sample_size, rng);
-    if (v != RingView::kNone) out.add(m, v);
+    if (v != RingView::kNone) out.push_back(v);
   }
 }
 
 void add_clique_links(const GroupedOverlay& groups, std::uint32_t m,
-                      LinkTable& out) {
+                      LinkRow& out) {
   const auto& mine =
       groups.groups()[static_cast<std::size_t>(groups.group_index_of(m))];
-  for (const std::uint32_t v : mine.members) out.add(m, v);
+  out.insert(out.end(), mine.members.begin(), mine.members.end());
 }
 
 }  // namespace
@@ -142,20 +141,14 @@ LinkTable build_chord_prox(const OverlayNetwork& net,
                            const HopCost& latency, const ProximityConfig& cfg,
                            Rng& rng) {
   telemetry::ScopedTimer timer("build.chord_prox_ms");
-  LinkTable out(net.size());
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto m = static_cast<std::uint32_t>(i);
-      Rng node_rng = base.fork(m);
-      add_clique_links(groups, m, out);
-      add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, out);
-    }
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = base.fork(m);
+    add_clique_links(groups, m, row);
+    add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, row);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 LinkTable build_crescendo_prox(const OverlayNetwork& net,
@@ -163,9 +156,9 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                const HopCost& latency,
                                const ProximityConfig& cfg, Rng& rng) {
   telemetry::ScopedTimer timer("build.crescendo_prox_ms");
-  LinkTable out(net.size());
   const DomainTree& dom = net.domains();
-  const auto add_node_links = [&](std::uint32_t m, Rng& node_rng) {
+  const auto add_node_links = [&](std::uint32_t m, Rng& node_rng,
+                                  LinkRow& out) {
     add_clique_links(groups, m, out);
     const auto& chain = dom.domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
@@ -202,14 +195,10 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      add_node_links(static_cast<std::uint32_t>(m), node_rng);
-    }
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = base.fork(m);
+    add_node_links(m, node_rng, row);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 GroupRouter::GroupRouter(const OverlayNetwork& net,
@@ -217,11 +206,7 @@ GroupRouter::GroupRouter(const OverlayNetwork& net,
     : net_(&net),
       groups_(&groups),
       links_(&links),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("GroupRouter: link table not finalized");
-  }
-}
+      max_hops_(4 * net.space().bits() + 16) {}
 
 namespace {
 
@@ -422,7 +407,7 @@ void GroupRouter::probe_batch(std::span<const Query> queries,
     throw std::invalid_argument("probe_batch: out.size() != queries.size()");
   }
   const int width = probe_batch_width();
-  if (width <= 0 || !links_->has_inline_ids()) {
+  if (width <= 0) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       out[i] = probe(queries[i].from, queries[i].key);
     }
@@ -456,9 +441,6 @@ ResilientGroupRouter::ResilientGroupRouter(const OverlayNetwork& net,
       links_(&links),
       retry_budget_(retry_budget),
       max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientGroupRouter: links not finalized");
-  }
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientGroupRouter: retry budget < 1");
   }

@@ -92,12 +92,6 @@ class ThreadPool {
 void parallel_for(std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// Default shard size for per-node link-construction loops: one node costs
-/// on the order of a few µs (binary searches over the rings), so 64 nodes
-/// amortize a shard claim while a 2^16-node build still yields ~1000
-/// shards to balance.
-inline constexpr std::size_t kNodeGrain = 64;
-
 }  // namespace canon
 
 #endif  // CANON_COMMON_PARALLEL_H

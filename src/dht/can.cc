@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
@@ -187,18 +186,10 @@ CanNetwork build_can(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.can_ms");
   const RingView ring = net.ring();
   ZoneTree tree(net, ring.members());
-  LinkTable links(net.size());
-  const auto members = ring.members();
-  parallel_for(members.size(), kNodeGrain,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   const std::uint32_t m = members[i];
-                   for (const std::uint32_t v : tree.neighbors(m)) {
-                     links.add(m, v);
-                   }
-                 }
-               });
-  links.finalize(net.ids());
+  LinkTable links =
+      LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+        for (const std::uint32_t v : tree.neighbors(m)) row.push_back(v);
+      });
   return CanNetwork{std::move(tree), std::move(links)};
 }
 
@@ -208,9 +199,6 @@ CanRouter::CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
       tree_(&tree),
       links_(&links),
       max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("CanRouter: link table not finalized");
-  }
 }
 
 Route CanRouter::route(std::uint32_t from, NodeId key) const {
@@ -281,9 +269,6 @@ ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
       links_(&links),
       retry_budget_(retry_budget),
       max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientCanRouter: links not finalized");
-  }
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientCanRouter: retry budget < 1");
   }

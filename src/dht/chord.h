@@ -21,7 +21,7 @@ inline constexpr std::uint64_t kNoLimit =
 /// the paper), keeping only links with ring distance strictly below `limit`
 /// (condition (b); pass kNoLimit for plain Chord).
 void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
-                       std::uint32_t m, std::uint64_t limit, LinkTable& out);
+                       std::uint32_t m, std::uint64_t limit, LinkRow& out);
 
 /// Builds the complete flat Chord network over all nodes.
 LinkTable build_chord(const OverlayNetwork& net);

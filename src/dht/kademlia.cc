@@ -1,6 +1,5 @@
 #include "dht/kademlia.h"
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 #include <algorithm>
@@ -125,7 +124,7 @@ std::uint64_t closest_xor_distance(const OverlayNetwork& net,
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, ChildBuckets& child,
                         BucketChoice choice, MergePolicy policy, Rng& rng,
-                        LinkTable& out, int replication) {
+                        LinkRow& out, int replication) {
   if (replication < 1) {
     throw std::invalid_argument("add_kademlia_links: replication < 1");
   }
@@ -145,13 +144,13 @@ void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
     const std::uint32_t v =
         pick_in_bucket(net, ring, m_id, k, hi, choice, &rng);
     if (v == RingView::kNone) continue;
-    out.add(m, v);
-    // Extra bucket entries for resilience (LinkTable collapses repeats, so
-    // small buckets simply fill up).
+    out.push_back(v);
+    // Extra bucket entries for resilience (LinkTable::build collapses
+    // repeats, so small buckets simply fill up).
     for (int extra = 1; extra < replication; ++extra) {
       const std::uint32_t w =
           pick_in_bucket(net, ring, m_id, k, hi, BucketChoice::kRandom, &rng);
-      if (w != RingView::kNone && w != m) out.add(m, w);
+      if (w != RingView::kNone && w != m) out.push_back(w);
     }
     // Leave `ring`'s bucket state for the level above: this bucket is
     // filled, and under the literal rule its closest member now beats the
@@ -172,22 +171,16 @@ void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
 LinkTable build_kademlia(const OverlayNetwork& net, BucketChoice choice,
                          Rng& rng, int replication) {
   telemetry::ScopedTimer timer("build.kademlia_ms");
-  LinkTable out(net.size());
   const RingView ring = net.ring();
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      ChildBuckets flat;  // no child ring: nothing filled
-      add_kademlia_links(net, ring, static_cast<std::uint32_t>(m), flat,
-                         choice, MergePolicy::kFrugal, node_rng, out,
-                         replication);
-    }
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = base.fork(m);
+    ChildBuckets flat;  // no child ring: nothing filled
+    add_kademlia_links(net, ring, m, flat, choice, MergePolicy::kFrugal,
+                       node_rng, row, replication);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 }  // namespace canon

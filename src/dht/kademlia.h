@@ -67,7 +67,7 @@ struct ChildBuckets {
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, ChildBuckets& child,
                         BucketChoice choice, MergePolicy policy, Rng& rng,
-                        LinkTable& out, int replication = 1);
+                        LinkRow& out, int replication = 1);
 
 /// XOR distance from `m` to its closest other member of `ring`
 /// (kNoLimit if `ring` holds only m).

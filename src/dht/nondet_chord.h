@@ -21,7 +21,7 @@ namespace canon {
 /// greedy clockwise routing stays complete.
 void add_nondet_chord_links(const OverlayNetwork& net, const RingView& ring,
                             std::uint32_t m, std::uint64_t limit, Rng& rng,
-                            LinkTable& out);
+                            LinkRow& out);
 
 /// Builds the complete flat nondeterministic Chord network.
 LinkTable build_nondet_chord(const OverlayNetwork& net, Rng& rng);

@@ -1,6 +1,5 @@
 #include "dht/symphony.h"
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 #include <cmath>
@@ -10,7 +9,7 @@ namespace canon {
 
 void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, std::uint64_t limit, int draws,
-                        Rng& rng, LinkTable& out) {
+                        Rng& rng, LinkRow& out) {
   const IdSpace& space = net.space();
   const NodeId mid = net.id(m);
   const std::size_t n = ring.size();
@@ -18,7 +17,7 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
 
   // Successor link, required for routing completeness.
   const std::uint64_t succ_dist = ring.successor_distance(mid);
-  if (succ_dist < limit) out.add(m, ring.first_at_distance(mid, 1));
+  if (succ_dist < limit) out.push_back(ring.first_at_distance(mid, 1));
 
   if (draws < 0) draws = floor_log2(n);
   for (int i = 0; i < draws; ++i) {
@@ -33,27 +32,21 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
     const std::uint32_t v =
         ring.predecessor_or_self(space.advance(mid, dist));
     if (v == m) continue;
-    if (space.ring_distance(mid, net.id(v)) < limit) out.add(m, v);
+    if (space.ring_distance(mid, net.id(v)) < limit) out.push_back(v);
   }
 }
 
 LinkTable build_symphony(const OverlayNetwork& net, Rng& rng) {
   telemetry::ScopedTimer timer("build.symphony_ms");
-  LinkTable out(net.size());
   const RingView ring = net.ring();
   // Per-node RNG streams forked from the caller's generator: node m draws
   // from base.fork(m) regardless of visit order, so serial and sharded
   // builds produce byte-identical tables.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      add_symphony_links(net, ring, static_cast<std::uint32_t>(m), kNoLimit,
-                         /*draws=*/-1, node_rng, out);
-    }
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = base.fork(m);
+    add_symphony_links(net, ring, m, kNoLimit, /*draws=*/-1, node_rng, row);
   });
-  out.finalize(net.ids());
-  return out;
 }
 
 }  // namespace canon

@@ -23,7 +23,7 @@ namespace canon {
 /// draws are used.
 void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, std::uint64_t limit, int draws,
-                        Rng& rng, LinkTable& out);
+                        Rng& rng, LinkRow& out);
 
 /// Builds the complete flat Symphony network.
 LinkTable build_symphony(const OverlayNetwork& net, Rng& rng);

@@ -28,15 +28,13 @@ void DynamicCrescendo::rebuild_network() {
 }
 
 LinkTable DynamicCrescendo::link_table() const {
-  LinkTable table(net_->size());
-  for (const auto& [id, neighbors] : links_) {
-    const std::uint32_t from = net_->index_of(id);
-    for (const NodeId nb : neighbors) table.add(from, net_->index_of(nb));
-  }
-  // Capture inline neighbor IDs so routers built on maintenance snapshots
-  // use the same flat CSR fast path as the static builders.
-  table.finalize(net_->ids());
-  return table;
+  // links_ iterates in ID order, which is node-index order.
+  std::vector<const std::vector<NodeId>*> rows;
+  rows.reserve(links_.size());
+  for (const auto& entry : links_) rows.push_back(&entry.second);
+  return LinkTable::build(net_->ids(), [&](NodeIndex m, LinkRow& row) {
+    for (const NodeId nb : *rows[m]) row.push_back(net_->index_of(nb));
+  });
 }
 
 std::vector<NodeId> DynamicCrescendo::affected_ids(std::uint32_t pivot) const {
@@ -76,18 +74,17 @@ std::vector<NodeId> DynamicCrescendo::affected_ids(std::uint32_t pivot) const {
 }
 
 void DynamicCrescendo::recompute_links(const std::vector<NodeId>& ids) {
-  // Compute fresh links for the given nodes on the current network.
-  LinkTable scratch(net_->size());
+  // Compute fresh links for the given nodes on the current network, in
+  // table form (index order is ID order).
+  LinkRow row;
   for (const NodeId id : ids) {
-    add_crescendo_links(*net_, net_->index_of(id), scratch);
-  }
-  scratch.finalize();
-  for (const NodeId id : ids) {
-    std::vector<NodeId> neighbors;
-    for (const std::uint32_t v : scratch.neighbors(net_->index_of(id))) {
-      neighbors.push_back(net_->id(v));
-    }
-    links_[id] = std::move(neighbors);
+    const NodeIndex m = net_->index_of(id);
+    row.clear();
+    add_crescendo_links(*net_, m, row);
+    sanitize_row(m, net_->size(), row);
+    std::vector<NodeId>& neighbors = links_[id];
+    neighbors.clear();
+    for (const NodeIndex v : row) neighbors.push_back(net_->id(v));
   }
 }
 

@@ -12,9 +12,11 @@ namespace canon {
 
 namespace {
 
-/// Rows per finalize() shard: sorting a handful of short adjacency rows is
-/// cheap, so shards need to batch enough of them to amortize scheduling.
-constexpr std::size_t kFinalizeGrain = 512;
+/// Nodes per build shard. Fixed, so the shard boundaries — and with them
+/// the table and the memory ledger — never depend on the thread count.
+/// Small enough that a 2^12-node build still splits into 8 shards for the
+/// worker pool; large enough that a shard amortizes its claim and chunk.
+constexpr std::size_t kShardNodes = 512;
 
 /// Guards the 32-bit CSR offsets: link counts must fit LinkOffset.
 LinkOffset checked_offset(std::size_t links) {
@@ -25,102 +27,25 @@ LinkOffset checked_offset(std::size_t links) {
   return static_cast<LinkOffset>(links);
 }
 
-/// Allocated bytes of the per-node build rows: each row's backing store
-/// plus its vector header. Capacities are a pure function of the add()
-/// sequence per node, so the figure is thread-invariant.
-std::uint64_t rows_bytes(const std::vector<std::vector<NodeIndex>>& rows) {
-  std::uint64_t bytes = telemetry::vector_bytes(rows);
-  for (const auto& row : rows) bytes += telemetry::vector_bytes(row);
-  return bytes;
-}
-
 }  // namespace
 
-LinkTable::LinkTable(std::size_t node_count)
-    : node_count_(node_count), rows_(node_count) {}
-
-void LinkTable::add(NodeIndex from, NodeIndex to) {
-  if (from >= node_count_ || to >= node_count_) {
-    throw std::out_of_range("LinkTable::add: node index out of range");
+void sanitize_row(NodeIndex m, std::size_t node_count, LinkRow& row) {
+  std::sort(row.begin(), row.end());
+  row.erase(std::unique(row.begin(), row.end()), row.end());
+  const auto self = std::lower_bound(row.begin(), row.end(), m);
+  if (self != row.end() && *self == m) row.erase(self);
+  if (!row.empty() && row.back() >= node_count) {
+    throw std::out_of_range("sanitize_row: target index out of range");
   }
-  if (finalized_) {
-    throw std::logic_error(
-        "LinkTable::add: table is finalized (use set_neighbors to edit)");
-  }
-  if (from == to) return;
-  rows_[from].push_back(to);
 }
 
-void LinkTable::finalize(std::span<const NodeId> ids) {
-  if (finalized_) return;
-  if (!ids.empty() && ids.size() != node_count_) {
-    throw std::invalid_argument("LinkTable::finalize: ids size mismatch");
-  }
-  if (telemetry::Gauge* g = telemetry::maybe_gauge("build.threads")) {
-    g->set(parallel_threads());
-  }
-  // Transient ledger charge for the build rows the CSR replaces; held
-  // until the rows are freed at the end, so the link_table.csr charge
-  // below overlaps it the way the allocations really do.
-  telemetry::MemScope row_scope("overlay.link_rows", rows_bytes(rows_));
-  // Sort and deduplicate every row; rows are independent, so shard them.
-  parallel_for(node_count_, kFinalizeGrain,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t m = begin; m < end; ++m) {
-                   auto& row = rows_[m];
-                   std::sort(row.begin(), row.end());
-                   row.erase(std::unique(row.begin(), row.end()), row.end());
-                 }
-               });
-  // Serial prefix sum over the row sizes, then a sharded scatter into the
-  // flat arrays; both stages depend only on row contents, so the layout is
-  // identical at every thread count.
-  offsets_.assign(node_count_ + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < node_count_; ++m) {
-    total += rows_[m].size();
-    offsets_[m + 1] = checked_offset(total);
-  }
-  targets_.resize(total);
-  if (!ids.empty()) {
-    ids_.assign(ids.begin(), ids.end());
-    target_ids_.resize(total);
-  }
-  parallel_for(node_count_, kFinalizeGrain,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t m = begin; m < end; ++m) {
-                   std::size_t k = offsets_[m];
-                   for (const NodeIndex to : rows_[m]) {
-                     targets_[k] = to;
-                     if (!ids_.empty()) target_ids_[k] = ids_[to];
-                     ++k;
-                   }
-                 }
-               });
-  account_csr();
-  rows_.clear();
-  rows_.shrink_to_fit();
-  finalized_ = true;
-}
-
-LinkTable LinkTable::build_streaming(
-    std::size_t node_count, std::span<const NodeId> ids,
-    std::size_t shard_nodes,
-    const std::function<void(NodeIndex node, LinkTable& sink)>& add_links,
-    const std::function<void(std::size_t done, std::size_t shards)>&
-        on_shard) {
-  if (shard_nodes == 0) {
-    throw std::invalid_argument("LinkTable::build_streaming: shard_nodes == 0");
-  }
-  if (!ids.empty() && ids.size() != node_count) {
-    throw std::invalid_argument("LinkTable::build_streaming: ids size mismatch");
-  }
-  LinkTable out(node_count);
-  const std::size_t shards = (node_count + shard_nodes - 1) / shard_nodes;
-  // Per-shard compact chunks: flat sorted/deduped targets plus per-node
-  // row sizes. Each shard owns its slice of out.rows_ during the build,
-  // then frees those row vectors as soon as the chunk is compacted —
-  // that bound (in-flight rows only) is the whole point of streaming.
+LinkTable LinkTable::build(std::span<const NodeId> ids,
+                           const AddLinks& add_links,
+                           const ShardProgress& on_shard) {
+  const std::size_t n = ids.size();
+  const std::size_t shards = (n + kShardNodes - 1) / kShardNodes;
+  // Per-shard compact chunks: flat sanitized targets plus per-node row
+  // sizes, each trimmed to its exact size once the shard completes.
   struct Chunk {
     std::vector<NodeIndex> targets;
     std::vector<LinkOffset> sizes;
@@ -128,40 +53,40 @@ LinkTable LinkTable::build_streaming(
   std::vector<Chunk> chunks(shards);
   std::atomic<std::size_t> shards_done{0};
   parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
+    LinkRow row;
     for (std::size_t s = begin; s < end; ++s) {
-      const std::size_t lo = s * shard_nodes;
-      const std::size_t hi = std::min(node_count, lo + shard_nodes);
+      const std::size_t lo = s * kShardNodes;
+      const std::size_t hi = std::min(n, lo + kShardNodes);
       Chunk& chunk = chunks[s];
       chunk.sizes.reserve(hi - lo);
       for (std::size_t m = lo; m < hi; ++m) {
-        add_links(static_cast<NodeIndex>(m), out);
-        auto& row = out.rows_[m];
-        std::sort(row.begin(), row.end());
-        row.erase(std::unique(row.begin(), row.end()), row.end());
-        chunk.sizes.push_back(checked_offset(row.size()));
-        chunk.targets.insert(chunk.targets.end(), row.begin(), row.end());
         row.clear();
-        row.shrink_to_fit();
+        add_links(static_cast<NodeIndex>(m), row);
+        sanitize_row(static_cast<NodeIndex>(m), n, row);
+        chunk.sizes.push_back(static_cast<LinkOffset>(row.size()));
+        chunk.targets.insert(chunk.targets.end(), row.begin(), row.end());
       }
+      chunk.targets.shrink_to_fit();
       if (on_shard) {
         on_shard(shards_done.fetch_add(1, std::memory_order_relaxed) + 1,
                  shards);
       }
     }
   });
-  // Ledger charge for the compacted chunks, in fixed shard order on the
-  // calling thread (the in-flight build rows themselves are bounded by one
-  // shard per worker and are not attributed; the RSS timeline measures
-  // them). Held until the chunks are freed at return, overlapping the CSR
-  // charge below exactly as the allocations do.
-  telemetry::MemScope chunk_scope("overlay.stream_chunks");
+  // Ledger charge for the chunks, held until they are freed at return so
+  // it overlaps the CSR charge below exactly as the allocations do. Exact
+  // sizes make it a pure function of the table.
+  std::uint64_t chunk_bytes = 0;
   for (const Chunk& chunk : chunks) {
-    chunk_scope.add(telemetry::vector_bytes(chunk.targets) +
-                    telemetry::vector_bytes(chunk.sizes));
+    chunk_bytes += telemetry::vector_bytes(chunk.targets) +
+                   telemetry::vector_bytes(chunk.sizes);
   }
+  telemetry::MemScope chunk_scope("overlay.stream_chunks", chunk_bytes);
   // Serial prefix sum over the per-node sizes (fixed shard order), then a
   // sharded scatter of the chunks into the final CSR arrays.
-  out.offsets_.assign(node_count + 1, 0);
+  LinkTable out;
+  out.node_count_ = n;
+  out.offsets_.assign(n + 1, 0);
   std::size_t total = 0;
   {
     std::size_t m = 0;
@@ -173,26 +98,21 @@ LinkTable LinkTable::build_streaming(
     }
   }
   out.targets_.resize(total);
-  if (!ids.empty()) {
-    out.ids_.assign(ids.begin(), ids.end());
-    out.target_ids_.resize(total);
-  }
+  out.ids_.assign(ids.begin(), ids.end());
+  out.target_ids_.resize(total);
   parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       Chunk& chunk = chunks[s];
-      std::size_t k = out.offsets_[s * shard_nodes];
-      for (std::size_t j = 0; j < chunk.targets.size(); ++j, ++k) {
-        const NodeIndex to = chunk.targets[j];
+      std::size_t k = out.offsets_[s * kShardNodes];
+      for (const NodeIndex to : chunk.targets) {
         out.targets_[k] = to;
-        if (!out.ids_.empty()) out.target_ids_[k] = out.ids_[to];
+        out.target_ids_[k] = ids[to];
+        ++k;
       }
       chunk.targets.clear();
       chunk.targets.shrink_to_fit();
     }
   });
-  out.rows_.clear();
-  out.rows_.shrink_to_fit();
-  out.finalized_ = true;
   out.account_csr();
   if (telemetry::Gauge* g = telemetry::maybe_gauge("build.threads")) {
     g->set(parallel_threads());
@@ -208,30 +128,9 @@ void LinkTable::account_csr() {
                  telemetry::vector_bytes(ids_));
 }
 
-void LinkTable::throw_neighbor_ids_unavailable() const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "LinkTable::neighbor_ids: finalize() has not been called");
-  }
-  throw std::logic_error(
-      "LinkTable::neighbor_ids: finalize(ids) did not capture node IDs");
-}
-
 bool LinkTable::has_link(NodeIndex from, NodeIndex to) const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "LinkTable::has_link: finalize() has not been called");
-  }
   const auto row = neighbors(from);
   return std::binary_search(row.begin(), row.end(), to);
-}
-
-std::size_t LinkTable::total_links() const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "LinkTable::total_links: finalize() has not been called");
-  }
-  return targets_.size();
 }
 
 double LinkTable::mean_degree() const {
@@ -248,71 +147,9 @@ Histogram LinkTable::degree_histogram() const {
   return h;
 }
 
-void LinkTable::set_neighbors(NodeIndex node,
-                              std::vector<NodeIndex> neighbors) {
-  if (node >= node_count_) {
-    throw std::out_of_range("LinkTable::set_neighbors: node out of range");
-  }
-  std::sort(neighbors.begin(), neighbors.end());
-  neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                  neighbors.end());
-  neighbors.erase(std::remove(neighbors.begin(), neighbors.end(), node),
-                  neighbors.end());
-  if (!neighbors.empty() && neighbors.back() >= node_count_) {
-    throw std::out_of_range("LinkTable::set_neighbors: neighbor out of range");
-  }
-  if (!finalized_) {
-    rows_[node] = std::move(neighbors);
-    return;
-  }
-  // CSR edit path: splice the row in place. Equal-size rewrites touch only
-  // the row; size changes shift the tail of the flat arrays once.
-  const std::size_t begin = offsets_[node];
-  const std::size_t old_size = offsets_[node + 1] - begin;
-  const std::size_t new_size = neighbors.size();
-  if (new_size > old_size) {
-    checked_offset(targets_.size() + (new_size - old_size));
-  }
-  const auto row_begin =
-      targets_.begin() + static_cast<std::ptrdiff_t>(begin);
-  if (new_size > old_size) {
-    targets_.insert(row_begin + static_cast<std::ptrdiff_t>(old_size),
-                    new_size - old_size, 0);
-    if (!ids_.empty()) {
-      target_ids_.insert(target_ids_.begin() +
-                             static_cast<std::ptrdiff_t>(begin + old_size),
-                         new_size - old_size, 0);
-    }
-  } else if (new_size < old_size) {
-    targets_.erase(row_begin + static_cast<std::ptrdiff_t>(new_size),
-                   row_begin + static_cast<std::ptrdiff_t>(old_size));
-    if (!ids_.empty()) {
-      target_ids_.erase(
-          target_ids_.begin() + static_cast<std::ptrdiff_t>(begin + new_size),
-          target_ids_.begin() + static_cast<std::ptrdiff_t>(begin + old_size));
-    }
-  }
-  for (std::size_t k = 0; k < new_size; ++k) {
-    targets_[begin + k] = neighbors[k];
-    if (!ids_.empty()) target_ids_[begin + k] = ids_[neighbors[k]];
-  }
-  if (new_size != old_size) {
-    const std::ptrdiff_t delta = static_cast<std::ptrdiff_t>(new_size) -
-                                 static_cast<std::ptrdiff_t>(old_size);
-    for (std::size_t m = node + 1; m <= node_count_; ++m) {
-      offsets_[m] = static_cast<LinkOffset>(
-          static_cast<std::ptrdiff_t>(offsets_[m]) + delta);
-    }
-    // Keep the ledger holding in step with the spliced arrays; tables
-    // built before the accountant was installed stay off the ledger.
-    if (mem_.held() != 0) account_csr();
-  }
-}
-
 bool operator==(const LinkTable& a, const LinkTable& b) {
-  return a.finalized_ && b.finalized_ && a.node_count_ == b.node_count_ &&
-         a.offsets_ == b.offsets_ && a.targets_ == b.targets_ &&
-         a.target_ids_ == b.target_ids_;
+  return a.node_count_ == b.node_count_ && a.offsets_ == b.offsets_ &&
+         a.targets_ == b.targets_ && a.target_ids_ == b.target_ids_;
 }
 
 }  // namespace canon

@@ -3,47 +3,38 @@
 // The paper counts only out-degree ("the degree of a node refers to its
 // out-degree, and does not count incoming edges"); LinkTable mirrors that.
 //
-// Lifecycle and CSR invariants
-// ----------------------------
-// A table has two phases. In the *build* phase, add() appends to per-node
-// rows; rows are independent, so shard-parallel builders may call add()
-// concurrently as long as no two threads add links for the same `from`
-// node. finalize() ends the build phase by sorting and deduplicating each
-// row and compacting the whole table into a flat CSR (compressed sparse
-// row) layout:
+// Construction and CSR invariants
+// -------------------------------
+// Every table is made by LinkTable::build(ids, add_links): the builder
+// appends each node's out-links to a row, and build() sorts the row,
+// drops duplicates and self-links, and compacts the whole table into a
+// flat CSR (compressed sparse row) layout:
 //
 //   offsets_  : node_count() + 1 monotone offsets into the flat arrays;
 //               node m's neighbors occupy [offsets_[m], offsets_[m + 1]).
 //               Offsets are 32-bit LinkOffset values: even 10^7-node
 //               populations carry well under 2^32 links, and the compact
-//               type halves the per-node offset footprint (finalize()
-//               throws std::length_error past 2^32 - 1 links).
+//               type halves the per-node offset footprint (build() throws
+//               std::length_error past 2^32 - 1 links).
 //   targets_  : all neighbor *indices* (NodeIndex), row by row, each row
 //               sorted ascending with no duplicates and no self-links.
-//   target_ids_: when finalize(ids) was given the node-ID array, the
-//               NodeId of targets_[k] stored at the same position k, so
-//               routers read one contiguous array instead of chasing
-//               net.id(nb) per candidate. Empty when no ids were given.
+//   target_ids_: the NodeId of targets_[k] stored at the same position k,
+//               so routers read one contiguous array instead of chasing
+//               net.id(nb) per candidate.
 //
-// After finalize() the table is a read-only routing structure: add()
-// throws std::logic_error, and the query methods (neighbors(), has_link(),
-// degree(), ...) throw std::logic_error *before* finalize(). The one
-// sanctioned post-finalize mutation is set_neighbors(), the dynamic-
-// maintenance edit path, which splices the CSR arrays in place (O(degree)
-// when the row size is unchanged, O(total_links) otherwise) and keeps
-// every invariant above, including target_ids_ alignment.
+// A built table is read-only: there is no edit path. Dynamic maintenance
+// and tests that need a changed row build a new table.
 //
-// Mega-scale populations: build_streaming() constructs the same CSR (bit
-// for bit) shard by shard, compacting and freeing each shard's build rows
-// as soon as it completes, so peak RSS stays near the final CSR size
-// instead of CSR + every per-node build vector. See the method comment.
+// build() runs shard by shard: each shard's rows are compacted into one
+// tightly packed chunk as soon as the shard completes, so peak memory
+// stays near the final CSR size at any population (see the method
+// comment).
 #ifndef CANON_OVERLAY_LINK_TABLE_H
 #define CANON_OVERLAY_LINK_TABLE_H
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -58,97 +49,75 @@ namespace canon {
 /// the file comment.
 using LinkOffset = std::uint32_t;
 
-/// Mutable while links are being added; `finalize()` compacts the table
-/// into a flat CSR layout, after which it is read-only (except for the
-/// set_neighbors() maintenance edit path). See the file comment.
+/// One node's out-links as a builder appends them: any order, duplicates
+/// and self-links allowed (build() sanitizes).
+using LinkRow = std::vector<NodeIndex>;
+
+/// Puts node `m`'s appended row into table form: sorts it, drops
+/// duplicates and the self-link, and throws std::out_of_range on a target
+/// >= node_count. The one row rule, shared by build() and by every caller
+/// that recomputes single rows (maintenance, the auditor).
+void sanitize_row(NodeIndex m, std::size_t node_count, LinkRow& row);
+
+/// A finished, read-only CSR link table. See the file comment.
 class LinkTable {
  public:
-  explicit LinkTable(std::size_t node_count);
+  /// Appends node `m`'s out-links to `row`. Called once per node, from
+  /// several workers at once for distinct nodes.
+  using AddLinks = std::function<void(NodeIndex m, LinkRow& row)>;
+  /// Progress hook: `done` shards of `shards` are compacted.
+  using ShardProgress =
+      std::function<void(std::size_t done, std::size_t shards)>;
+
+  /// The empty table over zero nodes.
+  LinkTable() = default;
+
+  /// Builds the table over the nodes of `ids` (node index -> NodeId; the
+  /// node count is ids.size()). For every node m, add_links(m, row) fills
+  /// a cleared row buffer; build() sorts it, drops duplicates and the
+  /// self-link, and throws std::out_of_range on a target >= ids.size().
+  ///
+  /// Nodes run in fixed shards on the worker pool, one reused row buffer
+  /// per shard. A finished shard's rows are compacted into one exact-size
+  /// chunk (charged to the memory ledger as "overlay.stream_chunks"), and
+  /// the chunks are scattered into the CSR in shard order, so the table
+  /// and the ledger are identical at every thread count.
+  ///
+  /// `on_shard(done, shards)`, when given, fires after each shard is
+  /// compacted, from whichever worker ran it. It must be thread-safe and
+  /// must not touch the table; the resource observatory samples the RSS
+  /// timeline through it (bench/bench_scale.cc).
+  static LinkTable build(std::span<const NodeId> ids,
+                         const AddLinks& add_links,
+                         const ShardProgress& on_shard = {});
 
   std::size_t node_count() const { return node_count_; }
 
-  /// Records a directed link. Self-links are ignored. Duplicate links are
-  /// tolerated and collapsed by finalize(). Throws std::logic_error once
-  /// the table is finalized. Thread-safe across *distinct* `from` nodes
-  /// during a sharded build; never for the same `from` concurrently.
-  void add(NodeIndex from, NodeIndex to);
-
-  /// Ends the build phase: sorts and deduplicates every row and compacts
-  /// the table into the flat CSR layout. When `ids` is non-empty it must
-  /// map node index -> NodeId (size node_count()); neighbor NodeIds are
-  /// then stored inline alongside the indices for cache-friendly routing.
-  /// Idempotent on an already-finalized table (a no-op).
-  void finalize(std::span<const NodeId> ids = {});
-
-  /// Streaming construction for mega-scale populations. Processes nodes
-  /// in fixed shards of `shard_nodes`; for each node the callback adds
-  /// that node's links through the provided sink table (same contract as
-  /// a sharded build over a plain LinkTable). When a shard completes, its
-  /// rows are sorted, deduplicated and compacted into one tightly-packed
-  /// per-shard chunk and the per-node build vectors are freed
-  /// immediately, so peak RSS carries none of the per-node vector
-  /// headers, push_back growth slack, or allocator slop that an
-  /// add()-then-finalize() build holds across the whole population
-  /// (roughly 40-80 bytes per node plus ~1.5x target slack at 10^6+
-  /// nodes); chunks themselves are freed as they scatter into the final
-  /// CSR. Shards run on the worker pool; chunks are concatenated in
-  /// fixed shard order, so the result is byte-identical to
-  /// add()-then-finalize() at every thread count (operator== compares
-  /// equal).
-  ///
-  /// `on_shard(done, shards)`, when given, fires after each shard's rows
-  /// are compacted, from whichever worker ran the shard (`done` counts
-  /// completed shards so far). It must be thread-safe and must not touch
-  /// the table; the resource observatory uses it to sample the RSS
-  /// timeline mid-build (bench/bench_scale.cc). It never influences the
-  /// built table.
-  static LinkTable build_streaming(
-      std::size_t node_count, std::span<const NodeId> ids,
-      std::size_t shard_nodes,
-      const std::function<void(NodeIndex node, LinkTable& sink)>& add_links,
-      const std::function<void(std::size_t done, std::size_t shards)>&
-          on_shard = {});
-
-  bool finalized() const { return finalized_; }
-
-  /// True when finalize(ids) captured inline neighbor NodeIds.
-  bool has_inline_ids() const { return !ids_.empty(); }
-
-  /// Neighbors of `node`, sorted ascending (requires finalize()).
-  /// Defined inline: this is every router's per-hop access.
+  /// Neighbors of `node`, sorted ascending. Defined inline: this is every
+  /// router's per-hop access.
   std::span<const NodeIndex> neighbors(NodeIndex node) const {
-    if (!finalized_) {
-      throw std::logic_error(
-          "LinkTable::neighbors: finalize() has not been called");
-    }
     return {targets_.data() + offsets_[node],
             static_cast<std::size_t>(offsets_[node + 1] - offsets_[node])};
   }
 
-  /// NodeIds of `node`'s neighbors, aligned with neighbors() (requires
-  /// finalize(ids); throws std::logic_error if ids were not captured).
+  /// NodeIds of `node`'s neighbors, aligned with neighbors().
   std::span<const NodeId> neighbor_ids(NodeIndex node) const {
-    if (!finalized_ || ids_.empty()) {
-      throw_neighbor_ids_unavailable();
-    }
     return {target_ids_.data() + offsets_[node],
             static_cast<std::size_t>(offsets_[node + 1] - offsets_[node])};
   }
 
-  // Unchecked row views for the interleaved batch probe kernels
-  // (overlay/batch_probe.h). These skip the finalized_/ids_ guards that
-  // neighbors()/neighbor_ids() carry — the routers validate once at
-  // construction — so the per-hop loop stays branch-free. row_bounds()
-  // plus targets_data()/target_ids_data() together are exactly
-  // neighbors()/neighbor_ids() decomposed into reusable pieces.
+  // Row views for the interleaved batch probe kernels
+  // (overlay/batch_probe.h): row_bounds() plus targets_data()/
+  // target_ids_data() are exactly neighbors()/neighbor_ids() decomposed
+  // into reusable pieces.
 
-  /// [begin, end) offsets of `node`'s CSR row. Requires finalize().
+  /// [begin, end) offsets of `node`'s CSR row.
   std::pair<LinkOffset, LinkOffset> row_bounds(NodeIndex node) const {
     return {offsets_[node], offsets_[node + 1]};
   }
-  /// Flat CSR neighbor-index array. Requires finalize().
+  /// Flat CSR neighbor-index array.
   const NodeIndex* targets_data() const { return targets_.data(); }
-  /// Flat inline neighbor-NodeId array. Requires finalize(ids).
+  /// Flat inline neighbor-NodeId array.
   const NodeId* target_ids_data() const { return target_ids_.data(); }
 
   /// Prefetch hooks of the group-prefetching discipline: pull `node`'s
@@ -180,51 +149,39 @@ class LinkTable {
     }
   }
 
-  /// True if the directed link from->to exists (requires finalize()).
+  /// True if the directed link from->to exists.
   bool has_link(NodeIndex from, NodeIndex to) const;
 
   std::size_t degree(NodeIndex node) const {
-    if (!finalized_) {
-      throw std::logic_error(
-          "LinkTable::degree: finalize() has not been called");
-    }
     return offsets_[node + 1] - offsets_[node];
   }
-  std::size_t total_links() const;
+  std::size_t total_links() const { return targets_.size(); }
   double mean_degree() const;
   Histogram degree_histogram() const;
 
-  /// Replaces node `node`'s neighbor list (used by dynamic maintenance).
-  /// The list is sorted, deduplicated, and stripped of self-links; on a
-  /// finalized table the CSR arrays (and inline ids, if captured) are
-  /// spliced in place.
-  void set_neighbors(NodeIndex node, std::vector<NodeIndex> neighbors);
-
-  /// Structural equality of two finalized tables: same CSR offsets,
-  /// targets, and inline ids. The determinism regression tests rely on
-  /// this being exact (byte-identical layouts compare equal).
+  /// Structural equality: same CSR offsets, targets, and inline ids. The
+  /// determinism regression tests rely on this being exact
+  /// (byte-identical layouts compare equal).
   friend bool operator==(const LinkTable& a, const LinkTable& b);
 
-  /// Test-only backdoor (defined in tests/audit_test.cc): the public API
-  /// cannot produce a malformed CSR — set_neighbors() re-sorts — so the
-  /// auditor's mutation tests corrupt rows through this hook.
+  /// Test-only backdoor (defined in tests/audit_test.cc): build() cannot
+  /// produce a malformed CSR, so the auditor's mutation tests corrupt
+  /// rows through this hook.
   friend struct LinkTableMutator;
 
  private:
-  [[noreturn]] void throw_neighbor_ids_unavailable() const;
-
-  /// (Re)charges the finalized CSR footprint to the memory accountant
-  /// under "link_table.csr" (no-op when none is installed).
+  /// (Re)charges the CSR footprint to the memory accountant under
+  /// "link_table.csr" (no-op when none is installed).
   void account_csr();
 
   std::size_t node_count_ = 0;
-  std::vector<std::vector<NodeIndex>> rows_;  // build phase only
-  std::vector<LinkOffset> offsets_;           // CSR, node_count_ + 1
-  std::vector<NodeIndex> targets_;            // CSR, flat indices
-  std::vector<NodeId> target_ids_;            // CSR, flat NodeIds
-  std::vector<NodeId> ids_;       // node index -> NodeId (if captured)
+  std::vector<LinkOffset> offsets_ = {0};  // CSR, node_count_ + 1
+  std::vector<NodeIndex> targets_;         // CSR, flat indices
+  std::vector<NodeId> target_ids_;         // CSR, flat NodeIds
+  // node index -> NodeId. No reader left; kept so the link_table.csr
+  // ledger charge stays byte-identical until the next baseline change.
+  std::vector<NodeId> ids_;
   telemetry::MemCharge mem_;      // ledger holding for the CSR arrays
-  bool finalized_ = false;
 };
 
 }  // namespace canon

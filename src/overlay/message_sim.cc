@@ -28,9 +28,6 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
       timeouts_counter_(telemetry::maybe_counter("message_sim.timeouts")),
       retries_counter_(telemetry::maybe_counter("message_sim.retries")),
       queue_hist_(telemetry::maybe_histogram("message_sim.queue_ms")) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("MessageSimulator: links not finalized");
-  }
   if (config_.candidates < 1 || config_.candidates > kMaxStepCandidates) {
     throw std::invalid_argument(
         "MessageSimulator: candidates must be in [1, kMaxStepCandidates]");
@@ -76,7 +73,7 @@ void MessageSimulator::attach(const SimSinks& sinks) {
   }
   if (sinks.trace != sinks_.trace && sinks.trace) {
     for (std::size_t i = 0; i < lookups_.size(); ++i) {
-      if (trace_ids_[i] == 0 && lookups_[i].completed_ms < 0) {
+      if (trace_ids_[i] == kUntraced && lookups_[i].completed_ms < 0) {
         trace_ids_[i] =
             sinks.trace->begin_lookup(lookups_[i].from, lookups_[i].key);
       }
@@ -105,7 +102,7 @@ int MessageSimulator::submit(std::uint32_t from, NodeId key, double at_ms) {
   lk.path.push_back(from);
   state_.push_back(std::move(lk));
   trace_ids_.push_back(
-      sinks_.trace ? sinks_.trace->begin_lookup(from, key) : 0);
+      sinks_.trace ? sinks_.trace->begin_lookup(from, key) : kUntraced);
   if (sinks_.timeseries) sinks_.timeseries->lookup_issued(at_ms);
   push_event(at_ms, Kind::kStart, id, -1);
   return id;
@@ -180,14 +177,13 @@ double MessageSimulator::service(NodeIndex node, double at_ms) {
   }
   max_depth_[node] = std::max(max_depth_[node], ahead + 1);
   const double start = std::max(at_ms, busy_until_[node]);
-  const double done = start + config_.service_ms;
-  busy_until_[node] = done;
+  busy_until_[node] = start + config_.service_ms;
   ++load_[node];
   ++totals_.serviced;
   if (messages_counter_) messages_counter_->inc();
   if (queue_hist_) queue_hist_->record_ms(start - at_ms);
   if (sinks_.timeseries) sinks_.timeseries->message(at_ms, start - at_ms);
-  return done;
+  return start;
 }
 
 void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
@@ -195,11 +191,12 @@ void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
   LookupResult& result = lookups_[static_cast<std::size_t>(lookup)];
   // The source is frontier 0: it services the query injection itself,
   // then steps locally (no network legs).
-  const double done = service(lk.frontier, now);
-  if (done < 0) {  // dead or overloaded source: the query never enters
+  const double start = service(lk.frontier, now);
+  if (start < 0) {  // dead or overloaded source: the query never enters
     complete(lookup, false, now, lk.frontier);
     return;
   }
+  const double done = start + config_.service_ms;
   std::array<NodeIndex, kMaxStepCandidates> cands{};
   const StepResult step = stepper_(
       lk.frontier, result.key, lk.state,
@@ -277,8 +274,8 @@ void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
   Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
   // The request is on the wire regardless of lookup progress: stale
   // probes still consume the target's service capacity.
-  const double done = service(probe.target, now);
-  if (done < 0) return;  // dead node or inbox overflow: timeout recovers
+  const double start = service(probe.target, now);
+  if (start < 0) return;  // dead node or inbox overflow: timeout recovers
   const Lookup& lk = state_[static_cast<std::size_t>(probe.lookup)];
   if (!lookup_open(probe.lookup) || probe.round != lk.round ||
       probe.responded || probe.failed || probe.attempt != attempt) {
@@ -298,6 +295,8 @@ void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
   probe.result = step;
   probe.state_after = state_copy;
   probe.next_cands = cands;
+  probe.inbox_ms = static_cast<float>(start - now);
+  const double done = start + config_.service_ms;
   push_event(done + link_ms(probe.target, probe.sent_from), Kind::kResponse,
              probe.lookup, probe_id, attempt);
 }
@@ -334,10 +333,10 @@ void MessageSimulator::on_timeout(std::int32_t probe_id, std::int32_t attempt,
     return;
   }
   probe.failed = true;
-  if (lk.launched < lk.cand_count) {
-    launch_candidate(probe.lookup, lk.launched, now);
-  }
-  check_round(probe.lookup, now);
+  // launch_candidate grows probes_, which invalidates `probe`.
+  const std::int32_t lookup = probe.lookup;
+  if (lk.launched < lk.cand_count) launch_candidate(lookup, lk.launched, now);
+  check_round(lookup, now);
 }
 
 void MessageSimulator::check_round(std::int32_t lookup, double now) {
@@ -365,14 +364,17 @@ void MessageSimulator::advance(std::int32_t lookup, std::int32_t probe_id,
   Lookup& lk = state_[static_cast<std::size_t>(lookup)];
   LookupResult& result = lookups_[static_cast<std::size_t>(lookup)];
   const Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
-  if (sinks_.trace && trace_ids_[static_cast<std::size_t>(lookup)] != 0) {
+  const std::uint64_t trace_id = trace_ids_[static_cast<std::size_t>(lookup)];
+  if (sinks_.trace && trace_id != kUntraced) {
     telemetry::HopRecord hop;
-    hop.lookup = trace_ids_[static_cast<std::size_t>(lookup)];
+    hop.lookup = trace_id;
     hop.from = lk.frontier;
     hop.to = probe.target;
     hop.hop_index = result.hops;
     hop.level = net_->lca_level(lk.frontier, probe.target);
     hop.candidates = static_cast<std::uint32_t>(lk.cand_count);
+    hop.queue_ms = probe.inbox_ms;
+    hop.hop_ms = link_ms(probe.sent_from, probe.target);
     sinks_.trace->on_hop(hop);
   }
   lk.frontier = probe.target;
@@ -400,9 +402,9 @@ void MessageSimulator::complete(std::int32_t lookup, bool ok, double now,
   result.completed_ms = now;
   result.ok = ok;
   if (!ok) ++totals_.failures;
-  if (sinks_.trace && trace_ids_[static_cast<std::size_t>(lookup)] != 0) {
-    sinks_.trace->end_lookup(trace_ids_[static_cast<std::size_t>(lookup)],
-                             ok, terminal);
+  const std::uint64_t trace_id = trace_ids_[static_cast<std::size_t>(lookup)];
+  if (sinks_.trace && trace_id != kUntraced) {
+    sinks_.trace->end_lookup(trace_id, ok, terminal);
   }
   if (sinks_.journal && !ok) {
     sinks_.journal->lookup_failure(result.from, result.key, result.hops);

@@ -1,9 +1,10 @@
 // Message-granularity discrete-event simulation of α-parallel lookups.
 //
-// EventSimulator (overlay/event_sim.h) models one message chain per
-// lookup: useful for load homogeneity, blind to everything the paper's §5
-// claims meet in a real deployment — queueing, timeouts, retry traffic,
-// congestion collapse. MessageSimulator models each in-flight lookup as a
+// The structural experiments elsewhere in this library evaluate paths one
+// at a time; MessageSimulator runs many lookups *concurrently* against a
+// link structure — the engine behind the paper's load-homogeneity claim
+// (a hierarchical Canon DHT keeps the flat design's uniform routing load),
+// crash curves, and congestion knees. It models each in-flight lookup as a
 // *sequence of timestamped messages* through per-node bounded inboxes:
 //
 // * Iterative, source-coordinated rounds (the Kademlia shape): the lookup
@@ -34,10 +35,16 @@
 // wall clock or thread count. Reports derived from a run are therefore
 // byte-identical at any --threads.
 //
-// Observers attach as one SimSinks bundle (overlay/sim_sinks.h), shared
-// with EventSimulator; this engine additionally feeds SimSinks::load with
-// every completed lookup's frontier path, so domain confinement and
-// hotspot reports work under concurrent traffic.
+// Observers attach as one SimSinks bundle (below): raw pointers to the
+// caller-owned sinks plus the options that only mean something when a
+// sink is present, validated once at attach() time.
+//
+//   telemetry::TimeSeriesRecorder series(50.0);
+//   SimSinks sinks;
+//   sinks.timeseries = &series;
+//   sinks.fault_plan = &plan;
+//   sinks.snapshot_top_k = 5;       // needs sinks.journal
+//   sim.attach(sinks);              // validates, then installs atomically
 #ifndef CANON_OVERLAY_MESSAGE_SIM_H
 #define CANON_OVERLAY_MESSAGE_SIM_H
 
@@ -45,6 +52,7 @@
 #include <cstdint>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,16 +60,58 @@
 #include "overlay/link_table.h"
 #include "overlay/metrics.h"
 #include "overlay/overlay_network.h"
-#include "overlay/sim_sinks.h"
 #include "overlay/stepper.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/metrics.h"
 
 namespace canon::telemetry {
-class EventJournal;  // telemetry/journal.h
-}
+class EventJournal;        // telemetry/journal.h
+class RouteTraceSink;      // telemetry/trace.h
+class TimeSeriesRecorder;  // telemetry/timeseries.h
+}  // namespace canon::telemetry
 
 namespace canon {
+
+/// Everything a simulator run can observe or be perturbed by, in one
+/// aggregate. All pointers are borrowed: the caller keeps the sinks alive
+/// for the simulator's lifetime. Attaching replaces the whole previous
+/// bundle (attach(SimSinks{}) detaches everything).
+struct SimSinks {
+  /// Per-hop route tracing (begin/on_hop/end, keyed by lookup id). Each
+  /// hop carries the request leg's link latency and its inbox wait.
+  telemetry::RouteTraceSink* trace = nullptr;
+
+  /// Event journal: lookup failures, applied crash/revive events, load
+  /// snapshots.
+  telemetry::EventJournal* journal = nullptr;
+
+  /// Windowed curves over the simulated clock: submissions, completions,
+  /// per-message queueing, live-node count.
+  telemetry::TimeSeriesRecorder* timeseries = nullptr;
+
+  /// Crash/revive schedule applied on the simulated clock, and the
+  /// per-message-leg drop probability.
+  const FaultPlan* fault_plan = nullptr;
+
+  /// Every completed lookup's frontier path, tallied for
+  /// domain-confinement and hotspot reports.
+  telemetry::LoadAccountant* load = nullptr;
+
+  /// Emit a load_snapshot journal line with the top-k loaded nodes every
+  /// snapshot_window_ms of simulated time (<= 0 disables). Snapshots only
+  /// emit while a journal is attached.
+  int snapshot_top_k = 0;
+  double snapshot_window_ms = 50.0;
+
+  /// Validates the option fields; attach() calls this once. Throws
+  /// std::invalid_argument on a bundle that could only be a bug.
+  void validate() const {
+    if (snapshot_window_ms <= 0) {
+      throw std::invalid_argument(
+          "SimSinks: snapshot_window_ms must be > 0");
+    }
+  }
+};
 
 struct MessageSimConfig {
   /// Serial cost for a node to service one request (ms).
@@ -92,8 +142,7 @@ class MessageSimulator {
   /// `stepper` empty selects the greedy-clockwise ring stepper; pass a
   /// family's stepper from registry::family(name).make_stepper for any
   /// other family. `latency` empty charges default_hop_ms per message.
-  /// Throws std::invalid_argument on un-finalized links or a config out
-  /// of range.
+  /// Throws std::invalid_argument on a config out of range.
   MessageSimulator(const OverlayNetwork& net, const LinkTable& links,
                    Stepper stepper = {}, HopCost latency = {},
                    MessageSimConfig config = {});
@@ -142,11 +191,10 @@ class MessageSimulator {
   /// Simulated clock after run().
   double now_ms() const { return now_; }
 
-  /// Installs the observer bundle (overlay/sim_sinks.h); replaces the
-  /// previous one, validates once. All of trace/journal/timeseries/
-  /// fault_plan behave as on EventSimulator; `load` additionally receives
-  /// every completed lookup's frontier path. The fault plan's drop
-  /// probability applies per message leg here. Attach before run().
+  /// Installs the observer bundle (SimSinks above); replaces the previous
+  /// one, validates once. A trace or time-series sink attached after
+  /// submit() is backfilled: pending lookups get their begin_lookup and
+  /// issued samples. Attach before run().
   void attach(const SimSinks& sinks);
 
   const SimSinks& sinks() const { return sinks_; }
@@ -182,6 +230,10 @@ class MessageSimulator {
     bool failed = false;
     bool response_lost = false;  ///< this attempt's response leg is doomed
     StepResult result;
+    /// The answered request's wait in the target's inbox, for traces.
+    /// A float fills the padding before state_after: probes are the
+    /// simulator's largest allocation.
+    float inbox_ms = 0;
     std::uint64_t state_after = 0;
     std::array<NodeIndex, kMaxStepCandidates> next_cands{};
   };
@@ -204,9 +256,10 @@ class MessageSimulator {
   void apply_faults_until(double now);
   void maybe_snapshot(double now);
 
-  /// Services one request at `node` (queueing, load, depth); returns the
-  /// service-completion time or a negative value when the message was
-  /// lost (dead node or inbox overflow).
+  /// Queues one request arriving at `node` at `at_ms` (load, depth);
+  /// returns the time its service starts, or a negative value when the
+  /// message was lost (dead node or inbox overflow). Service completes
+  /// config_.service_ms later.
   double service(NodeIndex node, double at_ms);
 
   void start_lookup(std::int32_t lookup, double now);
@@ -257,7 +310,10 @@ class MessageSimulator {
 
   SimSinks sinks_;
   std::int64_t snapshots_emitted_ = 0;
-  std::vector<std::uint64_t> trace_ids_;  // parallel to lookups_
+  /// Sink-issued lookup ids, parallel to lookups_; kUntraced until a
+  /// trace sink has seen the lookup (sinks may issue id 0).
+  static constexpr std::uint64_t kUntraced = ~std::uint64_t{0};
+  std::vector<std::uint64_t> trace_ids_;
   telemetry::LoadAccountant::Shard load_shard_;  // merged when run() drains
 
   telemetry::Counter* messages_counter_;

@@ -9,10 +9,6 @@ namespace {
 
 constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
 
-const NodeId* inline_ids_or_null(const LinkTable& links, std::uint32_t node) {
-  return links.has_inline_ids() ? links.neighbor_ids(node).data() : nullptr;
-}
-
 bool is_banned(const std::vector<std::uint32_t>& banned, std::uint32_t node) {
   return std::find(banned.begin(), banned.end(), node) != banned.end();
 }
@@ -36,9 +32,6 @@ ResilientRingRouter::ResilientRingRouter(const OverlayNetwork& net,
       leaf_set_(leaf_set),
       retry_budget_(retry_budget),
       max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientRingRouter: links not finalized");
-  }
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientRingRouter: retry budget < 1");
   }
@@ -112,9 +105,9 @@ ResilientProbe ResilientRingRouter::core(std::uint32_t from, NodeId key,
       std::uint64_t best_covered = 0;
       std::uint64_t best_any = 0;  // incl. dead/banned: fallback tally
       const auto neighbors = links_->neighbors(current);
-      const NodeId* nb_ids = inline_ids_or_null(*links_, current);
+      const auto nb_ids = links_->neighbor_ids(current);
       for (std::size_t j = 0; j < neighbors.size(); ++j) {
-        const NodeId nb_id = nb_ids ? nb_ids[j] : net_->id(neighbors[j]);
+        const NodeId nb_id = nb_ids[j];
         const std::uint64_t covered = space.ring_distance(cur_id, nb_id);
         if (covered > remaining) continue;
         if (faults && covered > best_any) best_any = covered;
@@ -207,9 +200,6 @@ ResilientXorRouter::ResilientXorRouter(const OverlayNetwork& net,
       links_(&links),
       retry_budget_(retry_budget),
       max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientXorRouter: links not finalized");
-  }
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientXorRouter: retry budget < 1");
   }
@@ -259,9 +249,9 @@ ResilientProbe ResilientXorRouter::core(std::uint32_t from, NodeId key,
       std::uint64_t best_remaining = remaining;
       std::uint64_t best_any = remaining;  // incl. dead/banned
       const auto neighbors = links_->neighbors(current);
-      const NodeId* nb_ids = inline_ids_or_null(*links_, current);
+      const auto nb_ids = links_->neighbor_ids(current);
       for (std::size_t j = 0; j < neighbors.size(); ++j) {
-        const NodeId nb_id = nb_ids ? nb_ids[j] : net_->id(neighbors[j]);
+        const NodeId nb_id = nb_ids[j];
         const std::uint64_t d = space.xor_distance(nb_id, key);
         if (faults && d < best_any) best_any = d;
         if (d >= best_remaining) continue;

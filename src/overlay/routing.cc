@@ -27,13 +27,6 @@ int hop_guard(const OverlayNetwork& net) {
   return 4 * net.space().bits() + 16;
 }
 
-/// NodeIds of `links`' neighbors of `node`, read from the CSR inline-id
-/// array when the table captured it, else nullptr (caller falls back to
-/// per-candidate net lookups — tables finalized without ids).
-const NodeId* inline_ids_or_null(const LinkTable& links, NodeIndex node) {
-  return links.has_inline_ids() ? links.neighbor_ids(node).data() : nullptr;
-}
-
 // The greedy loops below are shared by every routing entry point through a
 // recorder policy: route()/route_into() pass a recorder that appends each
 // hop to a path vector, probe() passes a no-op recorder and the loop
@@ -63,28 +56,13 @@ RouteProbe ring_core(const OverlayNetwork& net, const LinkTable& links,
     const std::uint64_t remaining = space.ring_distance(net.id(current), key);
     // Choose the neighbor that covers the most clockwise distance without
     // overshooting the key. The scan reads only the contiguous NodeId
-    // array; the winner's index is fetched once afterwards. The inline-id
-    // path shares the branch-light kernel with the batch probe
-    // (overlay/batch_probe.h) — one winner-selection to test, one to
-    // autovectorize.
-    std::size_t best_j = kNoCandidate;
-    const NodeId cur_id = net.id(current);
+    // array; the winner's index is fetched once afterwards. It shares the
+    // branch-light kernel with the batch probe (overlay/batch_probe.h) —
+    // one winner-selection to test, one to autovectorize.
     const auto neighbors = links.neighbors(current);
-    const NodeId* nb_ids = inline_ids_or_null(links, current);
-    if (nb_ids) {
-      best_j = detail::ring_scan_argbest(nb_ids, neighbors.size(), cur_id,
-                                         space.mask(), remaining);
-    } else {
-      std::uint64_t best_covered = 0;
-      for (std::size_t j = 0; j < neighbors.size(); ++j) {
-        const std::uint64_t covered =
-            space.ring_distance(cur_id, net.id(neighbors[j]));
-        if (covered <= remaining && covered > best_covered) {
-          best_covered = covered;
-          best_j = j;
-        }
-      }
-    }
+    const std::size_t best_j = detail::ring_scan_argbest(
+        links.neighbor_ids(current).data(), neighbors.size(),
+        net.id(current), space.mask(), remaining);
     const NodeIndex best =
         best_j == kNoCandidate ? current : neighbors[best_j];
     if (best == current) {
@@ -117,10 +95,10 @@ RouteProbe ring_lookahead_core(const OverlayNetwork& net,
     NodeIndex best_w = current;  // == best_v for 1-step plans
     std::uint64_t best_final = remaining;
     const auto neighbors = links.neighbors(current);
-    const NodeId* nb_ids = inline_ids_or_null(links, current);
+    const NodeId* nb_ids = links.neighbor_ids(current).data();
     for (std::size_t j = 0; j < neighbors.size(); ++j) {
       const NodeIndex v = neighbors[j];
-      const NodeId v_id = nb_ids ? nb_ids[j] : net.id(v);
+      const NodeId v_id = nb_ids[j];
       const std::uint64_t covered1 = space.ring_distance(cur_id, v_id);
       if (covered1 == 0 || covered1 > remaining) continue;
       const std::uint64_t after1 = remaining - covered1;
@@ -130,9 +108,9 @@ RouteProbe ring_lookahead_core(const OverlayNetwork& net,
         best_w = v;
       }
       const auto second = links.neighbors(v);
-      const NodeId* second_ids = inline_ids_or_null(links, v);
+      const NodeId* second_ids = links.neighbor_ids(v).data();
       for (std::size_t k = 0; k < second.size(); ++k) {
-        const NodeId w_id = second_ids ? second_ids[k] : net.id(second[k]);
+        const NodeId w_id = second_ids[k];
         const std::uint64_t covered2 = space.ring_distance(v_id, w_id);
         if (covered2 == 0 || covered2 > after1) continue;
         const std::uint64_t after2 = after1 - covered2;
@@ -167,22 +145,11 @@ RouteProbe xor_core(const OverlayNetwork& net, const LinkTable& links,
   int hops = 0;
   for (int step = 0; step < max_hops; ++step) {
     const std::uint64_t remaining = space.xor_distance(net.id(current), key);
-    std::size_t best_j = kNoCandidate;
     const auto neighbors = links.neighbors(current);
-    const NodeId* nb_ids = inline_ids_or_null(links, current);
-    if (nb_ids) {
-      best_j = detail::xor_scan_argbest(nb_ids, neighbors.size(), key,
-                                        space.mask(), remaining);
-    } else {
-      std::uint64_t best_remaining = remaining;
-      for (std::size_t j = 0; j < neighbors.size(); ++j) {
-        const std::uint64_t d = space.xor_distance(net.id(neighbors[j]), key);
-        if (d < best_remaining) {
-          best_remaining = d;
-          best_j = j;
-        }
-      }
-    }
+    const std::size_t best_j =
+        detail::xor_scan_argbest(links.neighbor_ids(current).data(),
+                                 neighbors.size(), key, space.mask(),
+                                 remaining);
     const NodeIndex best =
         best_j == kNoCandidate ? current : neighbors[best_j];
     if (best == current) {
@@ -362,9 +329,8 @@ struct XorStepper {
   }
 };
 
-/// Shared probe_batch shell: scalar loop when batching is off or the
-/// table has no inline ids (the interleaved kernels scan target_ids_),
-/// else the windowed driver.
+/// Shared probe_batch shell: scalar loop when batching is off, else the
+/// windowed driver.
 template <typename Stepper, typename Router>
 void probe_batch_with(std::span<const Query> queries,
                       std::span<RouteProbe> out, const Router& router,
@@ -374,7 +340,7 @@ void probe_batch_with(std::span<const Query> queries,
     throw std::invalid_argument("probe_batch: out.size() != queries.size()");
   }
   const int width = probe_batch_width();
-  if (width <= 0 || !links.has_inline_ids()) {
+  if (width <= 0) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       out[i] = router.probe(queries[i].from, queries[i].key);
     }
@@ -404,9 +370,6 @@ RingRouter::RingRouter(const OverlayNetwork& net, const LinkTable& links)
       failures_counter_(telemetry::maybe_counter("ring_router.failures")) {
   if (links.node_count() != net.size()) {
     throw std::invalid_argument("RingRouter: link table size mismatch");
-  }
-  if (!links.finalized()) {
-    throw std::invalid_argument("RingRouter: link table not finalized");
   }
 }
 
@@ -465,9 +428,6 @@ XorRouter::XorRouter(const OverlayNetwork& net, const LinkTable& links)
       failures_counter_(telemetry::maybe_counter("xor_router.failures")) {
   if (links.node_count() != net.size()) {
     throw std::invalid_argument("XorRouter: link table size mismatch");
-  }
-  if (!links.finalized()) {
-    throw std::invalid_argument("XorRouter: link table not finalized");
   }
 }
 

@@ -1,6 +1,6 @@
 // Metrics registry for the experiment and simulation stack.
 //
-// Instrumented code paths (routers, the event simulator, construction and
+// Instrumented code paths (routers, the message simulator, construction and
 // maintenance phases) record into named Counter / Gauge / LatencyHistogram
 // instruments owned by a MetricsRegistry. The registry is opt-in: when no
 // registry is installed (install_registry(nullptr), the default), every

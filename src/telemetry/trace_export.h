@@ -10,7 +10,7 @@
 //     phases, e.g. build.crescendo_ms), one track per process id;
 //   * sampled lookup traces from a RecordingTraceSink, one thread track
 //     per lookup, one "X" slice per hop (real queue/latency durations
-//     when the trace came from the event simulator, a 1µs-per-hop
+//     when the trace came from the message simulator, a 1µs-per-hop
 //     synthetic timeline otherwise);
 //   * a TimeSeriesRecorder, exported as counter tracks on the simulated
 //     clock.

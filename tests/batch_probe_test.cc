@@ -220,7 +220,7 @@ TEST(BatchProbe, StreamedBuildBatchMatchesScalarAtScale) {
 #endif
   WidthGuard guard;
   const auto net = make_net(kNodes, 4);
-  const auto links = build_crescendo_streamed(net);
+  const auto links = build_crescendo(net);
   const RingRouter router(net, links);
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, kLookups, Rng(3));

@@ -1,5 +1,5 @@
 // Tests for the JSONL event journal: the envelope/sequence contract, the
-// DynamicCrescendo and EventSimulator emitters, and the churn acceptance
+// DynamicCrescendo and MessageSimulator emitters, and the churn acceptance
 // property — a journaled churn run replays to the same healthy verdict as
 // a from-scratch audit.
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "hierarchy/generators.h"
 #include "maintenance/dynamic_crescendo.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/population.h"
 #include "telemetry/journal.h"
 
@@ -129,12 +129,14 @@ TEST(Journal, EventSimEmitsLookupFailures) {
   nodes.push_back({100, {}, -1});
   nodes.push_back({200, {}, -1});
   const OverlayNetwork net(space, std::move(nodes));
-  LinkTable links(2);
-  links.finalize();  // no links at all
-  EventSimulator sim(net, links);
+  const LinkTable links =
+      LinkTable::build(net.ids(), [](NodeIndex, LinkRow&) {});  // no links
+  MessageSimulator sim(net, links);
   std::ostringstream os;
   EventJournal journal(os);
-  sim.set_journal(&journal);
+  SimSinks sinks;
+  sinks.journal = &journal;
+  sim.attach(sinks);
   sim.submit(0, 201, 0.0);  // responsible node is index 1; unreachable
   sim.run();
   ASSERT_FALSE(sim.lookups()[0].ok);
@@ -178,11 +180,14 @@ TEST(Journal, EventSimLoadSnapshotsAreDeterministic) {
     spec.hierarchy.fanout = 4;
     const OverlayNetwork net = make_population(spec, rng);
     const LinkTable links = build_crescendo(net);
-    EventSimulator sim(net, links);
+    MessageSimulator sim(net, links);
     std::ostringstream os;
     EventJournal journal(os);
-    sim.set_journal(&journal);
-    sim.set_load_snapshots(/*top_k=*/3, /*window_ms=*/10.0);
+    SimSinks sinks;
+    sinks.journal = &journal;
+    sinks.snapshot_top_k = 3;
+    sinks.snapshot_window_ms = 10.0;
+    sim.attach(sinks);
     Rng qrng(5);
     for (int i = 0; i < 400; ++i) {
       sim.submit(static_cast<std::uint32_t>(qrng.uniform(net.size())),

@@ -1,10 +1,12 @@
 // Tests for the message-granularity simulator: the α=1 greedy-equivalence
-// contract, timeout/retry/drop accounting under faults, bounded-inbox
-// semantics, sink wiring, and the byte-identical-at-any-thread-count
-// determinism contract.
+// contract, the latency model, timeout/retry/drop accounting under
+// faults, bounded-inbox semantics, sink wiring (late attach, detach, crash
+// schedules, time series, load accounting), the paper's load-homogeneity
+// claim, and the byte-identical-at-any-thread-count determinism contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -17,6 +19,7 @@
 #include "overlay/routing.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/timeseries.h"
+#include "telemetry/trace.h"
 
 namespace canon {
 namespace {
@@ -44,6 +47,13 @@ Workload make_workload(const OverlayNetwork& net, int count,
     w.keys.push_back(net.space().wrap(rng()));
   }
   return w;
+}
+
+/// α=1 with an inbox deep enough that no request is ever dropped.
+MessageSimConfig unbounded_inbox() {
+  MessageSimConfig cfg;
+  cfg.inbox_capacity = std::numeric_limits<int>::max();
+  return cfg;
 }
 
 void submit_all(MessageSimulator& sim, const Workload& w, double gap_ms) {
@@ -303,10 +313,219 @@ TEST(MessageSim, ValidatesConfigAndInputs) {
   cfg.inbox_capacity = 0;
   EXPECT_THROW(MessageSimulator(net, links, {}, {}, cfg),
                std::invalid_argument);
-  LinkTable unfinalized(net.size());
-  EXPECT_THROW(MessageSimulator(net, unfinalized), std::invalid_argument);
   MessageSimulator sim(net, links);
   EXPECT_THROW(sim.submit(99, 0, 0.0), std::out_of_range);
+}
+
+// Event-level behaviour that every consumer of the simulator relies on:
+// the latency model, queueing at busy nodes, load accounting, trace
+// attach/detach, crash schedules, the time-series recorder, and the
+// paper's load-homogeneity claim.
+
+TEST(EventSim, LatencyIncludesHopsAndProcessing) {
+  // One lookup alone: the source services the injection, then every hop
+  // is a request leg, the target's service, and the response leg.
+  const auto net = small_net(50, 1, 1002);
+  const auto links = build_crescendo(net);
+  MessageSimConfig cfg;
+  cfg.service_ms = 0.5;
+  cfg.default_hop_ms = 10.0;
+  cfg.timeout_ms = 100.0;  // no round trip comes near it
+  MessageSimulator sim(net, links, {}, {}, cfg);
+  sim.submit(0, net.id(25), 0.0);
+  sim.run();
+  const auto& lookup = sim.lookups()[0];
+  ASSERT_TRUE(lookup.ok);
+  ASSERT_GT(lookup.hops, 0);
+  EXPECT_NEAR(lookup.latency_ms(), 0.5 + lookup.hops * (2 * 10.0 + 0.5),
+              1e-9);
+  EXPECT_EQ(sim.totals().serviced,
+            static_cast<std::uint64_t>(lookup.hops + 1));
+}
+
+TEST(EventSim, BusyNodesQueueMessages) {
+  // Two lookups hitting the same single-successor chain at the same time
+  // must serialize at the shared nodes.
+  std::vector<OverlayNode> nodes = {{0, {}, -1}, {1, {}, -1}};
+  const OverlayNetwork net(IdSpace(4), std::move(nodes));
+  const auto links = build_crescendo(net);
+  MessageSimConfig cfg;
+  cfg.service_ms = 1.0;
+  cfg.default_hop_ms = 0.0;
+  MessageSimulator sim(net, links, {}, {}, cfg);
+  sim.submit(0, 1, 0.0);  // one hop: node 0 -> node 1
+  sim.submit(0, 1, 0.0);  // identical, same instant
+  sim.run();
+  const auto& a = sim.lookups()[0];
+  const auto& b = sim.lookups()[1];
+  EXPECT_TRUE(a.ok);
+  EXPECT_TRUE(b.ok);
+  EXPECT_EQ(a.hops, 1);
+  EXPECT_EQ(b.hops, 1);
+  // Node 0 serializes the two injections, so the second lookup reaches
+  // node 1 one service slot later and finishes at 3 ms, not 2 ms.
+  EXPECT_EQ(sim.max_queue_depth()[0], 2u);
+  EXPECT_NEAR(std::min(a.completed_ms, b.completed_ms), 2.0, 1e-9);
+  EXPECT_NEAR(std::max(a.completed_ms, b.completed_ms), 3.0, 1e-9);
+}
+
+TEST(EventSim, LoadSumsToMessages) {
+  const auto net = small_net(200, 2, 1003);
+  const auto links = build_crescendo(net);
+  MessageSimulator sim(net, links, {}, {}, unbounded_inbox());
+  const int kLookups = 200;
+  submit_all(sim, make_workload(net, kLookups, 9), 0.1);
+  sim.run();
+  ASSERT_EQ(sim.totals().timeouts, 0u);
+  ASSERT_EQ(sim.totals().retries, 0u);
+  int total_hops = 0;
+  for (const auto& lookup : sim.lookups()) total_hops += lookup.hops;
+  std::uint64_t load = 0;
+  for (const auto l : sim.node_load()) load += l;
+  // Every hop delivers one request to its target, plus the initial
+  // processing at the source.
+  EXPECT_EQ(load, static_cast<std::uint64_t>(total_hops + kLookups));
+  EXPECT_EQ(load, sim.totals().serviced);
+}
+
+TEST(EventSim, LateTraceAttachBackfillsBeginLookup) {
+  // Attaching a trace sink after submit() backfills begin_lookup for every
+  // pending lookup, so hop and end events carry an id the sink has seen.
+  const auto net = small_net(300, 3, 1006);
+  const auto links = build_crescendo(net);
+  MessageSimulator sim(net, links, {}, {}, unbounded_inbox());
+  const Workload w = make_workload(net, 20, 11);
+  submit_all(sim, w, 1.0);
+  telemetry::RecordingTraceSink sink;
+  SimSinks sinks;
+  sinks.trace = &sink;
+  sim.attach(sinks);  // late attach: all 20 lookups are already queued
+  sim.run();
+  ASSERT_EQ(sink.lookups().size(), 20u);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const auto& traced = sink.lookups()[i];
+    const auto& result = sim.lookups()[i];
+    EXPECT_TRUE(traced.done);
+    EXPECT_EQ(traced.ok, result.ok);
+    EXPECT_EQ(traced.from, result.from);
+    EXPECT_EQ(traced.key, result.key);
+    EXPECT_EQ(static_cast<int>(traced.hops.size()), result.hops);
+  }
+}
+
+TEST(EventSim, DetachedTraceEmitsNothing) {
+  const auto net = small_net(100, 2, 1007);
+  const auto links = build_crescendo(net);
+  MessageSimulator sim(net, links);
+  telemetry::RecordingTraceSink sink;
+  SimSinks sinks;
+  sinks.trace = &sink;
+  sim.attach(sinks);
+  sim.attach(SimSinks{});  // detach before anything is submitted
+  sim.submit(0, net.id(50), 0.0);
+  sim.run();
+  EXPECT_TRUE(sim.lookups()[0].ok);
+  EXPECT_TRUE(sink.lookups().empty());
+}
+
+TEST(EventSim, TimeSeriesCountsSubmissionsCompletionsAndLiveNodes) {
+  const auto net = small_net(150, 2, 1007);
+  const auto links = build_crescendo(net);
+  MessageSimulator sim(net, links, {}, {}, unbounded_inbox());
+  telemetry::TimeSeriesRecorder series(10.0);
+
+  // Attach after one submission: the recorder must backfill it.
+  sim.submit(0, net.space().wrap(123456789), 0.0);
+  SimSinks sinks;
+  sinks.timeseries = &series;
+  sim.attach(sinks);
+  FaultPlan timed;
+  timed.crash(1, 20);
+  sinks.fault_plan = &timed;
+  sim.attach(sinks);  // same recorder: no second backfill
+
+  const int kLookups = 200;
+  const Workload w = make_workload(net, kLookups - 1, 3);
+  for (std::size_t i = 0; i < w.from.size(); ++i) {
+    sim.submit(w.from[i], w.keys[i], 0.25 * static_cast<double>(i + 1));
+  }
+  sim.run();
+
+  std::uint64_t issued = 0, completed = 0, messages = 0;
+  for (const auto& win : series.windows()) {
+    issued += win.issued;
+    completed += win.completed;
+    messages += win.messages;
+  }
+  EXPECT_EQ(issued, static_cast<std::uint64_t>(kLookups));
+  EXPECT_EQ(completed, static_cast<std::uint64_t>(kLookups));
+  // Every serviced request is one message and one unit of node load.
+  std::uint64_t total_load = 0;
+  for (const auto l : sim.node_load()) total_load += l;
+  EXPECT_EQ(messages, total_load);
+  EXPECT_EQ(total_load, sim.totals().serviced);
+
+  // The live-node gauge starts at the full population and drops by one
+  // in the window covering the crash.
+  EXPECT_EQ(series.windows().front().live, static_cast<double>(net.size()));
+  EXPECT_EQ(series.windows()[series.window_index(20.0)].live,
+            static_cast<double>(net.size() - 1));
+}
+
+TEST(EventSim, HierarchicalLoadStaysHomogeneous) {
+  // The paper's motivation: Canon keeps the flat design's uniform load.
+  // Compare the max/mean routing-load ratio of Crescendo vs flat Chord
+  // under an identical concurrent random workload.
+  const auto flat = small_net(500, 1, 1005);
+  const auto deep = small_net(500, 4, 1005);
+  double ratios[2];
+  const OverlayNetwork* nets[2] = {&flat, &deep};
+  for (int which = 0; which < 2; ++which) {
+    const auto links = build_crescendo(*nets[which]);
+    MessageSimulator sim(*nets[which], links, {}, {}, unbounded_inbox());
+    submit_all(sim, make_workload(*nets[which], 3000, 77), 0.01);
+    sim.run();
+    double mean = 0;
+    double max = 0;
+    for (const auto l : sim.node_load()) {
+      mean += static_cast<double>(l);
+      max = std::max(max, static_cast<double>(l));
+    }
+    mean /= static_cast<double>(nets[which]->size());
+    ratios[which] = max / mean;
+  }
+  // The hierarchical structure's load skew stays within 2x of flat Chord's.
+  EXPECT_LE(ratios[1], ratios[0] * 2.0);
+}
+
+TEST(EventSim, FaultPlanKillsNodesAtTheScheduledInstant) {
+  // Crash half the network at t=50ms. Nothing fails before the crash;
+  // afterwards lookups from dead sources, and lookups that run out of live
+  // candidates, fail.
+  const auto net = small_net(200, 2, 1006);
+  const auto links = build_crescendo(net);
+  MessageSimulator sim(net, links, {}, {}, unbounded_inbox());
+  EXPECT_EQ(sim.live_nodes(), net.size());
+  const FaultPlan plan = FaultPlan::fail_fraction(net.size(), 0.5, 99);
+  FaultPlan timed;
+  for (const FaultEvent& fe : plan.events()) timed.crash(fe.node, 50);
+  SimSinks sinks;
+  sinks.fault_plan = &timed;
+  sim.attach(sinks);
+  submit_all(sim, make_workload(net, 600, 12), 0.2);
+  sim.run();
+  EXPECT_EQ(sim.live_nodes(), net.size() - timed.events().size());
+
+  int failed_before = 0, failed_after = 0, ok = 0;
+  for (const auto& lookup : sim.lookups()) {
+    ok += lookup.ok;
+    if (!lookup.ok) {
+      EXPECT_GE(lookup.completed_ms, 50.0) << "failed before the crash";
+      (lookup.issued_ms < 50.0 ? failed_before : failed_after)++;
+    }
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(failed_after, 0) << "half the network dead, lookups all fine?";
 }
 
 TEST(MessageSim, ByteIdenticalAtAnyThreadCount) {

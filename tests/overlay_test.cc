@@ -2,8 +2,11 @@
 // link tables, greedy routers and path metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "overlay/link_table.h"
 #include "overlay/metrics.h"
@@ -113,51 +116,118 @@ TEST(RingView, SingletonSuccessorDistanceUnbounded) {
             std::numeric_limits<std::uint64_t>::max());
 }
 
-TEST(LinkTable, AddFinalizeQuery) {
-  LinkTable t(4);
-  t.add(0, 1);
-  t.add(0, 1);  // duplicate collapses
-  t.add(0, 3);
-  t.add(0, 0);  // self-link ignored
-  t.finalize();
-  EXPECT_EQ(t.degree(0), 2u);
+TEST(LinkTable, BuildSortsDedupsAndDropsSelfLinks) {
+  const std::vector<NodeId> ids = {10, 20, 30, 40};
+  const LinkTable t = LinkTable::build(ids, [](NodeIndex m, LinkRow& row) {
+    if (m == 0) row = {3, 1, 0, 1};  // self-link and duplicate dropped
+    if (m == 2) row = {2, 2};        // nothing left but self-links
+  });
+  ASSERT_EQ(t.node_count(), 4u);
+  const auto row0 = t.neighbors(0);
+  ASSERT_EQ(row0.size(), 2u);
+  EXPECT_EQ(row0[0], 1u);
+  EXPECT_EQ(row0[1], 3u);
+  EXPECT_EQ(t.degree(2), 0u);
   EXPECT_TRUE(t.has_link(0, 1));
   EXPECT_FALSE(t.has_link(1, 0));
   EXPECT_EQ(t.total_links(), 2u);
   EXPECT_DOUBLE_EQ(t.mean_degree(), 0.5);
-  EXPECT_THROW(t.add(0, 9), std::out_of_range);
+  // The same rule on a single row, as maintenance and the auditor use it.
+  LinkRow row = {3, 1, 0, 1};
+  sanitize_row(0, ids.size(), row);
+  EXPECT_EQ(row, (LinkRow{1, 3}));
 }
 
-TEST(LinkTable, UnfinalizedQueriesThrow) {
-  LinkTable t(2);
-  t.add(0, 1);
-  EXPECT_THROW(t.neighbors(0), std::logic_error);
-  EXPECT_THROW(t.degree(0), std::logic_error);
+TEST(LinkTable, OutOfRangeTargetThrows) {
+  const std::vector<NodeId> ids = {1, 2, 3};
+  EXPECT_THROW(LinkTable::build(ids,
+                                [](NodeIndex m, LinkRow& row) {
+                                  if (m == 1) row.push_back(3);
+                                }),
+               std::out_of_range);
+  LinkRow row = {0, 3};
+  EXPECT_THROW(sanitize_row(1, ids.size(), row), std::out_of_range);
 }
 
-TEST(LinkTable, SetNeighborsSanitizes) {
-  LinkTable t(5);
-  t.finalize();
-  t.set_neighbors(2, {4, 1, 4, 2, 1});
-  const auto nb = t.neighbors(2);
-  ASSERT_EQ(nb.size(), 2u);
-  EXPECT_EQ(nb[0], 1u);
-  EXPECT_EQ(nb[1], 4u);
+TEST(LinkTable, EmptyAndSingleNodeTables) {
+  const LinkTable empty =
+      LinkTable::build({}, [](NodeIndex, LinkRow&) { FAIL(); });
+  EXPECT_EQ(empty.node_count(), 0u);
+  EXPECT_EQ(empty.total_links(), 0u);
+  EXPECT_DOUBLE_EQ(empty.mean_degree(), 0.0);
+  EXPECT_TRUE(empty == LinkTable());
+
+  const std::vector<NodeId> one = {7};
+  const LinkTable single =
+      LinkTable::build(one, [](NodeIndex m, LinkRow& row) { row = {m, m}; });
+  EXPECT_EQ(single.node_count(), 1u);
+  EXPECT_EQ(single.degree(0), 0u);
+  EXPECT_TRUE(single.neighbor_ids(0).empty());
+}
+
+TEST(LinkTable, ShardedBuildMatchesPerNodeReference) {
+  // A population spanning several build shards, the last one partial:
+  // every row equals the per-node reference (sorted, unique, no self)
+  // with inline IDs aligned to its targets, at any thread count, and the
+  // progress hook counts every shard.
+  const std::size_t n = 2000;
+  std::vector<NodeId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = 3 * i + 1;
+  const auto add_links = [n](NodeIndex m, LinkRow& row) {
+    std::uint64_t x = m * 0x9e3779b97f4a7c15ULL + 1;
+    for (int j = 0; j < 12; ++j) {
+      x ^= x >> 29;
+      x *= 0xbf58476d1ce4e5b9ULL;
+      row.push_back(static_cast<NodeIndex>(x % n));
+      if (j % 4 == 0) row.push_back(m);           // self-link
+      if (j % 3 == 0) row.push_back(row.front());  // duplicate
+    }
+  };
+  LinkTable baseline;
+  for (const int threads : {1, 2, 7}) {
+    set_parallel_threads(threads);
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> total_shards{0};
+    const LinkTable t = LinkTable::build(
+        ids, add_links, [&](std::size_t done, std::size_t shards) {
+          ++calls;
+          total_shards = shards;
+          EXPECT_LE(done, shards);
+        });
+    EXPECT_GT(total_shards.load(), 1u) << "population fits one shard";
+    EXPECT_EQ(calls.load(), total_shards.load());
+    ASSERT_EQ(t.node_count(), n);
+    for (NodeIndex m = 0; m < n; ++m) {
+      LinkRow want;
+      add_links(m, want);
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      want.erase(std::remove(want.begin(), want.end(), m), want.end());
+      const auto got = t.neighbors(m);
+      ASSERT_EQ(LinkRow(got.begin(), got.end()), want) << m;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(t.neighbor_ids(m)[k], ids[got[k]]);
+      }
+    }
+    if (threads == 1) {
+      baseline = t;
+    } else {
+      EXPECT_TRUE(t == baseline) << "threads=" << threads;
+    }
+  }
+  set_parallel_threads(0);
 }
 
 // Builds the full Chord links on the small ring by brute force so the
 // routers can be tested independently of the dht module.
 LinkTable full_chord_links(const OverlayNetwork& net) {
-  LinkTable t(net.size());
   const RingView ring = net.ring();
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
     for (int k = 0; k < net.space().bits(); ++k) {
       const auto v = ring.first_at_distance(net.id(m), std::uint64_t{1} << k);
-      if (v != RingView::kNone) t.add(m, v);
+      if (v != RingView::kNone) row.push_back(v);
     }
-  }
-  t.finalize();
-  return t;
+  });
 }
 
 TEST(RingRouter, ReachesResponsibleNodeForAllKeys) {
@@ -215,11 +285,10 @@ TEST(RingRouter, LookaheadNoWorseThanGreedy) {
 
 TEST(RingRouter, ValidatesLinkTable) {
   const auto net = small_net();
-  LinkTable wrong_size(3);
-  wrong_size.finalize();
+  const std::vector<NodeId> three = {0, 3, 5};
+  const LinkTable wrong_size =
+      LinkTable::build(three, [](NodeIndex, LinkRow&) {});
   EXPECT_THROW(RingRouter(net, wrong_size), std::invalid_argument);
-  LinkTable unfinalized(net.size());
-  EXPECT_THROW(RingRouter(net, unfinalized), std::invalid_argument);
 }
 
 TEST(XorRouter, ReachesXorClosestWithFullBuckets) {
@@ -230,8 +299,8 @@ TEST(XorRouter, ReachesXorClosestWithFullBuckets) {
   const auto net = make_population(spec, rng);
   // Deterministic Kademlia-complete table: for every k, link to the
   // XOR-closest node in bucket [2^k, 2^{k+1}).
-  LinkTable t(net.size());
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
+  const LinkTable t = LinkTable::build(net.ids(), [&](NodeIndex m,
+                                                       LinkRow& row) {
     for (std::uint32_t v = 0; v < net.size(); ++v) {
       if (m == v) continue;
       // Link if v is the closest node in its bucket.
@@ -243,10 +312,9 @@ TEST(XorRouter, ReachesXorClosestWithFullBuckets) {
             net.space().xor_distance(net.id(m), net.id(w));
         if (floor_log2(dw) == floor_log2(d) && dw < d) closest = false;
       }
-      if (closest) t.add(m, v);
+      if (closest) row.push_back(v);
     }
-  }
-  t.finalize();
+  });
   const XorRouter router(net, t);
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint32_t from =

@@ -5,10 +5,11 @@
 // Rng::fork streams, and every shard writes only its own rows — so a build
 // at --threads=1 (the exact pre-parallel serial code path) and a build at
 // any other thread count are byte-identical. These tests pin that promise
-// for every link-builder family across 3 seeds x 2 hierarchy shapes, for
-// the LatencyMatrix, and for parallel_for itself (coverage, empty ranges,
-// grain > n, exception propagation). The same families and shapes also
-// pin a digest of every table, so a builder that changes a table or its
+// for every link-builder family across 3 seeds x 2 hierarchy shapes on a
+// population spanning several build shards, for the LatencyMatrix, and
+// for parallel_for itself (coverage, empty ranges, grain > n, exception
+// propagation). The same families and shapes also pin a digest of every
+// table on a smaller population, so a builder that changes a table or its
 // RNG draw order fails by name.
 #include <gtest/gtest.h>
 
@@ -63,10 +64,20 @@ constexpr Shape kShapes[] = {
     {"deep", 4, 10},
 };
 
-OverlayNetwork make_net(const Shape& shape, std::uint64_t seed) {
+/// Population of the pinned digests: small enough to pin 126 tables.
+constexpr std::size_t kDigestNodes = 512;
+/// Population of the serial-vs-parallel checks: LinkTable::build runs in
+/// fixed node shards, and a population inside one shard runs inline on
+/// the calling thread at any thread count. This one spans several shards,
+/// the last one partial, so the parallel builds really run concurrently
+/// (EveryFamilySerialEqualsParallel asserts the shard count).
+constexpr std::size_t kMultiShardNodes = 2000;
+
+OverlayNetwork make_net(const Shape& shape, std::uint64_t seed,
+                        std::size_t node_count = kDigestNodes) {
   Rng rng(seed);
   PopulationSpec spec;
-  spec.node_count = 512;
+  spec.node_count = node_count;
   spec.hierarchy.levels = shape.levels;
   spec.hierarchy.fanout = shape.fanout;
   return make_population(spec, rng);
@@ -89,9 +100,9 @@ const std::vector<Family>& families() {
        [](const OverlayNetwork& net, std::uint64_t) {
          return build_crescendo(net);
        }},
-      {"crescendo_streamed",
+      {"crescendo_streamed",  // the forwarder perfbench still calls
        [](const OverlayNetwork& net, std::uint64_t) {
-         return build_crescendo_streamed(net, 100);
+         return build_crescendo_streamed(net);
        }},
       {"clique_crescendo",
        [](const OverlayNetwork& net, std::uint64_t) {
@@ -197,11 +208,22 @@ const std::vector<Family>& families() {
   return fams;
 }
 
+/// Number of LinkTable::build shards a population of `net`'s size takes.
+std::size_t build_shards(const OverlayNetwork& net) {
+  std::atomic<std::size_t> shards{0};  // the hook runs on every worker
+  LinkTable::build(
+      net.ids(), [](NodeIndex, LinkRow&) {},
+      [&shards](std::size_t, std::size_t total) { shards = total; });
+  return shards;
+}
+
 TEST(ParallelDeterminism, EveryFamilySerialEqualsParallel) {
   ThreadGuard guard;
   for (const Shape& shape : kShapes) {
     for (const std::uint64_t seed : kSeeds) {
-      const OverlayNetwork net = make_net(shape, seed);
+      const OverlayNetwork net = make_net(shape, seed, kMultiShardNodes);
+      ASSERT_GE(build_shards(net), static_cast<std::size_t>(kParallelThreads))
+          << "population fits in fewer shards than workers";
       for (const Family& fam : families()) {
         set_parallel_threads(1);
         const LinkTable serial = fam.build(net, seed);
@@ -215,7 +237,7 @@ TEST(ParallelDeterminism, EveryFamilySerialEqualsParallel) {
   }
 }
 
-/// FNV-1a over a finalized table's rows: each row's degree, then its
+/// FNV-1a over a table's rows: each row's degree, then its
 /// targets.
 std::uint64_t table_digest(const LinkTable& table) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -405,7 +427,7 @@ TEST(ParallelDeterminism, RepeatedParallelBuildsAreIdentical) {
   // Same thread count twice: shard scheduling order must not leak into
   // the result either.
   ThreadGuard guard;
-  const OverlayNetwork net = make_net(kShapes[1], 42);
+  const OverlayNetwork net = make_net(kShapes[1], 42, kMultiShardNodes);
   set_parallel_threads(kParallelThreads);
   for (const Family& fam : families()) {
     const LinkTable a = fam.build(net, 42);

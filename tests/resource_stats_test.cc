@@ -227,7 +227,7 @@ std::string instrumented_pipeline_report() {
   telemetry::install_mem_accountant(&acct);
   {
     const auto net = scale_population(kScaleNodes);
-    const LinkTable links = build_crescendo_streamed(net);
+    const LinkTable links = build_crescendo(net);
     const RingRouter router(net, links);
     QueryEngine engine(net);
     const auto queries = uniform_workload(net, 5000, Rng(7));
@@ -253,16 +253,16 @@ TEST(ResourceReport, ByteIdenticalAcrossThreadCounts) {
 TEST(ResourceReport, PipelineChargesEverySubsystemTag) {
   AccountantGuard g;
   const auto net = scale_population(kScaleNodes);
-  const LinkTable links = build_crescendo_streamed(net);
-  EXPECT_TRUE(links.finalized());
+  const LinkTable links = build_crescendo(net);
+  EXPECT_EQ(links.node_count(), net.size());
   for (const char* tag :
        {"overlay.soa", "hierarchy.path_pool", "hierarchy.domain_tree",
         "link_table.csr", "overlay.stream_chunks"}) {
     ASSERT_TRUE(g.acct.tags().contains(tag)) << tag;
     EXPECT_GT(g.acct.tags().at(tag).peak, 0u) << tag;
   }
-  // The streamed build's staging chunks are transient: charged, then
-  // fully released once scattered into the CSR.
+  // The build's staging chunks are transient: charged, then fully
+  // released once scattered into the CSR.
   EXPECT_EQ(g.acct.tags().at("overlay.stream_chunks").current, 0u);
   EXPECT_GT(g.acct.tags().at("link_table.csr").current, 0u);
 }
@@ -275,8 +275,8 @@ TEST(ResourceReport, AttributedBytesReconcileWithMeasuredRss) {
   const double before_mb = telemetry::current_rss_mb();
   AccountantGuard g;
   const auto net = scale_population(kScaleNodes);
-  const LinkTable links = build_crescendo_streamed(net);
-  EXPECT_TRUE(links.finalized());
+  const LinkTable links = build_crescendo(net);
+  EXPECT_EQ(links.node_count(), net.size());
   const double after_mb = telemetry::current_rss_mb();
   const double grown_mb = after_mb - before_mb;
   // Reconcile against the ledger's *peak*: glibc rarely returns freed

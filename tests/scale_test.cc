@@ -9,6 +9,7 @@
 // is checked; RelWithDebInfo and Release run the full 2^18.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -43,13 +44,20 @@ OverlayNetwork scale_population(std::size_t n) {
 }
 
 TEST(Scale, StreamedBuildEqualsPlainBuild) {
+  // The shard-by-shard build must equal the plain per-node construction:
+  // each node's add_crescendo_links, sorted and deduplicated.
   const auto net = scale_population(kScaleNodes);
-  const LinkTable plain = build_crescendo(net);
-  // Exercise shard boundaries: a shard size that divides the population
-  // unevenly and a tiny one that forces many shards.
-  for (const std::size_t shard_nodes : {kStreamShardNodes, std::size_t{777}}) {
-    const LinkTable streamed = build_crescendo_streamed(net, shard_nodes);
-    EXPECT_TRUE(streamed == plain) << "shard_nodes=" << shard_nodes;
+  const LinkTable streamed = build_crescendo(net);
+  LinkRow plain;
+  for (NodeIndex m = 0; m < net.size(); ++m) {
+    plain.clear();
+    add_crescendo_links(net, m, plain);
+    std::sort(plain.begin(), plain.end());
+    plain.erase(std::unique(plain.begin(), plain.end()), plain.end());
+    const auto row = streamed.neighbors(m);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), plain.begin(),
+                           plain.end()))
+        << "node " << m;
   }
 }
 
@@ -57,9 +65,9 @@ TEST(Scale, StreamedBuildIsThreadInvariant) {
   ThreadGuard guard;
   const auto net = scale_population(kScaleNodes);
   set_parallel_threads(1);
-  const LinkTable serial = build_crescendo_streamed(net);
+  const LinkTable serial = build_crescendo(net);
   set_parallel_threads(4);
-  const LinkTable parallel = build_crescendo_streamed(net);
+  const LinkTable parallel = build_crescendo(net);
   EXPECT_TRUE(serial == parallel);
 }
 
@@ -69,7 +77,7 @@ TEST(Scale, ConstructionAndQueriesAreThreadInvariant) {
   // lookups) must produce byte-identical figures at every thread count.
   auto run_once = [] {
     const auto net = scale_population(kScaleNodes);
-    const LinkTable links = build_crescendo_streamed(net);
+    const LinkTable links = build_crescendo(net);
     const RingRouter router(net, links);
     QueryEngine engine(net);
     const auto queries = uniform_workload(net, 20000, Rng(7));

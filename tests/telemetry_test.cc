@@ -6,12 +6,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "canon/crescendo.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/overlay_network.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
@@ -350,13 +351,18 @@ TEST(RouteTrace, LevelHopCounterMatchesRecordingSink) {
 }
 
 TEST(RouteTrace, EventSimulatorReportsQueueingDelay) {
+  // The discrete-event message simulator at α=1: every traced hop carries
+  // the request leg's latency and its wait in the target's inbox.
   const auto net = small_hierarchy();
   const auto links = build_crescendo(net);
   telemetry::RecordingTraceSink sink;
-  EventSimConfig config;
-  config.processing_ms = 1.0;  // force queueing at shared nodes
-  EventSimulator sim(net, links, {}, config);
-  sim.set_trace(&sink);
+  MessageSimConfig config;
+  config.service_ms = 1.0;  // force queueing at shared nodes
+  config.inbox_capacity = std::numeric_limits<int>::max();
+  MessageSimulator sim(net, links, {}, {}, config);
+  SimSinks sinks;
+  sinks.trace = &sink;
+  sim.attach(sinks);
   for (int i = 0; i < 20; ++i) {
     sim.submit(static_cast<std::uint32_t>(i % net.size()),
                static_cast<NodeId>(200 - i), 0.0);
