@@ -39,31 +39,13 @@ Row from_stats(std::string name, double degree, const QueryStats& st) {
 }
 
 /// Routes a fresh workload (forked off `rng`, which advances by one draw)
-/// through the engine on any router exposing the route_into/probe hot
-/// paths.
+/// through the engine on any GreedyRouter.
 template <typename Router>
 Row measure(const std::string& name, double degree, const Router& router,
             const OverlayNetwork& net, std::uint64_t trials, Rng& rng) {
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, trials, rng.fork(rng()));
   return from_stats(name, degree, engine.run(queries, router));
-}
-
-/// Same for routers that only expose route() (flat CAN): full mode via a
-/// per-query Route assignment, no probe.
-template <typename Router>
-Row measure_via_route(const std::string& name, double degree,
-                      const Router& router, const OverlayNetwork& net,
-                      std::uint64_t trials, Rng& rng) {
-  const QueryEngine engine(net);
-  const auto queries = uniform_workload(net, trials, rng.fork(rng()));
-  const QueryStats st = engine.run_batch(
-      queries,
-      [&router](std::uint32_t from, NodeId key, Route& out) {
-        out = router.route(from, key);
-      },
-      nullptr);
-  return from_stats(name, degree, st);
 }
 
 /// A Canon-variant row over an already-built table, routed through the
@@ -140,9 +122,8 @@ int main(int argc, char** argv) {
   {
     const auto can = build_can(flat);
     const CanRouter r(flat, can.tree, can.links);
-    rows.push_back(measure_via_route("CAN (flat, prefix-tree)",
-                                     can.links.mean_degree(), r, flat, trials,
-                                     rng));
+    rows.push_back(measure("CAN (flat, prefix-tree)",
+                           can.links.mean_degree(), r, flat, trials, rng));
   }
   rows.push_back(canon_row("Can-Can", "cancan"));
 

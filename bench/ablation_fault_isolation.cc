@@ -8,7 +8,7 @@
 // ~1.0; flat families — whose fingers and successors mostly point outside
 // the domain — collapse. Unlike the old survivor-subnetwork rebuild, the
 // routers here run over the *original* link tables with the dead marked
-// dead, which is the failure model the resilient cores implement.
+// dead, which is the failure model the failure-aware walk implements.
 #include <cstdint>
 #include <iostream>
 #include <string>

@@ -3,6 +3,7 @@
 // measure the mean group-link latency and end-to-end route latency for
 // Chord (Prox.), where every inter-group link is a sampled endpoint.
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "canon/proximity.h"
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   Rng rng(seed + 1);
   const auto net = make_physical_population(n, phys, 32, rng);
   const HopCost cost = host_hop_cost(net, phys);
-  const GroupedOverlay groups(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
 
   TextTable table({"s", "mean group-link ms", "mean route ms",
                    "route stretch vs s=32"});
@@ -42,12 +43,12 @@ int main(int argc, char** argv) {
     ProximityConfig cfg;
     cfg.sample_size = s;
     Rng brng(seed + 2);  // same stream for every s: isolates the s effect
-    const auto links = build_chord_prox(net, groups, cost, cfg, brng);
+    const auto links = build_chord_prox(net, *groups, cost, cfg, brng);
     // Mean latency of the inter-group links.
     Summary link_ms;
     for (std::uint32_t m = 0; m < net.size(); ++m) {
       for (const auto v : links.neighbors(m)) {
-        if (groups.group_index_of(v) != groups.group_index_of(m)) {
+        if (groups->group_index_of(v) != groups->group_index_of(m)) {
           link_ms.add(cost(m, v));
         }
       }

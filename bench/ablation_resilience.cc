@@ -20,7 +20,7 @@
 #include "overlay/family_registry.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
-#include "overlay/resilient_routing.h"
+#include "overlay/routing.h"
 
 using namespace canon;
 
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     const FaultPlan plan = plan_for(percent);
     std::vector<std::string> row = {std::to_string(percent) + "%"};
     for (const int leaf : {0, 2, 4, 8}) {
-      const ResilientRingRouter router(net, crescendo, leaf);
+      const RingRouter router(net, crescendo, leaf);
       const ResilientStats st = engine.run_resilient(queries, router, plan);
       row.push_back(TextTable::num(st.success_rate(), 3));
       telemetry::JsonValue jrow =

@@ -25,7 +25,6 @@
 #include "common/table.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 
 using namespace canon;
@@ -55,16 +54,15 @@ int main(int argc, char** argv) {
       QueryEngine engine(net);
       engine.set_level_tracking(run.json_enabled());
       const auto queries = uniform_workload(net, trials, rng);
+      const RingRouter router(net, links);
       QueryStats stats;
       ResilientStats rstats;
       if (faulty) {
-        const ResilientRingRouter router(net, links);
         const FaultPlan plan =
             FaultPlan::fail_fraction(net.size(), crash_rate, run.seed);
         rstats = engine.run_resilient(queries, router, plan);
         stats = rstats.base;
       } else {
-        const RingRouter router(net, links);
         stats = engine.run(queries, router);
         if (stats.failures != 0) {
           std::cerr << "routing failure (broken structure)\n";

@@ -11,6 +11,7 @@
 // forked RNG streams, fanned across --threads, byte-identical results at
 // every thread count); latency Summaries cover successful routes.
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "canon/crescendo.h"
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     Rng rng(seed + n);
     const auto net = make_physical_population(n, phys, 32, rng);
     const HopCost cost = host_hop_cost(net, phys);
-    const GroupedOverlay groups(net, 16);
+    const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
     const ProximityConfig cfg;
 
     QueryEngine engine(net);
@@ -70,9 +71,9 @@ int main(int argc, char** argv) {
     // Proximity-adapted versions use the group router.
     {
       Rng brng(seed + n + 2);
-      const auto chord_prox = build_chord_prox(net, groups, cost, cfg, brng);
+      const auto chord_prox = build_chord_prox(net, *groups, cost, cfg, brng);
       const auto crescendo_prox =
-          build_crescendo_prox(net, groups, cost, cfg, brng);
+          build_crescendo_prox(net, *groups, cost, cfg, brng);
       const GroupRouter chord_router(net, groups, chord_prox);
       const GroupRouter crescendo_router(net, groups, crescendo_prox);
       const auto queries = uniform_workload(net, trials, Rng(seed + n + 3));

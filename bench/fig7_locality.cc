@@ -14,6 +14,7 @@
 // through the batch QueryEngine (all three systems route the same
 // queries); latency Summaries cover successful routes.
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "canon/crescendo.h"
@@ -40,12 +41,13 @@ int main(int argc, char** argv) {
   Rng rng(seed + 1);
   const auto net = make_physical_population(n, phys, 32, rng);
   const HopCost cost = host_hop_cost(net, phys);
-  const GroupedOverlay groups(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
   const ProximityConfig cfg;
 
   const auto crescendo = build_crescendo(net);
-  const auto chord_prox = build_chord_prox(net, groups, cost, cfg, rng);
-  const auto crescendo_prox = build_crescendo_prox(net, groups, cost, cfg, rng);
+  const auto chord_prox = build_chord_prox(net, *groups, cost, cfg, rng);
+  const auto crescendo_prox =
+      build_crescendo_prox(net, *groups, cost, cfg, rng);
   const RingRouter crescendo_router(net, crescendo);
   const GroupRouter chord_prox_router(net, groups, chord_prox);
   const GroupRouter crescendo_prox_router(net, groups, crescendo_prox);

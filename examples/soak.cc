@@ -27,7 +27,7 @@
 #include "common/table.h"
 #include "overlay/message_sim.h"
 #include "overlay/population.h"
-#include "overlay/resilient_routing.h"
+#include "overlay/routing.h"
 #include "telemetry/flame_export.h"
 #include "telemetry/journal.h"
 #include "telemetry/load_stats.h"
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t i = 0; i < net.size(); ++i) {
     if (rng.uniform(3) == 0) failures.kill(i);
   }
-  const ResilientRingRouter router(net, links, /*leaf_set=*/8);
+  const RingRouter router(net, links, /*leaf_set=*/8);
   int ok = 0;
   const int kTrials = 5000;
   Summary hops;

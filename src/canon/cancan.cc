@@ -1,10 +1,11 @@
 #include "canon/cancan.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "common/parallel.h"
 #include "dht/kademlia.h"
+#include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
@@ -66,122 +67,77 @@ std::uint32_t CanCanNetwork::responsible(NodeId key) const {
   return tree(net_->domains().root()).owner_of(key);
 }
 
-CanCanRouter::CanCanRouter(const CanCanNetwork& network)
-    : network_(&network),
-      max_hops_(8 * network.net().space().bits() + 16) {}
+CanCanKernel::CanCanKernel(std::shared_ptr<const CanCanNetwork> network)
+    : network_(std::move(network)),
+      max_hops_(8 * network_->net().space().bits() + 16) {}
 
-Route CanCanRouter::route(std::uint32_t from, NodeId key) const {
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  const DomainTree& dom = net.domains();
-  Route r;
-  r.path.push_back(from);
-  std::uint32_t current = from;
-  // Stage = the domain whose partition the message is currently finishing,
-  // starting at the source's leaf domain and lifting toward the root.
-  int stage_domain = dom.domain_chain(from).back();
-  // The XOR fallback can decrease the prefix match, so guard against
-  // revisiting a node (which would mean a routing cycle).
-  std::unordered_set<std::uint32_t> visited = {from};
-
-  for (int step = 0; step < max_hops_; ++step) {
-    const ZoneTree& t = network_->tree(stage_domain);
-    if (t.owner_of(key) == current) {
-      if (dom.domain(stage_domain).parent < 0) {
-        r.ok = true;  // finished the root partition
-        return r;
-      }
-      stage_domain = dom.domain(stage_domain).parent;
-      continue;  // lift the stage without consuming a hop
+template <typename Pick, typename Ctx>
+Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
+                       Pick& pick, const Ctx& ctx) const {
+  const DomainTree& dom = net().domains();
+  const auto prev = static_cast<NodeIndex>(state >> 32) - 1;
+  // Stage = the domain whose partition the message is finishing, starting
+  // at the source's leaf domain.
+  int stage = (state & 0xFFFFFFFFu) == 0
+                  ? dom.domain_chain(site.at).back()
+                  : static_cast<int>(state & 0xFFFFFFFFu) - 1;
+  const auto stage_owner = [&](int d) {
+    if constexpr (Ctx::kActive) {
+      return live_stage_owner(d, key, ctx.dead);
+    } else {
+      return network_->tree(d).owner_of(key);
     }
-    const int cur_match = t.match_len(current, key);
-    std::uint32_t best = current;
-    int best_match = cur_match;
-    for (const std::uint32_t nb : network_->links().neighbors(current)) {
-      if (!t.contains(nb) || visited.contains(nb)) continue;
-      const int m = t.match_len(nb, key);
-      if (m > best_match) {
-        best_match = m;
-        best = nb;
-      }
-    }
-    if (best == current) {
-      // The key's stage zone may be a short empty-sibling block: accept a
-      // neighbor that owns the key outright.
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (t.contains(nb) && !visited.contains(nb) &&
-            t.owner_of(key) == nb) {
-          best = nb;
-          break;
-        }
-      }
-    }
-    if (best == current) {
-      // Fallback for faces the merge filter removed: any stage-domain
-      // neighbor strictly closer to the key in XOR distance.
-      const std::uint64_t cur_d = space.xor_distance(net.id(current), key);
-      std::uint64_t best_d = cur_d;
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (!t.contains(nb) || visited.contains(nb)) continue;
-        const std::uint64_t d = space.xor_distance(net.id(nb), key);
-        if (d < best_d) {
-          best_d = d;
-          best = nb;
-        }
-      }
-      if (best != current) fallback_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (best == current) {
-      stuck_.fetch_add(1, std::memory_order_relaxed);
-      r.ok = false;
-      return r;
-    }
-    current = best;
-    visited.insert(current);
-    r.path.push_back(current);
+  };
+  NodeIndex owner = stage_owner(stage);
+  while (owner == site.at) {  // lifting consumes no hop
+    if (dom.domain(stage).parent < 0) return Hop::kArrived;
+    stage = dom.domain(stage).parent;
+    owner = stage_owner(stage);
   }
-  r.ok = false;
-  return r;
-}
-
-namespace {
-
-bool in_list(const std::vector<std::uint32_t>& list, std::uint32_t node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
-}
-
-struct NullRecorder {
-  void operator()(std::uint32_t) const {}
-};
-
-struct PathRecorder {
-  std::vector<std::uint32_t>* path;
-  void operator()(std::uint32_t node) const { path->push_back(node); }
-};
-
-}  // namespace
-
-ResilientCanCanRouter::ResilientCanCanRouter(const CanCanNetwork& network,
-                                             int retry_budget)
-    : network_(&network),
-      retry_budget_(retry_budget),
-      max_hops_(8 * network.net().space().bits() + 16) {
-  if (retry_budget < 1) {
-    throw std::invalid_argument("ResilientCanCanRouter: retry budget < 1");
+  state = (std::uint64_t{site.at} + 1) << 32 |
+          static_cast<std::uint64_t>(stage + 1);
+  const ZoneTree& t = network_->tree(stage);
+  const int cur_match = t.match_len(site.at, key);
+  for (std::size_t j = 0; j < site.count; ++j) {
+    const NodeIndex nb = site.targets[j];
+    if (nb == prev || !t.contains(nb)) continue;
+    const int m = t.match_len(nb, key);
+    if (m > cur_match) pick.offer(static_cast<Score>(m), j);
   }
+  if (!pick.found()) {
+    // The key's stage zone may be a short empty-sibling block: a neighbor
+    // owning it outright.
+    pick.tier(site.targets, site.ids, /*plain=*/true);
+    const std::size_t j = detail::row_index(site, owner);
+    if (j != detail::kNoPick && owner != prev) pick.offer(1, j);
+  }
+  if (!pick.found()) {
+    // Faces the merge filter removed (and, under faults, dead ones): a
+    // stage neighbor strictly closer to the key in XOR distance.
+    pick.tier(site.targets, site.ids, /*plain=*/true);
+    const std::uint64_t mask = net().space().mask();
+    const std::uint64_t cur_d = (site.id ^ key) & mask;
+    for (std::size_t j = 0; j < site.count; ++j) {
+      const NodeIndex nb = site.targets[j];
+      if (nb == prev || !t.contains(nb)) continue;
+      const std::uint64_t d = (site.ids[j] ^ key) & mask;
+      if (d < cur_d) pick.offer(cur_d - d, j);
+    }
+  }
+  return pick.found() ? Hop::kForward : Hop::kStuck;
 }
 
-std::uint32_t ResilientCanCanRouter::live_stage_owner(
-    const ZoneTree& t, int d, NodeId key, const FailureSet& dead) const {
-  const std::uint32_t structural = t.owner_of(key);
+NodeIndex CanCanKernel::live_stage_owner(int d, NodeId key,
+                                         const FailureSet& dead) const {
+  const ZoneTree& t = network_->tree(d);
+  const NodeIndex structural = t.owner_of(key);
   if (!dead.dead(structural)) return structural;
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  std::uint32_t best = RingView::kNone;
+  const IdSpace& space = net().space();
+  NodeIndex best = RingView::kNone;
   std::uint64_t best_d = 0;
-  for (const std::uint32_t m : net.domains().domain(d).members) {
+  for (const NodeIndex m : net().domains().domain(d).members) {
     if (dead.dead(m) || !t.contains(m)) continue;
-    const std::uint64_t dist = space.xor_distance(net.id(m), key);
+    const std::uint64_t dist = space.xor_distance(net().id(m), key);
     if (best == RingView::kNone || dist < best_d) {
       best = m;
       best_d = dist;
@@ -193,133 +149,6 @@ std::uint32_t ResilientCanCanRouter::live_stage_owner(
   return best;
 }
 
-template <typename Recorder>
-ResilientProbe ResilientCanCanRouter::core(std::uint32_t from, NodeId key,
-                                           const FailureSet& dead,
-                                           DropRoller& drops, Scratch& scratch,
-                                           Recorder&& record) const {
-  if (dead.dead(from)) {
-    throw std::invalid_argument("ResilientCanCanRouter: source is dead");
-  }
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  const DomainTree& dom = net.domains();
-  const bool faults = dead.any() || drops.active();
-  std::uint32_t current = from;
-  int hops = 0;
-  int retries = 0;
-  int fallback_hops = 0;
-  int stage_domain = dom.domain_chain(from).back();
-  const ZoneTree* t = &network_->tree(stage_domain);
-  // The target of the current stage; under faults a dead owner's zone is
-  // taken over by the live stage member XOR-closest to the key.
-  std::uint32_t stage_target =
-      faults ? live_stage_owner(*t, stage_domain, key, dead) : t->owner_of(key);
-  scratch.visited.clear();
-  scratch.visited.push_back(from);
-
-  for (int step = 0; step < max_hops_; ++step) {
-    if (stage_target == current) {
-      if (dom.domain(stage_domain).parent < 0) {
-        return {current, hops, true, retries, fallback_hops};  // root done
-      }
-      stage_domain = dom.domain(stage_domain).parent;
-      t = &network_->tree(stage_domain);
-      stage_target = faults ? live_stage_owner(*t, stage_domain, key, dead)
-                            : t->owner_of(key);
-      continue;  // lift the stage without consuming a hop
-    }
-    const int cur_match = t->match_len(current, key);
-    scratch.banned.clear();
-    int attempts = retry_budget_;
-    for (;;) {  // per-hop retry ladder
-      std::uint32_t best = current;
-      int best_match = cur_match;
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (!t->contains(nb) || in_list(scratch.visited, nb)) continue;
-        if (faults && (dead.dead(nb) || in_list(scratch.banned, nb))) {
-          continue;
-        }
-        const int m = t->match_len(nb, key);
-        if (m > best_match) {
-          best_match = m;
-          best = nb;
-        }
-      }
-      if (best == current) {
-        // The key's stage zone may be a short empty-sibling block: accept
-        // a neighbor that is the stage target outright.
-        for (const std::uint32_t nb : network_->links().neighbors(current)) {
-          if (!t->contains(nb) || in_list(scratch.visited, nb) ||
-              nb != stage_target) {
-            continue;
-          }
-          if (faults && in_list(scratch.banned, nb)) continue;
-          best = nb;
-          break;
-        }
-      }
-      bool via_fallback = false;
-      if (best == current) {
-        // Fallback for faces the merge filter removed (and, under faults,
-        // for dead ones): any stage-domain neighbor strictly closer to the
-        // key in XOR distance.
-        std::uint64_t best_d = space.xor_distance(net.id(current), key);
-        for (const std::uint32_t nb : network_->links().neighbors(current)) {
-          if (!t->contains(nb) || in_list(scratch.visited, nb)) continue;
-          if (faults && (dead.dead(nb) || in_list(scratch.banned, nb))) {
-            continue;
-          }
-          const std::uint64_t d = space.xor_distance(net.id(nb), key);
-          if (d < best_d) {
-            best_d = d;
-            best = nb;
-          }
-        }
-        via_fallback = best != current;
-      }
-      if (best == current) {
-        return {current, hops, false, retries, fallback_hops};  // stuck
-      }
-      if (drops.drop()) {
-        scratch.banned.push_back(best);
-        ++retries;
-        if (--attempts <= 0) {
-          return {current, hops, false, retries, fallback_hops};  // lost
-        }
-        continue;
-      }
-      if (via_fallback) ++fallback_hops;
-      current = best;
-      ++hops;
-      record(current);
-      scratch.visited.push_back(current);
-      break;
-    }
-  }
-  return {current, hops, false, retries, fallback_hops};
-}
-
-ResilientProbe ResilientCanCanRouter::route_into(std::uint32_t from,
-                                                 NodeId key,
-                                                 const FailureSet& dead,
-                                                 DropRoller& drops,
-                                                 Scratch& scratch,
-                                                 Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-  const ResilientProbe p =
-      core(from, key, dead, drops, scratch, PathRecorder{&out.path});
-  out.ok = p.ok;
-  return p;
-}
-
-ResilientProbe ResilientCanCanRouter::probe(std::uint32_t from, NodeId key,
-                                            const FailureSet& dead,
-                                            DropRoller& drops,
-                                            Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, NullRecorder{});
-}
+template class GreedyRouter<CanCanKernel>;
 
 }  // namespace canon

@@ -16,7 +16,6 @@
 #ifndef CANON_CANON_CANCAN_H
 #define CANON_CANON_CANCAN_H
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -48,82 +47,45 @@ class CanCanNetwork {
   LinkTable links_;
 };
 
-/// Staged greedy router over a CanCanNetwork (see file comment). Reports
-/// `stuck_count` across its lifetime: hops where no link improved the
-/// current stage's prefix match (a failed route). The counts are atomic so
-/// concurrent route() calls on one const router (batch QueryEngine fan-out)
-/// stay race-free; they are diagnostics, not part of the deterministic
-/// per-query results.
-///
-/// Ordering contract: every access — the fetch_add on the hot scan and
-/// the reads above — uses memory_order_relaxed. The counters are
-/// merge-only tallies: no other memory is published through them, readers
-/// want a sum, not a synchronization point, and the QueryEngine's shard
-/// barrier (parallel_for join) already sequences "batch finished" before
-/// any caller reads the totals. Relaxed keeps the per-hop increment a
-/// plain locked add with no fence on the scan path; do not "upgrade"
-/// these to acquire/release — there is nothing to acquire.
-class CanCanRouter {
+/// Staged greedy kernel over a CanCanNetwork (see file comment): within
+/// the stage domain's partition, bit fixing toward the key, then a hop to
+/// the neighbor owning the key's stage zone, then — for faces the merge
+/// filter removed — a neighbor strictly XOR-closer to the key. Reaching
+/// the stage owner lifts the stage to the parent domain without a hop;
+/// the lookup ends at the root partition's owner. Under faults a dead
+/// stage owner's zone is taken over by the live stage member XOR-closest
+/// to the key (every stage domain contains the live source, so a takeover
+/// always exists). Cycle guard: never step back to the node just left.
+/// Per-lookup state: (previous node + 1) << 32 | (stage domain + 1). The
+/// CanCanNetwork is shared.
+class CanCanKernel {
  public:
-  explicit CanCanRouter(const CanCanNetwork& network);
+  using Score = std::uint64_t;
+  static constexpr const char* kCounterPrefix = nullptr;
 
-  Route route(std::uint32_t from, NodeId key) const;
+  explicit CanCanKernel(std::shared_ptr<const CanCanNetwork> network);
 
-  /// Routes that dead-ended (failed).
-  std::size_t stuck_count() const {
-    return stuck_.load(std::memory_order_relaxed);
-  }
-  /// Hops that needed the XOR-distance fallback (route still succeeded).
-  std::size_t fallback_count() const {
-    return fallback_.load(std::memory_order_relaxed);
-  }
+  const OverlayNetwork& net() const { return network_->net(); }
+  const LinkTable& links() const { return network_->links(); }
+  /// 8·bits+16: the staged walk needs a wider guard than the one-stage
+  /// kernels' 4·bits+16.
+  int max_hops() const { return max_hops_; }
+
+  template <typename Pick, typename Ctx>
+  Hop rank(const HopSite& site, NodeId key, std::uint64_t& state, Pick& pick,
+           const Ctx& ctx) const;
 
  private:
-  const CanCanNetwork* network_;
-  int max_hops_;
-  mutable std::atomic<std::size_t> stuck_{0};
-  mutable std::atomic<std::size_t> fallback_{0};
-};
-
-/// Failure-aware staged routing over a CanCanNetwork: the plain stage walk
-/// restricted to live neighbors, with per-stage zone takeover (a dead
-/// stage owner is replaced by the live stage member XOR-closest to the
-/// key — every stage domain contains the live source, so a takeover
-/// always exists) and the per-hop drop-retry ladder shared by the other
-/// resilient cores. Follows the hot-path contract of overlay/routing.h.
-class ResilientCanCanRouter {
- public:
-  explicit ResilientCanCanRouter(const CanCanNetwork& network,
-                                 int retry_budget = kRetryBudget);
-
-  struct Scratch {
-    std::vector<std::uint32_t> banned;   ///< candidates dropped this hop
-    std::vector<std::uint32_t> visited;  ///< cycle guard (plain has it too)
-  };
-
-  /// ok iff the walk finished the root partition at the key's live owner.
-  /// Throws std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
-
- private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   /// The stage partition's key owner, or its live takeover within domain
   /// `d` (see class comment).
-  std::uint32_t live_stage_owner(const ZoneTree& t, int d, NodeId key,
-                                 const FailureSet& dead) const;
+  NodeIndex live_stage_owner(int d, NodeId key, const FailureSet& dead) const;
 
-  const CanCanNetwork* network_;
-  int retry_budget_;
+  std::shared_ptr<const CanCanNetwork> network_;
   int max_hops_;
 };
+
+using CanCanRouter = GreedyRouter<CanCanKernel>;
+extern template class GreedyRouter<CanCanKernel>;
 
 }  // namespace canon
 

@@ -15,10 +15,10 @@
 #define CANON_CANON_PROXIMITY_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/metrics.h"
 #include "overlay/overlay_network.h"
@@ -43,7 +43,11 @@ class GroupedOverlay {
 
   /// Number of bits in a group ID (T). 0 means a single group.
   int prefix_bits() const { return prefix_bits_; }
-  NodeId gid_of_key(NodeId key) const { return key >> shift_; }
+  /// A zero-bit group ID is 0 (no shift: shifting a 64-bit ID by 64 is
+  /// undefined).
+  NodeId gid_of_key(NodeId key) const {
+    return prefix_bits_ == 0 ? 0 : key >> shift_;
+  }
   NodeId gid_of_node(std::uint32_t node) const;
 
   const std::vector<Group>& groups() const { return groups_; }
@@ -84,80 +88,56 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                const HopCost& latency,
                                const ProximityConfig& cfg, Rng& rng);
 
-/// Two-phase greedy router for group-based structures: greedy clockwise on
-/// group IDs (never overshooting the responsible group), with ties broken
-/// by clockwise ID progress, then a final intra-group hop.
-class GroupRouter {
- public:
-  GroupRouter(const OverlayNetwork& net, const GroupedOverlay& groups,
-              const LinkTable& links);
+/// Group distance first, then clockwise ID progress: GroupKernel's score,
+/// compared lexicographically. The zero score means no progress.
+struct GroupScore {
+  std::uint64_t groups = 0;
+  std::uint64_t ids = 0;
 
-  Route route(std::uint32_t from, NodeId key) const;
-
-  /// Allocation-free variants (see the hot-path contract in
-  /// overlay/routing.h): identical outcome, caller's buffer / no path.
-  /// Like route(), these touch no telemetry and are safe to call
-  /// concurrently on one const router.
-  void route_into(std::uint32_t from, NodeId key, Route& out) const;
-  RouteProbe probe(std::uint32_t from, NodeId key) const;
-
-  /// Interleaved batch probe over the two-phase group walk; see
-  /// RingRouter::probe_batch in overlay/routing.h for the contract
-  /// (out[i] == probe(queries[i]) at every batch width).
-  void probe_batch(std::span<const Query> queries,
-                   std::span<RouteProbe> out) const;
-
- private:
-  const OverlayNetwork* net_;
-  const GroupedOverlay* groups_;
-  const LinkTable* links_;
-  int max_hops_;
+  friend auto operator<=>(const GroupScore&, const GroupScore&) = default;
 };
 
-/// Failure-aware two-phase group routing: the plain greedy walk on group
-/// distance restricted to live neighbors, aiming at the live responsible
-/// node (a dead responsible's duty falls to its closest live ring
-/// predecessor — the intra-group clique is "necessary even otherwise for
-/// replication and fault tolerance"). When no live neighbor makes plain
-/// greedy progress the query sidesteps to the live neighbor strictly
-/// closer to the target in (group distance, ID distance) lexicographic
-/// order, which cannot cycle. Dropped forwarding attempts retry the next
-/// candidate (the final clique hop retransmits to the same target), up to
-/// `retry_budget` per hop. Hot-path contract of overlay/routing.h.
-class ResilientGroupRouter {
+/// Two-phase greedy kernel for group-based structures: greedy clockwise
+/// on group IDs (never overshooting the target's group), ties broken by
+/// clockwise ID progress, then a final hop to the target over the dense
+/// group network. The target is the group-responsible node — under faults
+/// its closest live ring predecessor (the intra-group clique is
+/// "necessary even otherwise for replication and fault tolerance"). Second
+/// tier: the sidestep — a neighbor strictly closer to the target in (group
+/// distance, ID distance) lexicographic order, which cannot cycle. Per
+/// lookup state: the target + 1. `net` and `links` are borrowed; the
+/// grouping is shared.
+class GroupKernel {
  public:
-  ResilientGroupRouter(const OverlayNetwork& net, const GroupedOverlay& groups,
-                       const LinkTable& links,
-                       int retry_budget = kRetryBudget);
+  using Score = GroupScore;
+  static constexpr const char* kCounterPrefix = nullptr;
 
-  struct Scratch {
-    std::vector<std::uint32_t> banned;  ///< candidates dropped this hop
-  };
+  GroupKernel(const OverlayNetwork& net,
+              std::shared_ptr<const GroupedOverlay> groups,
+              const LinkTable& links);
 
-  /// ok iff the terminal is live_responsible(key). Throws
-  /// std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
+  const OverlayNetwork& net() const { return *net_; }
+  const LinkTable& links() const { return *links_; }
+  const GroupedOverlay& groups() const { return *groups_; }
+  int max_hops() const { return max_hops_; }
+
+  template <typename Pick, typename Ctx>
+  Hop rank(const HopSite& site, NodeId key, std::uint64_t& state, Pick& pick,
+           const Ctx& ctx) const;
 
   /// The group-responsible node for `key`, or — when it is dead — its
   /// closest live predecessor on the global ring.
-  std::uint32_t live_responsible(NodeId key, const FailureSet& dead) const;
+  NodeIndex live_responsible(NodeId key, const FailureSet& dead) const;
 
  private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   const OverlayNetwork* net_;
-  const GroupedOverlay* groups_;
+  std::shared_ptr<const GroupedOverlay> groups_;
   const LinkTable* links_;
-  int retry_budget_;
   int max_hops_;
 };
+
+using GroupRouter = GreedyRouter<GroupKernel>;
+extern template class GreedyRouter<GroupKernel>;
 
 }  // namespace canon
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
@@ -185,103 +186,75 @@ int ZoneTree::match_len(std::uint32_t node, NodeId key) const {
 CanNetwork build_can(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.can_ms");
   const RingView ring = net.ring();
-  ZoneTree tree(net, ring.members());
+  auto tree = std::make_shared<const ZoneTree>(net, ring.members());
   LinkTable links =
       LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-        for (const std::uint32_t v : tree.neighbors(m)) row.push_back(v);
+        for (const std::uint32_t v : tree->neighbors(m)) row.push_back(v);
       });
   return CanNetwork{std::move(tree), std::move(links)};
 }
 
-CanRouter::CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
+CanKernel::CanKernel(const OverlayNetwork& net,
+                     std::shared_ptr<const ZoneTree> tree,
                      const LinkTable& links)
     : net_(&net),
-      tree_(&tree),
+      tree_(std::move(tree)),
       links_(&links),
-      max_hops_(4 * net.space().bits() + 16) {
-}
+      max_hops_(hop_guard(net)) {}
 
-Route CanRouter::route(std::uint32_t from, NodeId key) const {
-  Route r;
-  r.path.push_back(from);
-  std::uint32_t current = from;
-  for (int step = 0; step < max_hops_; ++step) {
-    if (tree_->owner_of(key) == current) {
-      r.ok = true;
-      return r;
-    }
-    const int cur_match = tree_->match_len(current, key);
-    std::uint32_t best = current;
-    int best_match = cur_match;
-    for (const std::uint32_t nb : links_->neighbors(current)) {
-      if (!tree_->contains(nb)) continue;
-      const int m = tree_->match_len(nb, key);
-      if (m > best_match) {
-        best_match = m;
-        best = nb;
+template <typename Pick, typename Ctx>
+Hop CanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
+                    Pick& pick, const Ctx& ctx) const {
+  const auto prev = static_cast<NodeIndex>(state >> 32) - 1;
+  NodeIndex target;
+  if ((state & 0xFFFFFFFFu) != 0) {
+    target = static_cast<NodeIndex>(state & 0xFFFFFFFFu) - 1;
+  } else if constexpr (Ctx::kActive) {
+    target = live_owner(key, ctx.dead);
+  } else {
+    target = tree_->owner_of(key);
+  }
+  if (site.at == target) return Hop::kArrived;
+  state = (std::uint64_t{site.at} + 1) << 32 | (std::uint64_t{target} + 1);
+  // Bit fixing: neighbors growing the zone-prefix match, longest first.
+  const int cur_match = tree_->match_len(site.at, key);
+  for (std::size_t j = 0; j < site.count; ++j) {
+    const NodeIndex nb = site.targets[j];
+    if (nb == prev || !tree_->contains(nb)) continue;
+    const int m = tree_->match_len(nb, key);
+    if (m > cur_match) pick.offer(static_cast<Score>(m), j);
+  }
+  if (!pick.found()) {
+    // Prefix matches cannot grow, but the key's zone may be a short
+    // empty-sibling block owned by an adjacent node: a final hop to it.
+    pick.tier(site.targets, site.ids, /*plain=*/true);
+    const std::size_t j = detail::row_index(site, target);
+    if (j != detail::kNoPick && target != prev) pick.offer(1, j);
+  }
+  if constexpr (Ctx::kActive) {
+    if (!pick.found()) {
+      // Second tier: a live neighbor strictly XOR-closer to the key.
+      pick.tier(site.targets, site.ids, /*plain=*/false);
+      const std::uint64_t mask = net_->space().mask();
+      const std::uint64_t cur_d = (site.id ^ key) & mask;
+      for (std::size_t j = 0; j < site.count; ++j) {
+        const NodeIndex nb = site.targets[j];
+        if (nb == prev || !tree_->contains(nb)) continue;
+        const std::uint64_t d = (site.ids[j] ^ key) & mask;
+        if (d < cur_d) pick.offer(cur_d - d, j);
       }
     }
-    if (best == current) {
-      // Prefix matches cannot grow, but the key's zone may be a short
-      // empty-sibling block owned by an adjacent node: take a final hop to
-      // a neighbor that owns the key.
-      for (const std::uint32_t nb : links_->neighbors(current)) {
-        if (tree_->contains(nb) && tree_->owner_of(key) == nb) {
-          best = nb;
-          break;
-        }
-      }
-    }
-    if (best == current) {
-      r.ok = false;  // stuck
-      return r;
-    }
-    current = best;
-    r.path.push_back(current);
   }
-  r.ok = false;
-  return r;
+  return pick.found() ? Hop::kForward : Hop::kStuck;
 }
 
-namespace {
-
-bool in_list(const std::vector<std::uint32_t>& list, std::uint32_t node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
-}
-
-struct NullRecorder {
-  void operator()(std::uint32_t) const {}
-};
-
-struct PathRecorder {
-  std::vector<std::uint32_t>* path;
-  void operator()(std::uint32_t node) const { path->push_back(node); }
-};
-
-}  // namespace
-
-ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
-                                       const ZoneTree& tree,
-                                       const LinkTable& links,
-                                       int retry_budget)
-    : net_(&net),
-      tree_(&tree),
-      links_(&links),
-      retry_budget_(retry_budget),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (retry_budget < 1) {
-    throw std::invalid_argument("ResilientCanRouter: retry budget < 1");
-  }
-}
-
-std::uint32_t ResilientCanRouter::live_owner(NodeId key,
-                                             const FailureSet& dead) const {
-  const std::uint32_t structural = tree_->owner_of(key);
+NodeIndex CanKernel::live_owner(NodeId key, const FailureSet& dead) const {
+  const NodeIndex structural = tree_->owner_of(key);
   if (!dead.dead(structural)) return structural;
   const IdSpace& space = net_->space();
-  std::uint32_t best = RingView::kNone;
+  NodeIndex best = RingView::kNone;
   std::uint64_t best_d = 0;
-  for (std::uint32_t i = 0; i < net_->size(); ++i) {
+  for (NodeIndex i = 0; i < net_->size(); ++i) {
     if (dead.dead(i) || !tree_->contains(i)) continue;
     const std::uint64_t d = space.xor_distance(net_->id(i), key);
     if (best == RingView::kNone || d < best_d) {
@@ -295,113 +268,6 @@ std::uint32_t ResilientCanRouter::live_owner(NodeId key,
   return best;
 }
 
-template <typename Recorder>
-ResilientProbe ResilientCanRouter::core(std::uint32_t from, NodeId key,
-                                        const FailureSet& dead,
-                                        DropRoller& drops, Scratch& scratch,
-                                        Recorder&& record) const {
-  if (dead.dead(from)) {
-    throw std::invalid_argument("ResilientCanRouter: source is dead");
-  }
-  const IdSpace& space = net_->space();
-  const bool faults = dead.any() || drops.active();
-  const std::uint32_t target =
-      faults ? live_owner(key, dead) : tree_->owner_of(key);
-  std::uint32_t current = from;
-  int hops = 0;
-  int retries = 0;
-  int fallback_hops = 0;
-  scratch.visited.clear();
-  for (int step = 0; step < max_hops_; ++step) {
-    if (current == target) return {current, hops, true, retries, fallback_hops};
-    const int cur_match = tree_->match_len(current, key);
-    scratch.banned.clear();
-    int attempts = retry_budget_;
-    for (;;) {  // per-hop retry ladder
-      // Stage 1: the plain bit-fixing scan over live, unbanned neighbors.
-      std::uint32_t best = current;
-      int best_match = cur_match;
-      for (const std::uint32_t nb : links_->neighbors(current)) {
-        if (!tree_->contains(nb)) continue;
-        if (faults && (dead.dead(nb) || in_list(scratch.banned, nb) ||
-                       in_list(scratch.visited, nb))) {
-          continue;
-        }
-        const int m = tree_->match_len(nb, key);
-        if (m > best_match) {
-          best_match = m;
-          best = nb;
-        }
-      }
-      if (best == current) {
-        // Final hop: a neighbor that is the target itself (the key's zone
-        // may be a short empty-sibling block owned by an adjacent node).
-        for (const std::uint32_t nb : links_->neighbors(current)) {
-          if (!tree_->contains(nb) || nb != target) continue;
-          if (faults && in_list(scratch.banned, nb)) continue;
-          best = nb;
-          break;
-        }
-      }
-      bool via_fallback = false;
-      if (best == current && faults) {
-        // Stage 2: live-face fallback — an unvisited live neighbor
-        // strictly XOR-closer to the key.
-        std::uint64_t best_d = space.xor_distance(net_->id(current), key);
-        for (const std::uint32_t nb : links_->neighbors(current)) {
-          if (!tree_->contains(nb) || dead.dead(nb) ||
-              in_list(scratch.banned, nb) || in_list(scratch.visited, nb)) {
-            continue;
-          }
-          const std::uint64_t d = space.xor_distance(net_->id(nb), key);
-          if (d < best_d) {
-            best_d = d;
-            best = nb;
-          }
-        }
-        via_fallback = best != current;
-      }
-      if (best == current) {
-        return {current, hops, false, retries, fallback_hops};  // stuck
-      }
-      if (drops.drop()) {
-        scratch.banned.push_back(best);
-        ++retries;
-        if (--attempts <= 0) {
-          return {current, hops, false, retries, fallback_hops};  // lost
-        }
-        continue;
-      }
-      if (via_fallback) ++fallback_hops;
-      current = best;
-      ++hops;
-      record(current);
-      if (faults) scratch.visited.push_back(current);
-      break;
-    }
-  }
-  return {current, hops, false, retries, fallback_hops};
-}
-
-ResilientProbe ResilientCanRouter::route_into(std::uint32_t from, NodeId key,
-                                              const FailureSet& dead,
-                                              DropRoller& drops,
-                                              Scratch& scratch,
-                                              Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-  const ResilientProbe p =
-      core(from, key, dead, drops, scratch, PathRecorder{&out.path});
-  out.ok = p.ok;
-  return p;
-}
-
-ResilientProbe ResilientCanRouter::probe(std::uint32_t from, NodeId key,
-                                         const FailureSet& dead,
-                                         DropRoller& drops,
-                                         Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, NullRecorder{});
-}
+template class GreedyRouter<CanKernel>;
 
 }  // namespace canon

@@ -18,11 +18,11 @@
 #define CANON_DHT_CAN_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
@@ -94,75 +94,51 @@ class ZoneTree {
 };
 
 /// Builds the flat logarithmic-degree CAN network over all nodes.
-/// The returned tree is needed for routing (CanRouter).
+/// The returned tree is what CanKernel ranks over.
 struct CanNetwork {
-  ZoneTree tree;
+  std::shared_ptr<const ZoneTree> tree;
   LinkTable links;
 };
 CanNetwork build_can(const OverlayNetwork& net);
 
-/// Greedy bit-fixing router over a CAN zone partition: each hop moves to
-/// the neighbor with the longest zone-prefix match with the key; a final
-/// hop to a neighbor owning the key is taken when prefix matches cannot
-/// grow (the key's zone may be a short empty-sibling block). Terminates at
-/// the owner of the key's zone.
-class CanRouter {
+/// Greedy bit-fixing kernel over a CAN zone partition: each hop moves to
+/// the neighbor with the longest zone-prefix match with the key; when
+/// prefix matches cannot grow, a hop to a neighbor owning the key is taken
+/// (the key's zone may be a short empty-sibling block). The lookup ends at
+/// the key's zone owner — under faults the zone takeover rule makes the
+/// live member XOR-closest to the key the target. Second tier: a neighbor
+/// strictly XOR-closer to the key. Cycle guard: never step back to the
+/// node just left. Per-lookup state: (previous node + 1) << 32 | (target
+/// + 1). `net` and `links` are borrowed; the zone tree is shared.
+class CanKernel {
  public:
-  CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
+  using Score = std::uint64_t;
+  static constexpr const char* kCounterPrefix = nullptr;
+
+  CanKernel(const OverlayNetwork& net, std::shared_ptr<const ZoneTree> tree,
             const LinkTable& links);
 
-  Route route(std::uint32_t from, NodeId key) const;
+  const OverlayNetwork& net() const { return *net_; }
+  const LinkTable& links() const { return *links_; }
+  int max_hops() const { return max_hops_; }
 
- private:
-  const OverlayNetwork* net_;
-  const ZoneTree* tree_;
-  const LinkTable* links_;
-  int max_hops_;
-};
-
-/// Failure-aware CAN routing: the plain bit-fixing walk over live
-/// neighbors, with two recovery mechanisms. (1) Zone takeover: when the
-/// key's owner is dead, the live member XOR-closest to the key is the
-/// target (CAN's neighbor-takeover rule collapsed onto a static
-/// simulation). (2) Live-face fallback: when no live neighbor grows the
-/// prefix match, the query sidesteps to an unvisited live neighbor
-/// strictly XOR-closer to the key. Dropped forwarding attempts retry the
-/// next candidate, up to `retry_budget` per hop. Follows the hot-path
-/// contract of overlay/routing.h (no telemetry, shareable const state).
-class ResilientCanRouter {
- public:
-  ResilientCanRouter(const OverlayNetwork& net, const ZoneTree& tree,
-                     const LinkTable& links, int retry_budget = kRetryBudget);
-
-  struct Scratch {
-    std::vector<std::uint32_t> banned;   ///< candidates dropped this hop
-    std::vector<std::uint32_t> visited;  ///< fallback cycle guard
-  };
-
-  /// ok iff the terminal is the key's live owner (see live_owner). Throws
-  /// std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
+  template <typename Pick, typename Ctx>
+  Hop rank(const HopSite& site, NodeId key, std::uint64_t& state, Pick& pick,
+           const Ctx& ctx) const;
 
   /// The key's zone owner, or — when it is dead — the live member
   /// XOR-closest to the key (the takeover rule).
-  std::uint32_t live_owner(NodeId key, const FailureSet& dead) const;
+  NodeIndex live_owner(NodeId key, const FailureSet& dead) const;
 
  private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   const OverlayNetwork* net_;
-  const ZoneTree* tree_;
+  std::shared_ptr<const ZoneTree> tree_;
   const LinkTable* links_;
-  int retry_budget_;
   int max_hops_;
 };
+
+using CanRouter = GreedyRouter<CanKernel>;
+extern template class GreedyRouter<CanKernel>;
 
 }  // namespace canon
 

@@ -18,7 +18,6 @@
 #include "dht/kademlia.h"
 #include "dht/nondet_chord.h"
 #include "dht/symphony.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 
 namespace canon::registry {
@@ -81,297 +80,61 @@ LinkTable build_crescendo_prox_hook(const OverlayNetwork& net, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// make_router hooks
+// make_router / make_stepper hooks
 //
-// Each state struct owns the concrete plain + resilient routers (and any
-// auxiliary structure they index); both batch closures share it. The
-// greedy cores stay fully template-typed inside the one std::function call
-// per batch.
+// One concrete GreedyRouter per metric; its kernel shares ownership of
+// any auxiliary structure it ranks over (the CAN families rebuild their
+// deterministic zone trees from `net`). The batch closures share the
+// router, and the stepper is the router's own kernel adapter.
 
-template <typename State>
-FamilyRouter wrap(std::shared_ptr<const State> state) {
+RingRouter ring_router(const OverlayNetwork& net, const LinkTable& links) {
+  return RingRouter(net, links);
+}
+XorRouter xor_router(const OverlayNetwork& net, const LinkTable& links) {
+  return XorRouter(net, links);
+}
+CanRouter can_router(const OverlayNetwork& net, const LinkTable& links) {
+  return CanRouter(net,
+                   std::make_shared<const ZoneTree>(net, net.ring().members()),
+                   links);
+}
+CanCanRouter cancan_router(const OverlayNetwork& net, const LinkTable&) {
+  // Rebuilt: deterministic, equal to build()'s table.
+  return CanCanRouter(std::make_shared<const CanCanNetwork>(net));
+}
+GroupRouter group_router(const OverlayNetwork& net, const LinkTable& links) {
+  return GroupRouter(net,
+                     std::make_shared<const GroupedOverlay>(
+                         net, ProximityConfig{}.target_group_size),
+                     links);
+}
+
+template <auto Make>
+FamilyRouter make_router(const OverlayNetwork& net, const LinkTable& links) {
+  const auto router = std::make_shared<const decltype(Make(net, links))>(
+      Make(net, links));
   FamilyRouter r;
-  r.run_fn = [state](const QueryEngine& engine, std::span<const Query> q,
-                     std::vector<RouteProbe>* per_query) {
-    return state->run(engine, q, per_query);
+  r.run_fn = [router](const QueryEngine& engine, std::span<const Query> q,
+                      std::vector<RouteProbe>* per_query) {
+    return engine.run(q, *router, per_query);
   };
-  r.resilient_fn = [state](const QueryEngine& engine,
-                           std::span<const Query> q, const FaultPlan& plan,
-                           std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient(q, state->resilient, plan, per_query);
+  r.resilient_fn = [router](const QueryEngine& engine,
+                            std::span<const Query> q, const FaultPlan& plan,
+                            std::vector<RouteProbe>* per_query) {
+    return engine.run_resilient(q, *router, plan, per_query);
   };
-  r.resilient_with_fn = [state](const QueryEngine& engine,
-                                std::span<const Query> q,
-                                const FailureSet& dead, const FaultPlan& plan,
-                                std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient_with(q, state->resilient, dead, plan,
-                                     per_query);
+  r.resilient_with_fn = [router](const QueryEngine& engine,
+                                 std::span<const Query> q,
+                                 const FailureSet& dead, const FaultPlan& plan,
+                                 std::vector<RouteProbe>* per_query) {
+    return engine.run_resilient_with(q, *router, dead, plan, per_query);
   };
   return r;
 }
 
-// The Ring/Xor/Group states route through engine.run(), whose probe_batch
-// detection picks up those routers' interleaved batch kernels
-// transparently; Can/CanCan expose only route() and stay on the generic
-// full-mode core below — the registry-level scalar fallback.
-struct RingState {
-  RingRouter plain;
-  ResilientRingRouter resilient;
-  RingState(const OverlayNetwork& net, const LinkTable& links)
-      : plain(net, links), resilient(net, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
-};
-
-struct XorState {
-  XorRouter plain;
-  ResilientXorRouter resilient;
-  XorState(const OverlayNetwork& net, const LinkTable& links)
-      : plain(net, links), resilient(net, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
-};
-
-struct CanState {
-  ZoneTree tree;
-  CanRouter plain;
-  ResilientCanRouter resilient;
-  CanState(const OverlayNetwork& net, const LinkTable& links)
-      : tree(net, net.ring().members()),
-        plain(net, tree, links),
-        resilient(net, tree, links) {}
-  // CanRouter exposes only route(); full mode via the generic core.
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run_batch(
-        q,
-        [this](std::uint32_t from, NodeId key, Route& out) {
-          out = plain.route(from, key);
-        },
-        nullptr, per_query);
-  }
-};
-
-struct CanCanState {
-  CanCanNetwork network;  // rebuilt: deterministic, equal to build()'s table
-  CanCanRouter plain;
-  ResilientCanCanRouter resilient;
-  explicit CanCanState(const OverlayNetwork& net)
-      : network(net), plain(network), resilient(network) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run_batch(
-        q,
-        [this](std::uint32_t from, NodeId key, Route& out) {
-          out = plain.route(from, key);
-        },
-        nullptr, per_query);
-  }
-};
-
-struct GroupState {
-  GroupedOverlay groups;
-  GroupRouter plain;
-  ResilientGroupRouter resilient;
-  GroupState(const OverlayNetwork& net, const LinkTable& links)
-      : groups(net, ProximityConfig{}.target_group_size),
-        plain(net, groups, links),
-        resilient(net, groups, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
-};
-
-FamilyRouter make_ring_router(const OverlayNetwork& net,
-                              const LinkTable& links) {
-  return wrap(std::make_shared<const RingState>(net, links));
-}
-FamilyRouter make_xor_router(const OverlayNetwork& net,
-                             const LinkTable& links) {
-  return wrap(std::make_shared<const XorState>(net, links));
-}
-FamilyRouter make_can_router(const OverlayNetwork& net,
-                             const LinkTable& links) {
-  return wrap(std::make_shared<const CanState>(net, links));
-}
-FamilyRouter make_cancan_router(const OverlayNetwork& net,
-                                const LinkTable&) {
-  return wrap(std::make_shared<const CanCanState>(net));
-}
-FamilyRouter make_group_router(const OverlayNetwork& net,
-                               const LinkTable& links) {
-  return wrap(std::make_shared<const GroupState>(net, links));
-}
-
-// ---------------------------------------------------------------------------
-// make_stepper hooks
-//
-// Resumable one-hop versions of the CAN / Can-Can / group routing cores
-// (overlay/stepper.h documents the contract; the ring/XOR steppers live in
-// canon_overlay and their factories go straight into the table). Each
-// closure owns its auxiliary structure via shared_ptr, mirroring the
-// make_router states above.
-
-// CanRouter::route's loop body: candidates grow the zone-tree prefix
-// match, ranked longest-match-first; when no neighbor improves the match,
-// the key's zone may be a short empty-sibling block owned by an adjacent
-// node, so a neighbor owning the key outright is the single fallback.
-Stepper make_can_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  auto tree = std::make_shared<const ZoneTree>(net, net.ring().members());
-  const LinkTable* l = &links;
-  return [tree, l](NodeIndex at, NodeId key, std::uint64_t&,
-                   std::span<NodeIndex> out) -> StepResult {
-    if (tree->owner_of(key) == at) return {0, true, true};
-    const int cur_match = tree->match_len(at, key);
-    detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      if (!tree->contains(nb)) continue;
-      const int m = tree->match_len(nb, key);
-      if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
-    }
-    if (top.count == 0) {
-      for (const std::uint32_t nb : l->neighbors(at)) {
-        if (tree->contains(nb) && tree->owner_of(key) == nb) {
-          out[0] = nb;
-          return {1, false, false};
-        }
-      }
-      return {0, true, false};  // stuck
-    }
-    return {top.emit(out), false, false};
-  };
-}
-
-// CanCanRouter::route's loop body. The lookup-local word packs the stage
-// domain plus the previously visited node: the scalar core keeps a full
-// visited set to guard the XOR fallback against cycles, which cannot ride
-// in 64 bits — the immediate-backtrack guard catches the 2-cycles the
-// fallback actually produces and the simulator's hop guard bounds the
-// rest. state = (prev_node+1) << 32 | (stage_domain+1); 0 = first step.
-Stepper make_cancan_stepper(const OverlayNetwork& net, const LinkTable&) {
-  auto network = std::make_shared<const CanCanNetwork>(net);
-  return [network](NodeIndex at, NodeId key, std::uint64_t& state,
-                   std::span<NodeIndex> out) -> StepResult {
-    const OverlayNetwork& n = network->net();
-    const IdSpace& space = n.space();
-    const DomainTree& dom = n.domains();
-    int stage = state == 0
-                    ? static_cast<int>(dom.domain_chain(at).back())
-                    : static_cast<int>((state & 0xFFFFFFFFu) - 1);
-    const std::uint32_t prev =
-        state == 0 ? at : static_cast<std::uint32_t>((state >> 32) - 1);
-    // Lift the stage toward the root while this node owns the key's zone
-    // in the stage partition; lifting consumes no hop.
-    while (network->tree(stage).owner_of(key) == at) {
-      if (dom.domain(stage).parent < 0) return {0, true, true};
-      stage = dom.domain(stage).parent;
-    }
-    const ZoneTree& t = network->tree(stage);
-    const int cur_match = t.match_len(at, key);
-    detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : network->links().neighbors(at)) {
-      if (!t.contains(nb) || nb == prev) continue;
-      const int m = t.match_len(nb, key);
-      if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
-    }
-    if (top.count == 0) {
-      // Empty-sibling fallback: a stage neighbor owning the key outright.
-      for (const std::uint32_t nb : network->links().neighbors(at)) {
-        if (t.contains(nb) && nb != prev && t.owner_of(key) == nb) {
-          top.push(0, nb);
-          break;
-        }
-      }
-    }
-    if (top.count == 0) {
-      // Faces the merge filter removed: stage neighbors strictly closer
-      // to the key in XOR distance.
-      const std::uint64_t cur_d = space.xor_distance(n.id(at), key);
-      for (const std::uint32_t nb : network->links().neighbors(at)) {
-        if (!t.contains(nb) || nb == prev) continue;
-        const std::uint64_t d = space.xor_distance(n.id(nb), key);
-        if (d < cur_d) top.push(d, nb);
-      }
-    }
-    if (top.count == 0) return {0, true, false};  // stuck
-    state = (static_cast<std::uint64_t>(at) + 1) << 32 |
-            static_cast<std::uint64_t>(stage + 1);
-    return {top.emit(out), false, false};
-  };
-}
-
-// group_core's loop body: greedy on group distance (never overshooting the
-// target group), ties broken by clockwise ID progress; once inside the
-// target group, the final hop goes straight to the responsible node over
-// the dense group network.
-Stepper make_group_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  auto groups = std::make_shared<const GroupedOverlay>(
-      net, ProximityConfig{}.target_group_size);
-  const OverlayNetwork* n = &net;
-  const LinkTable* l = &links;
-  return [groups, n, l](NodeIndex at, NodeId key, std::uint64_t&,
-                        std::span<NodeIndex> out) -> StepResult {
-    const IdSpace& space = n->space();
-    const int target_group = groups->responsible_group(key);
-    const NodeId target_gid =
-        groups->groups()[static_cast<std::size_t>(target_group)].gid;
-    const std::uint32_t target = groups->responsible(key);
-    if (at == target) return {0, true, true};
-    const NodeId cur_gid = groups->gid_of_node(at);
-    if (cur_gid == target_gid) {
-      if (l->has_link(at, target)) {
-        out[0] = target;
-        return {1, false, false};
-      }
-      return {0, true, false};  // stuck inside the target group
-    }
-    const std::uint64_t remaining_groups =
-        groups->group_distance(cur_gid, target_gid);
-    const std::uint64_t remaining_ids =
-        space.ring_distance(n->id(at), key);
-    // (gcov desc, icov desc) needs a lexicographic two-word rank, so this
-    // one keeps explicit pairs instead of detail::TopK's single metric.
-    // Strictly-greater displacement keeps first-seen order on full ties,
-    // matching the scalar core's running argbest.
-    std::uint64_t gcov[kMaxStepCandidates];
-    std::uint64_t icov[kMaxStepCandidates];
-    NodeIndex node[kMaxStepCandidates];
-    int count = 0;
-    const int cap = static_cast<int>(out.size());
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      const std::uint64_t g =
-          groups->group_distance(cur_gid, groups->gid_of_node(nb));
-      if (g > remaining_groups) continue;  // overshoots the target group
-      const std::uint64_t i = space.ring_distance(n->id(at), n->id(nb));
-      if (g == 0 && i > remaining_ids) continue;
-      if (g == 0 && i == 0) continue;  // no progress at all
-      int pos = count < cap ? count : cap - 1;
-      if (count < cap) {
-        ++count;
-      } else if (g < gcov[cap - 1] ||
-                 (g == gcov[cap - 1] && i <= icov[cap - 1])) {
-        continue;
-      }
-      while (pos > 0 && (gcov[pos - 1] < g ||
-                         (gcov[pos - 1] == g && icov[pos - 1] < i))) {
-        gcov[pos] = gcov[pos - 1];
-        icov[pos] = icov[pos - 1];
-        node[pos] = node[pos - 1];
-        --pos;
-      }
-      gcov[pos] = g;
-      icov[pos] = i;
-      node[pos] = nb;
-    }
-    if (count == 0) return {0, true, false};  // stuck
-    for (int i = 0; i < count; ++i) out[static_cast<std::size_t>(i)] = node[i];
-    return {count, false, false};
-  };
+template <auto Make>
+Stepper make_stepper(const OverlayNetwork& net, const LinkTable& links) {
+  return Make(net, links).stepper();
 }
 
 // ---------------------------------------------------------------------------
@@ -509,31 +272,32 @@ audit::AuditReport audit_crescendo_prox(const OverlayNetwork& net,
 // the table (canonical doctor-report order)
 
 constexpr FamilyEntry kFamilies[] = {
-    {"chord", build_chord_hook, make_ring_router, audit_chord,
-     make_ring_stepper},
-    {"symphony", build_symphony_hook, make_ring_router, audit_flat_ring,
-     make_ring_stepper},
-    {"nondet_chord", build_nondet_chord_hook, make_ring_router,
-     audit_flat_ring, make_ring_stepper},
-    {"kademlia", build_kademlia_hook, make_xor_router, audit_kademlia,
-     make_xor_stepper},
-    {"can", build_can_hook, make_can_router, audit_can, make_can_stepper},
-    {"crescendo", build_crescendo_hook, make_ring_router, audit_crescendo,
-     make_ring_stepper},
-    {"clique_crescendo", build_clique_crescendo_hook, make_ring_router,
-     audit_clique_crescendo, make_ring_stepper},
-    {"cacophony", build_cacophony_hook, make_ring_router, audit_level_rings,
-     make_ring_stepper},
-    {"nondet_crescendo", build_nondet_crescendo_hook, make_ring_router,
-     audit_level_rings, make_ring_stepper},
-    {"kandy", build_kandy_hook, make_xor_router, audit_kandy,
-     make_xor_stepper},
-    {"cancan", build_cancan_hook, make_cancan_router, audit_cancan,
-     make_cancan_stepper},
-    {"chord_prox", build_chord_prox_hook, make_group_router,
-     audit_chord_prox, make_group_stepper},
-    {"crescendo_prox", build_crescendo_prox_hook, make_group_router,
-     audit_crescendo_prox, make_group_stepper},
+    {"chord", build_chord_hook, make_router<ring_router>, audit_chord,
+     make_stepper<ring_router>},
+    {"symphony", build_symphony_hook, make_router<ring_router>, audit_flat_ring,
+     make_stepper<ring_router>},
+    {"nondet_chord", build_nondet_chord_hook, make_router<ring_router>,
+     audit_flat_ring, make_stepper<ring_router>},
+    {"kademlia", build_kademlia_hook, make_router<xor_router>, audit_kademlia,
+     make_stepper<xor_router>},
+    {"can", build_can_hook, make_router<can_router>, audit_can,
+     make_stepper<can_router>},
+    {"crescendo", build_crescendo_hook, make_router<ring_router>,
+     audit_crescendo, make_stepper<ring_router>},
+    {"clique_crescendo", build_clique_crescendo_hook, make_router<ring_router>,
+     audit_clique_crescendo, make_stepper<ring_router>},
+    {"cacophony", build_cacophony_hook, make_router<ring_router>,
+     audit_level_rings, make_stepper<ring_router>},
+    {"nondet_crescendo", build_nondet_crescendo_hook, make_router<ring_router>,
+     audit_level_rings, make_stepper<ring_router>},
+    {"kandy", build_kandy_hook, make_router<xor_router>, audit_kandy,
+     make_stepper<xor_router>},
+    {"cancan", build_cancan_hook, make_router<cancan_router>, audit_cancan,
+     make_stepper<cancan_router>},
+    {"chord_prox", build_chord_prox_hook, make_router<group_router>,
+     audit_chord_prox, make_stepper<group_router>},
+    {"crescendo_prox", build_crescendo_prox_hook, make_router<group_router>,
+     audit_crescendo_prox, make_stepper<group_router>},
 };
 
 constexpr std::size_t kFamilyCount = std::size(kFamilies);

@@ -11,16 +11,18 @@
 //                           ignore it; the proximity families use the
 //                           synthetic latency oracle and default
 //                           ProximityConfig)
-//   make_router(net, links) the family's concrete router(s) wrapped for
-//                           QueryEngine batches — plain and failure-aware
+//   make_router(net, links) the family's GreedyRouter (overlay/routing.h)
+//                           wrapped for QueryEngine batches — plain and
+//                           failure-aware
 //   audit(net, links)       the StructureAuditor battery composition the
 //                           construction guarantees
+//   make_stepper(net, links) the same router's kernel as the message
+//                           simulator's Stepper
 //
 // The FamilyRouter returned by make_router type-erases at *batch*
 // granularity only: one std::function call runs a whole workload, inside
-// which the concrete template cores (RingRouter, XorRouter, GroupRouter,
-// Resilient*) route every query with zero virtual dispatch — the hot-path
-// contract of overlay/routing.h is untouched.
+// which the concrete hop kernel routes every query with zero virtual
+// dispatch — the hot-path contract of overlay/routing.h is untouched.
 //
 // This header pulls in every family, so it lives in its own library
 // (canon_registry, on top of canon_core/canon_dht/canon_audit) even though
@@ -45,9 +47,10 @@
 
 namespace canon::registry {
 
-/// A built family's routers, wrapped for batch execution. Copyable; the
-/// closures share ownership of the concrete router plus whatever auxiliary
-/// structure it needs (ZoneTree, CanCanNetwork, GroupedOverlay), while
+/// A built family's router, wrapped for batch execution. Copyable; the
+/// closures share ownership of the concrete router, whose kernel shares
+/// whatever auxiliary structure it ranks over (ZoneTree, CanCanNetwork,
+/// GroupedOverlay), while
 /// `net` and `links` passed to make_router are borrowed and must outlive
 /// the FamilyRouter.
 struct FamilyRouter {
@@ -71,7 +74,7 @@ struct FamilyRouter {
     return run_fn(engine, queries, per_query);
   }
 
-  /// Failure-aware batch through the family's resilient core; with an
+  /// Failure-aware batch through the family's failure-aware walk; with an
   /// empty plan the stats match run() field-for-field.
   ResilientStats run_resilient(const QueryEngine& engine,
                                std::span<const Query> queries,
@@ -115,13 +118,12 @@ struct FamilyEntry {
   audit::AuditReport (*audit)(const OverlayNetwork& net,
                               const LinkTable& links);
 
-  /// Builds the family's resumable one-hop stepper (overlay/stepper.h)
-  /// for the message simulator: candidate 0 reproduces the hop
-  /// the family's greedy route() would take; later candidates feed
-  /// α-parallel speculation. The CAN families rebuild their deterministic
-  /// auxiliary structures from `net` and the returned closure owns them;
-  /// `net` and `links` themselves are borrowed and must outlive the
-  /// stepper.
+  /// The family router's stepper() (overlay/stepper.h) for the message
+  /// simulator: candidate 0 is the hop the family's route() takes; later
+  /// candidates feed α-parallel speculation. The CAN families rebuild
+  /// their deterministic auxiliary structures from `net` and the returned
+  /// closure shares them; `net` and `links` themselves are borrowed and
+  /// must outlive the stepper.
   Stepper (*make_stepper)(const OverlayNetwork& net, const LinkTable& links);
 };
 

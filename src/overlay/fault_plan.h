@@ -4,7 +4,7 @@
 // scenario: fail-stop crashes (optionally scheduled at a virtual time),
 // revivals, and a transient message-drop probability. Plans are inert
 // data; materialize() turns the crash/revive schedule into the FailureSet
-// the resilient routing cores consult per hop, journaling every applied
+// the failure-aware walk consults per hop, journaling every applied
 // event (telemetry/journal.h) so an experiment's fault history is a
 // replayable artifact.
 //
@@ -21,7 +21,6 @@
 
 #include "common/rng.h"
 #include "overlay/overlay_network.h"
-#include "overlay/routing.h"
 
 namespace canon::telemetry {
 class EventJournal;
@@ -49,7 +48,7 @@ class FailureSet {
   bool dead(std::uint32_t node) const { return dead_[node]; }
   std::size_t size() const { return dead_.size(); }
   std::size_t dead_count() const { return dead_count_; }
-  /// O(1): the routing cores consult this per query to skip the
+  /// O(1): the failure-aware walk consults this per query to skip the
   /// fault-only bookkeeping on fully-live populations.
   bool any() const { return dead_count_ > 0; }
 
@@ -138,27 +137,6 @@ class DropRoller {
   double probability_ = 0;
   Rng rng_{0};
 };
-
-/// Outcome of one resilient routed query: a RouteProbe plus the recovery
-/// work it took. At zero faults `retries` and `fallback_hops` are 0 and
-/// to_probe() matches the plain router's probe() exactly.
-struct ResilientProbe {
-  std::uint32_t terminal = 0;
-  int hops = 0;
-  bool ok = false;
-  int retries = 0;        ///< dropped forwarding attempts that were retried
-  int fallback_hops = 0;  ///< hops taken via a recovery path (leaf set,
-                          ///< live face, XOR fallback)
-
-  RouteProbe to_probe() const { return RouteProbe{terminal, hops, ok}; }
-
-  friend bool operator==(const ResilientProbe&,
-                         const ResilientProbe&) = default;
-};
-
-/// Per-hop retry budget shared by every resilient core (Kademlia's alpha):
-/// after this many consecutive drops on one hop the query is lost.
-inline constexpr int kRetryBudget = 3;
 
 }  // namespace canon
 

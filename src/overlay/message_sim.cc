@@ -16,10 +16,10 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
                                    HopCost latency, MessageSimConfig config)
     : net_(&net),
       links_(&links),
-      stepper_(stepper ? std::move(stepper) : make_ring_stepper(net, links)),
+      stepper_(stepper ? std::move(stepper) : RingRouter(net, links).stepper()),
       latency_(std::move(latency)),
       config_(config),
-      hop_guard_(4 * net.space().bits() + 16),
+      hop_guard_(hop_guard(net)),
       load_(net.size(), 0),
       busy_until_(net.size(), 0),
       max_depth_(net.size(), 0),

@@ -60,6 +60,7 @@
 #include "overlay/link_table.h"
 #include "overlay/metrics.h"
 #include "overlay/overlay_network.h"
+#include "overlay/routing.h"
 #include "overlay/stepper.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/metrics.h"

@@ -91,6 +91,7 @@ void QueryStats::merge(const QueryStats& other) {
   }
   queries += other.queries;
   failures += other.failures;
+  hop_guard_exits += other.hop_guard_exits;
   total_hops += other.total_hops;
 }
 
@@ -134,8 +135,8 @@ QueryStats QueryEngine::run_batch(std::span<const Query> queries,
 
   // Probe mode: terminal-only routing, no path materialized anywhere.
   // Anything that must see the hop-by-hop path disables it.
-  const bool use_probe = probe && !cost_ && !level_tracking_ &&
-                         sink_ == nullptr && load_ == nullptr;
+  const bool use_probe =
+      !cost_ && !level_tracking_ && sink_ == nullptr && load_ == nullptr;
 
   std::vector<QueryStats> per_shard(shards);
   std::vector<telemetry::LoadAccountant::Shard> load_shards(load_ ? shards
@@ -172,7 +173,8 @@ QueryStats QueryEngine::run_batch(std::span<const Query> queries,
         p = probe(q.from, q.key);
       } else {
         route_into(q.from, q.key, scratch);
-        p = RouteProbe{scratch.terminal(), scratch.hops(), scratch.ok};
+        p = RouteProbe{scratch.terminal(), scratch.hops(), scratch.ok,
+                       scratch.hop_guard};
         observe_route(q, scratch, stats, load_shard);
       }
       ++stats.queries;
@@ -182,6 +184,7 @@ QueryStats QueryEngine::run_batch(std::span<const Query> queries,
       } else {
         ++stats.failures;
       }
+      if (p.hop_guard) ++stats.hop_guard_exits;
       if (per_query) (*per_query)[i] = p;
     }
     if (!scratch_bytes.empty()) {
@@ -257,6 +260,12 @@ void QueryEngine::flush_batch_counters(const QueryStats& stats) const {
   if (queries_counter_) queries_counter_->inc(stats.queries);
   if (hops_counter_) hops_counter_->inc(stats.total_hops);
   if (failures_counter_) failures_counter_->inc(stats.failures);
+  if (stats.hop_guard_exits > 0) {
+    if (telemetry::Counter* c =
+            telemetry::maybe_counter("query_engine.hop_guard_exits")) {
+      c->inc(stats.hop_guard_exits);
+    }
+  }
 }
 
 void QueryEngine::flush_resilient_counters(const ResilientStats& stats) const {

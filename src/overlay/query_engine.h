@@ -81,6 +81,9 @@ struct QueryStats {
   std::vector<std::uint64_t> hops_by_level;  ///< index l = hops at LCA depth l
   std::uint64_t queries = 0;
   std::uint64_t failures = 0;
+  /// Failures that stopped at the router's hop guard — a structurally
+  /// broken table rather than a dead end (a subset of `failures`).
+  std::uint64_t hop_guard_exits = 0;
   std::uint64_t total_hops = 0;
 
   std::uint64_t ok() const { return queries - failures; }
@@ -97,7 +100,9 @@ struct ResilientStats {
   QueryStats base;  ///< attempted queries only
   std::uint64_t skipped_dead_source = 0;
   std::uint64_t retries = 0;        ///< dropped forwarding attempts retried
-  std::uint64_t fallback_hops = 0;  ///< hops taken via recovery paths
+  /// Hops not taken to the candidate the kernel ranks first with nothing
+  /// skipped (docs/RESILIENCE.md "Fallback hops").
+  std::uint64_t fallback_hops = 0;
 
   std::uint64_t attempted() const { return base.queries; }
 
@@ -191,31 +196,20 @@ class QueryEngine {
   /// concurrently on shared state (the hot-path contract).
   using RouteIntoFn =
       std::function<void(NodeIndex, NodeId, Route&)>;
-  /// Terminal-only variant; pass nullptr when the router has none.
+  /// Terminal-only variant.
   using ProbeFn = std::function<RouteProbe(NodeIndex, NodeId)>;
   /// Whole-shard terminal-only variant: the router's interleaved batch
-  /// kernel (probe_batch), one result per query. Optional — probe mode
-  /// falls back to per-query ProbeFn calls when absent.
+  /// kernel (probe_batch), one result per query.
   using ProbeBatchFn =
       std::function<void(std::span<const Query>, std::span<RouteProbe>)>;
 
-  /// Runs the batch through any router exposing the route_into/probe hot
-  /// paths (RingRouter, XorRouter, GroupRouter). When `per_query` is given
-  /// it receives one RouteProbe per query, in workload order. Routers
-  /// exposing probe_batch (the memory-level-parallel kernels) are picked
-  /// up transparently: probe mode then routes whole shards through the
-  /// interleaved kernel — same results, fewer stalls.
+  /// Runs the batch through a GreedyRouter (overlay/routing.h). When
+  /// `per_query` is given it receives one RouteProbe per query, in
+  /// workload order. Probe mode routes whole shards through the router's
+  /// interleaved batch kernel.
   template <typename Router>
   QueryStats run(std::span<const Query> queries, const Router& router,
                  std::vector<RouteProbe>* per_query = nullptr) const {
-    ProbeBatchFn probe_batch;
-    if constexpr (requires(const Router& r, std::span<const Query> q,
-                           std::span<RouteProbe> o) { r.probe_batch(q, o); }) {
-      probe_batch = [&router](std::span<const Query> q,
-                              std::span<RouteProbe> o) {
-        router.probe_batch(q, o);
-      };
-    }
     return run_batch(
         queries,
         [&router](NodeIndex from, NodeId key, Route& out) {
@@ -224,7 +218,10 @@ class QueryEngine {
         [&router](NodeIndex from, NodeId key) {
           return router.probe(from, key);
         },
-        per_query, probe_batch);
+        per_query,
+        [&router](std::span<const Query> q, std::span<RouteProbe> o) {
+          router.probe_batch(q, o);
+        });
   }
 
   /// run() under a RunOptions bag: applies the execution knobs, installs
@@ -270,11 +267,9 @@ class QueryEngine {
   }
 
   /// The generic core. Probe mode (no path recorded at all) is used iff
-  /// `probe` is non-null and nothing needs paths: no cost fn, no level
-  /// tracking, no sink. Routers exposing only route() fit via
-  ///   [&](auto f, auto k, Route& out) { out = router.route(f, k); }
-  /// with a null probe. In probe mode a non-null `probe_batch` handles
-  /// whole shards at once (the interleaved kernels); it must write
+  /// nothing needs paths: no cost fn, no level tracking, no sink, no load
+  /// accountant. In probe mode a non-null `probe_batch` handles whole
+  /// shards at once (the interleaved kernels); it must write
   /// out[i] == probe(queries[i].from, queries[i].key) for every i.
   QueryStats run_batch(std::span<const Query> queries,
                        const RouteIntoFn& route_into, const ProbeFn& probe,
@@ -283,13 +278,11 @@ class QueryEngine {
 
   /// The resilient batch mode: materializes `plan` once (journaling its
   /// crash/revive events when a journal is attached) and runs the batch
-  /// through a failure-aware router (ResilientRingRouter,
-  /// ResilientXorRouter, ResilientCanRouter, ResilientCanCanRouter,
-  /// ResilientGroupRouter — anything exposing the Scratch/route_into/probe
-  /// shape). Dead-source queries are skipped (per_query gets
-  /// {from, 0, false}); each attempted query i derives its drop stream
-  /// from plan.drop_seed() forked by i, so results — like the plain
-  /// batch's — are byte-identical at every thread count. The
+  /// through a GreedyRouter's failure-aware walk. Dead-source queries
+  /// are skipped (per_query gets {from, 0, false}); each attempted query i
+  /// derives its drop stream from plan.drop_seed() forked by i, so
+  /// results — like the plain batch's — are byte-identical at every
+  /// thread count. The
   /// query_engine.resilient_* counters are flushed only for a non-empty
   /// plan, keeping empty-plan reports byte-identical to run()'s.
   template <typename RRouter>
@@ -353,6 +346,7 @@ class QueryEngine {
         } else {
           ++stats.base.failures;
         }
+        if (rp.hop_guard) ++stats.base.hop_guard_exits;
         stats.retries += static_cast<std::uint64_t>(rp.retries);
         stats.fallback_hops += static_cast<std::uint64_t>(rp.fallback_hops);
         if (per_query) (*per_query)[i] = rp.to_probe();
@@ -401,7 +395,9 @@ class QueryEngine {
                      telemetry::LoadAccountant::Shard* load_shard) const;
 
   /// Post-merge flush of the query_engine.{batches,queries,hops,failures}
-  /// counters, on the calling thread.
+  /// counters, on the calling thread; query_engine.hop_guard_exits is
+  /// looked up lazily and bumped only when non-zero, so healthy reports
+  /// never carry it.
   void flush_batch_counters(const QueryStats& stats) const;
 
   /// Post-merge flush of the query_engine.resilient_* counters. Looked up

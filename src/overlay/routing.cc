@@ -3,86 +3,212 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
-#include "common/prefetch.h"
-#include "overlay/batch_probe.h"
+#include "overlay/greedy_walk.h"
 
 namespace canon {
 
 namespace {
-
-constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
-static_assert(kNoCandidate == detail::kNoScanWinner,
-              "scalar cores and batch kernels share the sentinel");
 
 // Process-wide batch window (see routing.h). Relaxed atomics: the knob is
 // set once at startup (bench flag parsing) or between batches in tests —
 // never mid-batch — so ordering carries no data.
 std::atomic<int> g_probe_batch_width{kDefaultProbeBatchWidth};
 
-int hop_guard(const OverlayNetwork& net) {
-  // Generous upper bound; all routes in a correct structure finish in
-  // O(log n) << 4N hops. Exceeding this indicates a broken link table.
-  return 4 * net.space().bits() + 16;
-}
-
-// The greedy loops below are shared by every routing entry point through a
-// recorder policy: route()/route_into() pass a recorder that appends each
-// hop to a path vector, probe() passes a no-op recorder and the loop
-// degrades to pure hop counting. The cores touch no telemetry and no
-// mutable router state, so they are safe to run concurrently on one const
-// router — the batch QueryEngine's fan-out relies on that.
-
-struct NullRecorder {
-  void operator()(NodeIndex) const {}
-};
-
-struct PathRecorder {
-  std::vector<NodeIndex>* path;
-  void operator()(NodeIndex node) const { path->push_back(node); }
-};
-
-/// Greedy clockwise core. Records every node entered after `from`;
-/// returns terminal/hops/ok.
-template <typename Recorder>
-RouteProbe ring_core(const OverlayNetwork& net, const LinkTable& links,
-                     int max_hops, NodeIndex from, NodeId key,
-                     Recorder&& record) {
-  const IdSpace& space = net.space();
-  NodeIndex current = from;
-  int hops = 0;
-  for (int step = 0; step < max_hops; ++step) {
-    const std::uint64_t remaining = space.ring_distance(net.id(current), key);
-    // Choose the neighbor that covers the most clockwise distance without
-    // overshooting the key. The scan reads only the contiguous NodeId
-    // array; the winner's index is fetched once afterwards. It shares the
-    // branch-light kernel with the batch probe (overlay/batch_probe.h) —
-    // one winner-selection to test, one to autovectorize.
-    const auto neighbors = links.neighbors(current);
-    const std::size_t best_j = detail::ring_scan_argbest(
-        links.neighbor_ids(current).data(), neighbors.size(),
-        net.id(current), space.mask(), remaining);
-    const NodeIndex best =
-        best_j == kNoCandidate ? current : neighbors[best_j];
-    if (best == current) {
-      return {current, hops, current == net.responsible(key)};
-    }
-    current = best;
-    ++hops;
-    record(current);
+void check_size(const OverlayNetwork& net, const LinkTable& links,
+                const char* who) {
+  if (links.node_count() != net.size()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": link table size mismatch");
   }
-  // Hop guard exceeded: structurally broken table.
-  return {current, hops, false};
 }
 
-/// Greedy-with-lookahead core (Symphony §3.1): commits to the whole best
-/// 2-step plan, recording one or two nodes per iteration.
+}  // namespace
+
+int probe_batch_width() {
+  return g_probe_batch_width.load(std::memory_order_relaxed);
+}
+
+void set_probe_batch_width(int width) {
+  g_probe_batch_width.store(std::clamp(width, 0, kMaxProbeBatchWidth),
+                            std::memory_order_relaxed);
+}
+
+namespace detail {
+
+void resolve_router_counters(const char* prefix,
+                             std::span<telemetry::Counter*, 3> out) {
+  const std::string p(prefix);
+  out[0] = telemetry::maybe_counter(p + ".routes");
+  out[1] = telemetry::maybe_counter(p + ".hops");
+  out[2] = telemetry::maybe_counter(p + ".failures");
+}
+
+void finish_route(const Route& r, NodeId key, const OverlayNetwork& net,
+                  const LinkTable& links,
+                  std::span<telemetry::Counter* const, 3> counters,
+                  telemetry::RouteTraceSink* sink) {
+  if (counters[0]) {
+    counters[0]->inc();
+    counters[1]->inc(static_cast<std::uint64_t>(r.hops()));
+    if (!r.ok) counters[2]->inc();
+  }
+  if (!sink) return;
+  const std::uint64_t trace_id = sink->begin_lookup(r.source(), key);
+  for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
+    telemetry::HopRecord hop;
+    hop.lookup = trace_id;
+    hop.from = r.path[i];
+    hop.to = r.path[i + 1];
+    hop.hop_index = static_cast<int>(i);
+    hop.level = net.lca_level(r.path[i], r.path[i + 1]);
+    hop.candidates =
+        static_cast<std::uint32_t>(links.neighbors(r.path[i]).size());
+    sink->on_hop(hop);
+  }
+  sink->end_lookup(trace_id, r.ok, r.terminal());
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------- ring
+
+RingKernel::RingKernel(const OverlayNetwork& net, const LinkTable& links,
+                       int leaf_set)
+    : net_(&net), links_(&links), mask_(net.space().mask()),
+      leaf_set_(leaf_set), max_hops_(hop_guard(net)) {
+  check_size(net, links, "RingRouter");
+}
+
+template <typename Pick, typename Ctx>
+Hop RingKernel::rank(const HopSite& site, NodeId key, std::uint64_t&,
+                     Pick& pick, const Ctx& ctx) const {
+  // Most clockwise coverage without overshooting the key. The scan reads
+  // only the row's inline NodeIds; an overshooter scores 0 and never wins.
+  const std::uint64_t remaining = (key - site.id) & mask_;
+  for (std::size_t j = 0; j < site.count; ++j) {
+    const std::uint64_t covered = (site.ids[j] - site.id) & mask_;
+    pick.offer(covered <= remaining ? covered : 0, j);
+  }
+  if constexpr (Ctx::kActive) {
+    if (!pick.found()) {  // second tier: the live leaf set
+      std::vector<NodeIndex>& leaf = ctx.scratch.leaf;
+      std::vector<NodeId>& leaf_ids = ctx.scratch.leaf_ids;
+      live_candidates(site.at, ctx.dead, leaf);
+      leaf_ids.clear();
+      for (const NodeIndex c : leaf) leaf_ids.push_back(net_->id(c));
+      pick.tier(leaf.data(), leaf_ids.data(), /*plain=*/false);
+      for (std::size_t j = 0; j < leaf.size(); ++j) {
+        const std::uint64_t covered = (leaf_ids[j] - site.id) & mask_;
+        pick.offer(covered <= remaining ? covered : 0, j);
+      }
+    }
+  }
+  if (pick.found()) return Hop::kForward;
+  NodeIndex target;
+  if constexpr (Ctx::kActive) {
+    target = live_responsible(key, ctx.dead);
+  } else {
+    target = net_->responsible(key);
+  }
+  return site.at == target ? Hop::kArrived : Hop::kStuck;
+}
+
+NodeIndex RingKernel::live_responsible(NodeId key,
+                                       const FailureSet& dead) const {
+  // Walk predecessors until a live one is found.
+  const RingView ring = net_->ring();
+  std::size_t pos = ring.successor_pos(key);
+  // predecessor_or_self semantics: if the successor sits on the key it is
+  // responsible, otherwise step back one.
+  if (net_->id(ring.at(pos)) != key) {
+    pos = (pos + ring.size() - 1) % ring.size();
+  }
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const NodeIndex candidate = ring.at((pos + ring.size() - i) % ring.size());
+    if (!dead.dead(candidate)) return candidate;
+  }
+  throw std::logic_error("live_responsible: everyone is dead");
+}
+
+void RingKernel::live_candidates(NodeIndex m, const FailureSet& dead,
+                                 std::vector<NodeIndex>& out) const {
+  out.clear();
+  // Leaf sets: the next `leaf_set_` successors at every level.
+  for (const int d : net_->domains().domain_chain(m)) {
+    const RingView ring = net_->domain_ring(d);
+    if (ring.size() < 2) continue;
+    std::size_t pos =
+        ring.successor_pos(net_->space().advance(net_->id(m), 1));
+    for (int i = 0; i < leaf_set_; ++i) {
+      const NodeIndex s = ring.at(pos);
+      if (s == m) break;  // wrapped all the way around
+      if (!dead.dead(s)) out.push_back(s);
+      pos = (pos + 1) % ring.size();
+    }
+  }
+}
+
+// ----------------------------------------------------------------- xor
+
+XorKernel::XorKernel(const OverlayNetwork& net, const LinkTable& links)
+    : net_(&net), links_(&links), mask_(net.space().mask()),
+      max_hops_(hop_guard(net)) {
+  check_size(net, links, "XorRouter");
+}
+
+template <typename Pick, typename Ctx>
+Hop XorKernel::rank(const HopSite& site, NodeId key, std::uint64_t&,
+                    Pick& pick, const Ctx& ctx) const {
+  // Strict XOR-distance reduction: the score ~d ranks closer higher, and
+  // the floor admits only neighbors closer than this node.
+  const std::uint64_t remaining = (site.id ^ key) & mask_;
+  pick.floor(~remaining);
+  for (std::size_t j = 0; j < site.count; ++j) {
+    pick.offer(~((site.ids[j] ^ key) & mask_), j);
+  }
+  if (pick.found()) return Hop::kForward;
+  NodeIndex target;
+  if constexpr (Ctx::kActive) {
+    target = live_closest(key, ctx.dead);
+  } else {
+    target = net_->xor_closest(key);
+  }
+  return site.at == target ? Hop::kArrived : Hop::kStuck;
+}
+
+NodeIndex XorKernel::live_closest(NodeId key, const FailureSet& dead) const {
+  const NodeIndex structural = net_->xor_closest(key);
+  if (!dead.dead(structural)) return structural;
+  const IdSpace& space = net_->space();
+  NodeIndex best = RingView::kNone;
+  std::uint64_t best_d = 0;
+  for (NodeIndex i = 0; i < net_->size(); ++i) {
+    if (dead.dead(i)) continue;
+    const std::uint64_t d = space.xor_distance(net_->id(i), key);
+    if (best == RingView::kNone || d < best_d) {
+      best = i;
+      best_d = d;
+    }
+  }
+  if (best == RingView::kNone) {
+    throw std::logic_error("live_closest: everyone is dead");
+  }
+  return best;
+}
+
+// ----------------------------------------------------------- lookahead
+
+namespace {
+
+/// Greedy-with-lookahead (Symphony §3.1), the ring-only variant of the
+/// scalar walk: commits to the whole best 2-step plan, recording one or
+/// two nodes per iteration.
 template <typename Recorder>
-RouteProbe ring_lookahead_core(const OverlayNetwork& net,
-                               const LinkTable& links, int max_hops,
-                               NodeIndex from, NodeId key,
-                               Recorder&& record) {
+RouteProbe lookahead_walk(const OverlayNetwork& net, const LinkTable& links,
+                          int max_hops, NodeIndex from, NodeId key,
+                          Recorder&& record) {
   const IdSpace& space = net.space();
   NodeIndex current = from;
   int hops = 0;
@@ -110,8 +236,8 @@ RouteProbe ring_lookahead_core(const OverlayNetwork& net,
       const auto second = links.neighbors(v);
       const NodeId* second_ids = links.neighbor_ids(v).data();
       for (std::size_t k = 0; k < second.size(); ++k) {
-        const NodeId w_id = second_ids[k];
-        const std::uint64_t covered2 = space.ring_distance(v_id, w_id);
+        const std::uint64_t covered2 =
+            space.ring_distance(v_id, second_ids[k]);
         if (covered2 == 0 || covered2 > after1) continue;
         const std::uint64_t after2 = after1 - covered2;
         if (after2 < best_final) {
@@ -122,7 +248,7 @@ RouteProbe ring_lookahead_core(const OverlayNetwork& net,
       }
     }
     if (best_v == current) {
-      return {current, hops, current == net.responsible(key)};
+      return {current, hops, current == net.responsible(key), false};
     }
     record(best_v);
     ++hops;
@@ -132,328 +258,45 @@ RouteProbe ring_lookahead_core(const OverlayNetwork& net,
     }
     current = best_w;
   }
-  return {current, hops, false};
-}
-
-/// Greedy XOR-distance core.
-template <typename Recorder>
-RouteProbe xor_core(const OverlayNetwork& net, const LinkTable& links,
-                    int max_hops, NodeIndex from, NodeId key,
-                    Recorder&& record) {
-  const IdSpace& space = net.space();
-  NodeIndex current = from;
-  int hops = 0;
-  for (int step = 0; step < max_hops; ++step) {
-    const std::uint64_t remaining = space.xor_distance(net.id(current), key);
-    const auto neighbors = links.neighbors(current);
-    const std::size_t best_j =
-        detail::xor_scan_argbest(links.neighbor_ids(current).data(),
-                                 neighbors.size(), key, space.mask(),
-                                 remaining);
-    const NodeIndex best =
-        best_j == kNoCandidate ? current : neighbors[best_j];
-    if (best == current) {
-      return {current, hops, current == net.xor_closest(key)};
-    }
-    current = best;
-    ++hops;
-    record(current);
-  }
-  return {current, hops, false};
-}
-
-/// Resets `out` (keeping its capacity) and stamps the probe result of a
-/// path-recording core run onto it.
-void begin_route(Route& out, NodeIndex from) {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-}
-
-/// Telemetry epilogue of the single-query route() paths: bumps the
-/// route/hop/failure counters and, when a sink is attached, replays the
-/// completed path as begin/on_hop*/end events. The replayed records are
-/// field-identical to what the pre-refactor inline emission produced: a
-/// hop's `candidates` is the out-degree of its `from` node and its level
-/// the endpoints' LCA depth, both recomputable from the path.
-void finish_route(const Route& r, NodeId key, const OverlayNetwork& net,
-                  const LinkTable& links, telemetry::Counter* routes,
-                  telemetry::Counter* hops, telemetry::Counter* failures,
-                  telemetry::RouteTraceSink* sink) {
-  if (routes) {
-    routes->inc();
-    hops->inc(static_cast<std::uint64_t>(r.hops()));
-    if (!r.ok) failures->inc();
-  }
-  if (!sink) return;
-  const std::uint64_t trace_id = sink->begin_lookup(r.source(), key);
-  for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-    telemetry::HopRecord hop;
-    hop.lookup = trace_id;
-    hop.from = r.path[i];
-    hop.to = r.path[i + 1];
-    hop.hop_index = static_cast<int>(i);
-    hop.level = net.lca_level(r.path[i], r.path[i + 1]);
-    hop.candidates =
-        static_cast<std::uint32_t>(links.neighbors(r.path[i]).size());
-    sink->on_hop(hop);
-  }
-  sink->end_lookup(trace_id, r.ok, r.terminal());
-}
-
-// Lane state + metric hooks of the interleaved batch kernels, driven by
-// detail::interleaved_probe_batch (overlay/batch_probe.h has the
-// fetch/advance contract, round structure, and equivalence argument).
-// Both steppers carry the current node's NodeId forward from the winning
-// scan entry — target_ids_[k] is ids[targets_[k]] by CSR construction —
-// so the steady-state hop never touches the overlay's id array; only a
-// fresh lane reads it once (need_id).
-
-struct RingStepper {
-  const OverlayNetwork& net;
-  const LinkTable& links;
-  std::uint64_t mask;
-  int max_hops;
-
-  struct Lane {
-    std::size_t query_index;
-    NodeIndex current;
-    NodeId cur_id;  // == net.id(current) once need_id clears
-    NodeId key;
-    int hops;
-    LinkOffset row_begin;
-    LinkOffset row_end;
-    bool need_id;
-  };
-
-  void begin(Lane& l, const Query& q, std::size_t query_index) const {
-    l.query_index = query_index;
-    l.current = q.from;
-    l.key = q.key;
-    l.hops = 0;
-    l.need_id = true;
-    prefetch_ro(net.ids().data() + q.from);
-    links.prefetch_row_bounds(q.from);
-  }
-
-  void fetch(Lane& l) const {
-    if (l.need_id) {
-      l.cur_id = net.id(l.current);
-      l.need_id = false;
-    }
-    const auto [b, e] = links.row_bounds(l.current);
-    l.row_begin = b;
-    l.row_end = e;
-    links.prefetch_row_payload(b, e);
-  }
-
-  bool advance(Lane& l, RouteProbe& out) const {
-    if (l.hops >= max_hops) {  // ring_core's hop-guard exhaustion
-      out = {l.current, l.hops, false};
-      return true;
-    }
-    const std::uint64_t remaining = (l.key - l.cur_id) & mask;
-    const NodeId* ids = links.target_ids_data() + l.row_begin;
-    const std::size_t count = l.row_end - l.row_begin;
-    const std::size_t best_j =
-        detail::ring_scan_argbest(ids, count, l.cur_id, mask, remaining);
-    if (best_j == kNoCandidate) {
-      out = {l.current, l.hops, l.current == net.responsible(l.key)};
-      return true;
-    }
-    l.current = links.targets_data()[l.row_begin + best_j];
-    l.cur_id = ids[best_j];
-    ++l.hops;
-    links.prefetch_row_bounds(l.current);
-    return false;
-  }
-};
-
-struct XorStepper {
-  const OverlayNetwork& net;
-  const LinkTable& links;
-  std::uint64_t mask;
-  int max_hops;
-
-  struct Lane {
-    std::size_t query_index;
-    NodeIndex current;
-    NodeId cur_id;
-    NodeId key;
-    int hops;
-    LinkOffset row_begin;
-    LinkOffset row_end;
-    bool need_id;
-  };
-
-  void begin(Lane& l, const Query& q, std::size_t query_index) const {
-    l.query_index = query_index;
-    l.current = q.from;
-    l.key = q.key;
-    l.hops = 0;
-    l.need_id = true;
-    prefetch_ro(net.ids().data() + q.from);
-    links.prefetch_row_bounds(q.from);
-  }
-
-  void fetch(Lane& l) const {
-    if (l.need_id) {
-      l.cur_id = net.id(l.current);
-      l.need_id = false;
-    }
-    const auto [b, e] = links.row_bounds(l.current);
-    l.row_begin = b;
-    l.row_end = e;
-    links.prefetch_row_payload(b, e);
-  }
-
-  bool advance(Lane& l, RouteProbe& out) const {
-    if (l.hops >= max_hops) {  // xor_core's hop-guard exhaustion
-      out = {l.current, l.hops, false};
-      return true;
-    }
-    const std::uint64_t remaining = (l.cur_id ^ l.key) & mask;
-    const NodeId* ids = links.target_ids_data() + l.row_begin;
-    const std::size_t count = l.row_end - l.row_begin;
-    const std::size_t best_j =
-        detail::xor_scan_argbest(ids, count, l.key, mask, remaining);
-    if (best_j == kNoCandidate) {
-      out = {l.current, l.hops, l.current == net.xor_closest(l.key)};
-      return true;
-    }
-    l.current = links.targets_data()[l.row_begin + best_j];
-    l.cur_id = ids[best_j];
-    ++l.hops;
-    links.prefetch_row_bounds(l.current);
-    return false;
-  }
-};
-
-/// Shared probe_batch shell: scalar loop when batching is off, else the
-/// windowed driver.
-template <typename Stepper, typename Router>
-void probe_batch_with(std::span<const Query> queries,
-                      std::span<RouteProbe> out, const Router& router,
-                      const OverlayNetwork& net, const LinkTable& links,
-                      int max_hops) {
-  if (queries.size() != out.size()) {
-    throw std::invalid_argument("probe_batch: out.size() != queries.size()");
-  }
-  const int width = probe_batch_width();
-  if (width <= 0) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out[i] = router.probe(queries[i].from, queries[i].key);
-    }
-    return;
-  }
-  detail::interleaved_probe_batch(
-      queries, out, width, Stepper{net, links, net.space().mask(), max_hops});
+  return {current, hops, false, true};  // hop guard
 }
 
 }  // namespace
 
-int probe_batch_width() {
-  return g_probe_batch_width.load(std::memory_order_relaxed);
+template <typename Kernel>
+void GreedyRouter<Kernel>::route_lookahead_into(NodeIndex from, NodeId key,
+                                                Route& out) const
+  requires std::same_as<Kernel, RingKernel>
+{
+  out.path.clear();
+  out.path.push_back(from);
+  const RouteProbe p =
+      lookahead_walk(kernel_.net(), kernel_.links(), kernel_.max_hops(), from,
+                     key, detail::PathRecorder{&out.path});
+  out.ok = p.ok;
+  out.hop_guard = p.hop_guard;
 }
 
-void set_probe_batch_width(int width) {
-  g_probe_batch_width.store(std::clamp(width, 0, kMaxProbeBatchWidth),
-                            std::memory_order_relaxed);
+template <typename Kernel>
+RouteProbe GreedyRouter<Kernel>::probe_lookahead(NodeIndex from,
+                                                 NodeId key) const
+  requires std::same_as<Kernel, RingKernel>
+{
+  return lookahead_walk(kernel_.net(), kernel_.links(), kernel_.max_hops(),
+                        from, key, detail::NullRecorder{});
 }
 
-RingRouter::RingRouter(const OverlayNetwork& net, const LinkTable& links)
-    : net_(&net),
-      links_(&links),
-      max_hops_(hop_guard(net)),
-      routes_counter_(telemetry::maybe_counter("ring_router.routes")),
-      hops_counter_(telemetry::maybe_counter("ring_router.hops")),
-      failures_counter_(telemetry::maybe_counter("ring_router.failures")) {
-  if (links.node_count() != net.size()) {
-    throw std::invalid_argument("RingRouter: link table size mismatch");
-  }
-}
-
-void RingRouter::route_into(NodeIndex from, NodeId key, Route& out) const {
-  begin_route(out, from);
-  out.ok =
-      ring_core(*net_, *links_, max_hops_, from, key, PathRecorder{&out.path})
-          .ok;
-}
-
-RouteProbe RingRouter::probe(NodeIndex from, NodeId key) const {
-  return ring_core(*net_, *links_, max_hops_, from, key, NullRecorder{});
-}
-
-void RingRouter::probe_batch(std::span<const Query> queries,
-                             std::span<RouteProbe> out) const {
-  probe_batch_with<RingStepper>(queries, out, *this, *net_, *links_,
-                                max_hops_);
-}
-
-Route RingRouter::route(NodeIndex from, NodeId key) const {
-  Route r;
-  route_into(from, key, r);
-  finish_route(r, key, *net_, *links_, routes_counter_, hops_counter_,
-               failures_counter_, sink_);
-  return r;
-}
-
-void RingRouter::route_lookahead_into(NodeIndex from, NodeId key,
-                                      Route& out) const {
-  begin_route(out, from);
-  out.ok = ring_lookahead_core(*net_, *links_, max_hops_, from, key,
-                               PathRecorder{&out.path})
-               .ok;
-}
-
-RouteProbe RingRouter::probe_lookahead(NodeIndex from, NodeId key) const {
-  return ring_lookahead_core(*net_, *links_, max_hops_, from, key,
-                             NullRecorder{});
-}
-
-Route RingRouter::route_lookahead(NodeIndex from, NodeId key) const {
+template <typename Kernel>
+Route GreedyRouter<Kernel>::route_lookahead(NodeIndex from, NodeId key) const
+  requires std::same_as<Kernel, RingKernel>
+{
   Route r;
   route_lookahead_into(from, key, r);
-  finish_route(r, key, *net_, *links_, routes_counter_, hops_counter_,
-               failures_counter_, sink_);
+  finish(r, key);
   return r;
 }
 
-XorRouter::XorRouter(const OverlayNetwork& net, const LinkTable& links)
-    : net_(&net),
-      links_(&links),
-      max_hops_(hop_guard(net)),
-      routes_counter_(telemetry::maybe_counter("xor_router.routes")),
-      hops_counter_(telemetry::maybe_counter("xor_router.hops")),
-      failures_counter_(telemetry::maybe_counter("xor_router.failures")) {
-  if (links.node_count() != net.size()) {
-    throw std::invalid_argument("XorRouter: link table size mismatch");
-  }
-}
-
-void XorRouter::route_into(NodeIndex from, NodeId key, Route& out) const {
-  begin_route(out, from);
-  out.ok =
-      xor_core(*net_, *links_, max_hops_, from, key, PathRecorder{&out.path})
-          .ok;
-}
-
-RouteProbe XorRouter::probe(NodeIndex from, NodeId key) const {
-  return xor_core(*net_, *links_, max_hops_, from, key, NullRecorder{});
-}
-
-void XorRouter::probe_batch(std::span<const Query> queries,
-                            std::span<RouteProbe> out) const {
-  probe_batch_with<XorStepper>(queries, out, *this, *net_, *links_,
-                               max_hops_);
-}
-
-Route XorRouter::route(NodeIndex from, NodeId key) const {
-  Route r;
-  route_into(from, key, r);
-  finish_route(r, key, *net_, *links_, routes_counter_, hops_counter_,
-               failures_counter_, sink_);
-  return r;
-}
+template class GreedyRouter<RingKernel>;
+template class GreedyRouter<XorKernel>;
 
 }  // namespace canon

@@ -1,42 +1,66 @@
-// Resumable one-hop routing steppers.
+// The per-hop routing contract: one hop kernel per metric.
 //
-// The greedy cores in overlay/routing.h (and the CAN/Can-Can/group cores
-// in their own layers) walk a whole route in one call. The discrete-event
-// simulators need the same decision *one hop at a time*, interleaved
-// across thousands of in-flight lookups: given the node a lookup currently
-// sits at, rank the next-hop candidates best-first and say whether the
-// node is terminal. A Stepper is exactly that — the per-hop body of a
-// routing core with the loop stripped off.
+// Routing in every Canon family is plain greedy routing on the family's
+// metric over the union of a node's links (Section 2.2). The one decision
+// that differs between families — which neighbor to forward to — is
+// written once per metric as a *hop kernel*: RingKernel and XorKernel
+// (overlay/routing.h), GroupKernel (canon/proximity.h), CanKernel
+// (dht/can.h) and CanCanKernel (canon/cancan.h). Every routing mode is a
+// driver over a kernel, so the modes agree by construction:
 //
-// Contract:
+// * the scalar walk (overlay/greedy_walk.h) — route / route_into / probe,
+//   and, given a FailureSet and DropRoller, the failure-aware router;
+// * the interleaved batch loop (overlay/batch_probe.h) — probe_batch;
+// * the Stepper adapter below — the message simulator's resumable hop.
+//
+// Kernel contract:
+//
+//   struct Kernel {
+//     using Score = ...;  // totally ordered; Score{} means "no progress"
+//     const OverlayNetwork& net() const;
+//     const LinkTable& links() const;
+//     int max_hops() const;  // the hop guard
+//     template <typename Pick, typename Ctx>
+//     Hop rank(const HopSite& site, NodeId key, std::uint64_t& state,
+//              Pick& pick, const Ctx& ctx) const;
+//   };
+//
+// * rank() either offers the candidates at `site` to `pick`, each with
+//   its Score (higher is better; the first-offered wins ties; only scores
+//   above the tier's floor, Score{} unless pick.floor() raised it, count),
+//   and
+//   returns Hop::kForward — or reports that the lookup ends at `site.at`:
+//   kArrived (the correct destination) or kStuck. Candidates come in
+//   tiers; a kernel asks its next tier only while `pick.found()` is
+//   false. A tier opened with pick.tier(..., /*plain=*/false) is a
+//   *second tier*, consulted only under faults (Ctx::kActive): the ring
+//   leaf set, the group sidestep, the CAN XOR-closer neighbor.
+// * `state` is a small per-lookup word, 0 on the first hop (the group
+//   target, CAN's target and previous node, Can-Can's stage domain and
+//   previous node). rank() may update it; drivers commit it only when
+//   the hop is taken.
+// * `ctx` is NoFaults or the failure-aware walk's Faults: it decides
+//   which candidates the pick skips and whether targets are the live
+//   ones. Kernels are immutable and safe to share across threads.
+//
+// Stepper contract (the message simulator's view of a kernel):
 //
 // * step(at, key, state, out) fills `out` with up to out.size() candidate
 //   next hops, best first, and returns how many it wrote plus the
-//   done/ok verdict. Candidate 0 is the hop the family's greedy route()
-//   would take, so driving a stepper with "always take candidate 0" walks
-//   the exact same path hop-for-hop (the α=1 equivalence the simulator
-//   tests pin). Later candidates are the runners-up of the same scan, for
-//   α-parallel speculative probes.
-// * done=true means the lookup terminates at `at` (count is then 0):
-//   ok tells whether `at` is the correct destination. count==0 with
-//   done=false never happens — a node with no way forward is terminal.
-// * `state` is a small per-lookup word threaded through the lookup's
-//   steps. 0 is the start value for every family; most families ignore it
-//   (the ranking is a pure function of (at, key)). Can-Can uses it for
-//   its stage domain and an immediate-backtrack guard, so callers running
-//   speculative probes must pass each probe a *copy* and adopt the
-//   winner's copy when the frontier advances.
-// * Steppers are immutable once built and safe to call concurrently from
-//   one thread per lookup interleaving — they touch no mutable state
-//   beyond the caller's `state` word.
-//
-// Ring/XOR steppers (the seven ring families and the two XOR families)
-// live here in canon_overlay; the CAN/Can-Can/group steppers own heavier
-// auxiliary structures and are built via the family registry's
-// make_stepper hook (overlay/family_registry.h).
+//   done/ok verdict. Candidate 0 is the hop the family's route() takes,
+//   so always taking candidate 0 walks route()'s path hop for hop. Later
+//   candidates are the runners-up of the same tier, for α-parallel
+//   speculative probes.
+// * done=true means the lookup terminates at `at` (count is then 0); ok
+//   tells whether `at` is the correct destination.
+// * `state` is the kernel's per-lookup word: callers running speculative
+//   probes pass each probe a copy and adopt the winner's copy when the
+//   frontier advances.
 #ifndef CANON_OVERLAY_STEPPER_H
 #define CANON_OVERLAY_STEPPER_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -63,61 +87,174 @@ using Stepper = std::function<StepResult(
     NodeIndex at, NodeId key, std::uint64_t& state,
     std::span<NodeIndex> out)>;
 
-/// Greedy-clockwise stepper (Chord/Crescendo/Symphony/... — every ring
-/// family): candidates are the neighbors that advance clockwise without
-/// overshooting the key, ranked by distance covered; terminal ok iff the
-/// node is the key's responsible node. Candidate 0 reproduces
-/// RingRouter's choice (first-best on ties). `net` and `links` are
-/// borrowed and must outlive the stepper.
-Stepper make_ring_stepper(const OverlayNetwork& net, const LinkTable& links);
+/// A kernel's verdict at one node.
+enum class Hop : std::uint8_t { kForward, kArrived, kStuck };
 
-/// Greedy XOR stepper (Kademlia/Kandy): candidates strictly reduce the
-/// XOR distance to the key, ranked closest-first; terminal ok iff the node
-/// is the global XOR-closest. Candidate 0 reproduces XorRouter's choice.
-Stepper make_xor_stepper(const OverlayNetwork& net, const LinkTable& links);
+/// The node a lookup sits at, with its ID and its CSR row: targets[j] is
+/// a neighbor and ids[j] that neighbor's NodeId.
+struct HopSite {
+  NodeIndex at;
+  NodeId id;
+  const NodeIndex* targets;
+  const NodeId* ids;
+  std::size_t count;
+};
+
+inline HopSite hop_site(const LinkTable& links, NodeIndex at, NodeId id) {
+  const auto [begin, end] = links.row_bounds(at);
+  return {at, id, links.targets_data() + begin,
+          links.target_ids_data() + begin, end - begin};
+}
+
+/// Fault-free context: every candidate counts, targets are structural.
+struct NoFaults {
+  static constexpr bool kActive = false;
+  bool skip(NodeIndex) const { return false; }
+};
 
 namespace detail {
 
-/// Small fixed-capacity best-K ranking: keeps the K smallest keys seen,
-/// stable on ties (first inserted stays first), so candidate 0 always
-/// matches the strict-inequality running-argbest of the scalar cores.
-struct TopK {
-  std::uint64_t metric[kMaxStepCandidates];
-  NodeIndex node[kMaxStepCandidates];
-  int count = 0;
-  int cap;
+inline constexpr std::size_t kNoPick = static_cast<std::size_t>(-1);
 
-  explicit TopK(int capacity)
-      : cap(capacity < kMaxStepCandidates ? capacity : kMaxStepCandidates) {}
+/// The drivers' pick: argbest of the offered candidates (strict `>`, so
+/// the first-best wins ties) over the candidates `ctx` does not skip.
+/// Under faults it also remembers the candidate ranked first with nothing
+/// skipped, over the plain tiers: a hop to anything else is a fallback
+/// hop.
+template <typename Score, typename Ctx>
+class BestPick {
+ public:
+  BestPick(const HopSite& site, const Ctx& ctx)
+      : ctx_(ctx), targets_(site.targets), ids_(site.ids) {}
 
-  /// Inserts (m, v) keeping metric ascending; equal metrics keep
-  /// insertion order.
-  void push(std::uint64_t m, NodeIndex v) {
-    int i = count < cap ? count : cap - 1;
-    if (count < cap) {
-      ++count;
-    } else if (m >= metric[cap - 1]) {
+  /// Opens the next tier over `targets`/`ids`; see the file comment.
+  void tier(const NodeIndex* targets, const NodeId* ids, bool plain) {
+    targets_ = targets;
+    ids_ = ids;
+    if constexpr (Ctx::kActive) {
+      if (!plain || has_first_) tracking_first_ = false;
+    }
+  }
+
+  /// Raises the bar of the current tier: only offers scoring above
+  /// `score` count (XorKernel: "strictly closer than this node").
+  void floor(Score score) {
+    best_ = score;
+    if constexpr (Ctx::kActive) {
+      if (tracking_first_) first_score_ = score;
+    }
+  }
+
+  void offer(Score score, std::size_t j) {
+    if constexpr (Ctx::kActive) {
+      if (tracking_first_ && score > first_score_) {
+        first_score_ = score;
+        has_first_ = true;
+        first_node_ = targets_[j];
+      }
+    }
+    if (score > best_) {
+      if constexpr (Ctx::kActive) {
+        if (ctx_.skip(targets_[j])) return;
+      }
+      best_ = score;
+      best_j_ = j;
+    }
+  }
+
+  bool found() const { return best_j_ != kNoPick; }
+  NodeIndex node() const { return targets_[best_j_]; }
+  NodeId id() const { return ids_[best_j_]; }
+
+  /// True iff the winner is not the candidate ranked first with nothing
+  /// skipped (always false without faults).
+  bool fallback() const {
+    if constexpr (Ctx::kActive) {
+      return !has_first_ || node() != first_node_;
+    } else {
+      return false;
+    }
+  }
+
+ private:
+  const Ctx& ctx_;
+  const NodeIndex* targets_;
+  const NodeId* ids_;
+  Score best_{};
+  std::size_t best_j_ = kNoPick;
+  bool tracking_first_ = true;
+  bool has_first_ = false;
+  Score first_score_{};
+  NodeIndex first_node_ = 0;
+};
+
+/// The stepper's pick: the best `cap` offers, score descending and
+/// first-offered first on ties, so candidate 0 is BestPick's winner.
+template <typename Score>
+class TopPick {
+ public:
+  TopPick(const HopSite& site, int cap)
+      : cap_(cap < 1 ? 1 : cap < kMaxStepCandidates ? cap : kMaxStepCandidates),
+        targets_(site.targets) {}
+
+  void tier(const NodeIndex* targets, const NodeId*, bool) {
+    targets_ = targets;
+  }
+
+  void floor(Score score) { floor_ = score; }
+
+  void offer(Score score, std::size_t j) {
+    if (!(score > floor_)) return;
+    int pos = count_ < cap_ ? count_ : cap_ - 1;
+    if (count_ < cap_) {
+      ++count_;
+    } else if (!(score > score_[cap_ - 1])) {
       return;
     }
-    while (i > 0 && metric[i - 1] > m) {
-      metric[i] = metric[i - 1];
-      node[i] = node[i - 1];
-      --i;
+    while (pos > 0 && score_[pos - 1] < score) {
+      score_[pos] = score_[pos - 1];
+      node_[pos] = node_[pos - 1];
+      --pos;
     }
-    metric[i] = m;
-    node[i] = v;
+    score_[pos] = score;
+    node_[pos] = targets_[j];
   }
 
+  bool found() const { return count_ > 0; }
+
   int emit(std::span<NodeIndex> out) const {
-    const int n = count < static_cast<int>(out.size())
-                      ? count
-                      : static_cast<int>(out.size());
-    for (int i = 0; i < n; ++i) out[i] = node[i];
+    const int n = std::min(count_, static_cast<int>(out.size()));
+    for (int i = 0; i < n; ++i) out[static_cast<std::size_t>(i)] = node_[i];
     return n;
   }
+
+ private:
+  int cap_;
+  int count_ = 0;
+  const NodeIndex* targets_;
+  Score floor_{};
+  Score score_[kMaxStepCandidates];
+  NodeIndex node_[kMaxStepCandidates];
 };
 
 }  // namespace detail
+
+/// The Stepper adapter: any kernel, ranked fault-free. The closure holds
+/// a copy of the kernel (borrowed net and links, shared auxiliary
+/// structures).
+template <typename Kernel>
+Stepper kernel_stepper(Kernel kernel) {
+  return [kernel = std::move(kernel)](
+             NodeIndex at, NodeId key, std::uint64_t& state,
+             std::span<NodeIndex> out) -> StepResult {
+    const HopSite site = hop_site(kernel.links(), at, kernel.net().id(at));
+    detail::TopPick<typename Kernel::Score> pick(
+        site, static_cast<int>(out.size()));
+    const Hop hop = kernel.rank(site, key, state, pick, NoFaults{});
+    if (hop != Hop::kForward) return {0, true, hop == Hop::kArrived};
+    return {pick.emit(out), false, false};
+  };
+}
 
 }  // namespace canon
 

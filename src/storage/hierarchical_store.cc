@@ -209,7 +209,7 @@ HierarchicalStore::MultiGetResult HierarchicalStore::get_many(
 GetResult HierarchicalStore::get_resilient(std::uint32_t origin, NodeId key,
                                             const FailureSet& failures,
                                             int leaf_set) {
-  const ResilientRingRouter router(*net_, *links_, leaf_set);
+  const RingRouter router(*net_, *links_, leaf_set);
   GetResult result;
   result.route.path.push_back(origin);
   const Route full = router.route(origin, key, failures);

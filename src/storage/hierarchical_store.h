@@ -25,7 +25,6 @@
 
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 #include "storage/cache.h"
 
@@ -89,9 +88,10 @@ class HierarchicalStore {
                           std::size_t limit);
 
   /// Lookup in the presence of failed nodes: routes with leaf-set fallback
-  /// (ResilientRingRouter) and inspects only live nodes. Replicated
-  /// content survives the loss of its primary holder, because the live
-  /// responsible node (the next live predecessor) already holds a copy.
+  /// (RingRouter's failure-aware walk) and inspects only live nodes.
+  /// Replicated content survives the loss of its primary holder, because
+  /// the live responsible node (the next live predecessor) already holds a
+  /// copy.
   GetResult get_resilient(std::uint32_t origin, NodeId key,
                           const FailureSet& failures, int leaf_set = 4);
 

@@ -231,7 +231,7 @@ TEST(AuditorMutation, CanSwappedZoneOwners) {
   const OverlayNetwork net = test_net(256, 1, 7);
   const CanNetwork can = build_can(net);
   auto zones = audit::StructureAuditor::extract_zones(
-      can.tree, net.ring().members());
+      *can.tree, net.ring().members());
 
   // Find two distinct single-zone owners whose zones differ.
   std::map<std::uint32_t, int> zone_count;
@@ -268,7 +268,7 @@ TEST(AuditorMutation, CanMissingZoneIsAGap) {
   const OverlayNetwork net = test_net(256, 1, 7);
   const CanNetwork can = build_can(net);
   auto zones = audit::StructureAuditor::extract_zones(
-      can.tree, net.ring().members());
+      *can.tree, net.ring().members());
   ASSERT_GE(zones.size(), net.size());
   zones.erase(zones.begin() + static_cast<std::ptrdiff_t>(zones.size() / 2));
 

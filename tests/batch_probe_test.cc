@@ -1,5 +1,5 @@
-// The interleaved batch probe kernels (overlay/batch_probe.h and the
-// probe_batch entry points on RingRouter / XorRouter / GroupRouter):
+// The interleaved batch probe driver (overlay/batch_probe.h, behind
+// every GreedyRouter's probe_batch):
 //
 // * equivalence — probe_batch matches the per-call probe loop
 //   hop-for-hop and terminal-for-terminal, for every family in the
@@ -116,7 +116,8 @@ TEST(BatchProbe, XorKernelMatchesPerCallProbe) {
 TEST(BatchProbe, GroupKernelMatchesPerCallProbe) {
   const auto net = make_net(1u << 12, 19);
   const auto links = registry::build_family(net, "crescendo_prox", 19);
-  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const auto groups = std::make_shared<const GroupedOverlay>(
+      net, ProximityConfig{}.target_group_size);
   const GroupRouter router(net, groups, links);
   const auto queries = uniform_workload(net, 1200, Rng(7));
   expect_kernel_matches_probe(router, queries, "group");
@@ -143,10 +144,9 @@ TEST(BatchProbe, WidthKnobClampsAndRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry sweep: every family, every width, three seeds. Ring/Xor/Group
-// families hit their interleaved kernels through the engine's probe_batch
-// detection; Can/CanCan exercise the registry-level scalar path — either
-// way the width knob must never move a single per-query result.
+// Registry sweep: every family, every width, three seeds. Every family's
+// kernel runs the interleaved driver through the engine; the width knob
+// must never move a single per-query result.
 
 TEST(BatchProbe, AllFamiliesMatchScalarAtEveryWidth) {
   WidthGuard guard;

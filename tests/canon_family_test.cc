@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "canon/cacophony.h"
 #include "canon/cancan.h"
@@ -80,7 +81,7 @@ TEST_P(FamilyLevelsTest, CanCanRoutesSucceed) {
   const int levels = GetParam();
   Rng rng(331 + levels);
   const auto net = make_population(deep_spec(600, levels), rng);
-  const CanCanNetwork cancan(net);
+  const auto cancan = std::make_shared<const CanCanNetwork>(net);
   const CanCanRouter router(cancan);
   int ok = 0;
   const int kTrials = 300;
@@ -90,14 +91,13 @@ TEST_P(FamilyLevelsTest, CanCanRoutesSucceed) {
     const Route r = router.route(from, key);
     if (r.ok) {
       ++ok;
-      EXPECT_EQ(r.terminal(), cancan.responsible(key));
+      EXPECT_EQ(r.terminal(), cancan->responsible(key));
     }
   }
   // The Canon merge filter for CAN is the loosest part of the paper;
   // require routing to work for the overwhelming majority of queries (the
   // router's XOR fallback covers faces the filter removed).
-  EXPECT_GE(ok, kTrials * 99 / 100)
-      << "stuck=" << router.stuck_count() << " levels=" << levels;
+  EXPECT_GE(ok, kTrials * 99 / 100) << "levels=" << levels;
 }
 
 TEST_P(FamilyLevelsTest, DegreesStayLogarithmic) {

@@ -349,17 +349,17 @@ TEST(ZoneTree, PartitionsTheSpace) {
   // Every point has exactly one owner, and each owner's zones sum to its
   // share of the space.
   std::map<std::uint32_t, std::uint64_t> zone_points;
-  for (NodeId p = 0; p < 1024; ++p) ++zone_points[can.tree.owner_of(p)];
+  for (NodeId p = 0; p < 1024; ++p) ++zone_points[can.tree->owner_of(p)];
   EXPECT_EQ(zone_points.size(), net.size());
   std::uint64_t total = 0;
   for (const auto& [owner, count] : zone_points) {
     std::uint64_t owned = 0;
-    for (const auto& z : can.tree.zones_of(owner)) {
+    for (const auto& z : can.tree->zones_of(owner)) {
       owned += std::uint64_t{1} << (10 - z.len);
     }
     EXPECT_EQ(count, owned);
     // The primary zone must contain the owner's own ID.
-    const auto z = can.tree.zone(owner);
+    const auto z = can.tree->zone(owner);
     const NodeId lo = z.prefix;
     const NodeId hi = z.prefix + (std::uint64_t{1} << (10 - z.len));
     EXPECT_GE(net.id(owner), lo);
@@ -377,8 +377,8 @@ TEST(ZoneTree, NeighborsAreSymmetric) {
   const auto net = make_population(spec, rng);
   const auto can = build_can(net);
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (const auto v : can.tree.neighbors(m)) {
-      const auto back = can.tree.neighbors(v);
+    for (const auto v : can.tree->neighbors(m)) {
+      const auto back = can.tree->neighbors(v);
       EXPECT_TRUE(std::find(back.begin(), back.end(), m) != back.end())
           << m << " -> " << v << " not symmetric";
     }
@@ -408,7 +408,7 @@ TEST(Can, RoutingReachesZoneOwner) {
     const NodeId key = net.space().wrap(rng());
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.terminal(), can.tree.owner_of(key));
+    EXPECT_EQ(r.terminal(), can.tree->owner_of(key));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "canon/crescendo.h"
 #include "canon/proximity.h"
@@ -64,40 +65,49 @@ TEST(EdgeCases, DenseIdSpaceEveryIdTaken) {
 
 TEST(EdgeCases, GroupedOverlaySingleGroup) {
   Rng rng(1102);
-  PopulationSpec spec;
-  spec.node_count = 8;
-  const auto net = make_population(spec, rng);
-  // Target size bigger than the population: one group, T == 0 ... or tiny.
-  const GroupedOverlay groups(net, 100);
-  EXPECT_EQ(groups.prefix_bits(), 0);
-  EXPECT_EQ(groups.groups().size(), 1u);
-  for (std::uint32_t i = 0; i < net.size(); ++i) {
-    EXPECT_EQ(groups.group_index_of(i), 0);
-  }
-  // The responsible node degenerates to the plain predecessor rule.
-  for (int t = 0; t < 50; ++t) {
-    const NodeId key = net.space().wrap(rng());
-    EXPECT_EQ(groups.responsible(key), net.responsible(key));
+  // 64-bit IDs included: a zero-bit group ID must not shift by 64.
+  for (const int bits : {kDefaultIdBits, 64}) {
+    SCOPED_TRACE(bits);
+    PopulationSpec spec;
+    spec.node_count = 8;
+    spec.id_bits = bits;
+    const auto net = make_population(spec, rng);
+    // Target size bigger than the population: one group, T == 0.
+    const GroupedOverlay groups(net, 100);
+    EXPECT_EQ(groups.prefix_bits(), 0);
+    EXPECT_EQ(groups.groups().size(), 1u);
+    for (std::uint32_t i = 0; i < net.size(); ++i) {
+      EXPECT_EQ(groups.group_index_of(i), 0);
+    }
+    // The responsible node degenerates to the plain predecessor rule.
+    for (int t = 0; t < 50; ++t) {
+      const NodeId key = net.space().wrap(rng());
+      EXPECT_EQ(groups.responsible(key), net.responsible(key));
+    }
   }
 }
 
 TEST(EdgeCases, GroupRouterWithSingleGroupUsesClique) {
   Rng rng(1103);
-  PopulationSpec spec;
-  spec.node_count = 16;
-  const auto net = make_population(spec, rng);
-  const GroupedOverlay groups(net, 100);
-  const HopCost cost = [](std::uint32_t, std::uint32_t) { return 1.0; };
-  const ProximityConfig cfg;
-  Rng brng(1);
-  const auto links = build_chord_prox(net, groups, cost, cfg, brng);
-  const GroupRouter router(net, groups, links);
-  for (int t = 0; t < 50; ++t) {
-    const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-    const NodeId key = net.space().wrap(rng());
-    const Route r = router.route(from, key);
-    EXPECT_TRUE(r.ok);
-    EXPECT_LE(r.hops(), 1);  // clique: at most one hop
+  for (const int bits : {kDefaultIdBits, 64}) {
+    SCOPED_TRACE(bits);
+    PopulationSpec spec;
+    spec.node_count = 16;
+    spec.id_bits = bits;
+    const auto net = make_population(spec, rng);
+    const auto groups = std::make_shared<const GroupedOverlay>(net, 100);
+    const HopCost cost = [](std::uint32_t, std::uint32_t) { return 1.0; };
+    const ProximityConfig cfg;
+    Rng brng(1);
+    const auto links = build_chord_prox(net, *groups, cost, cfg, brng);
+    const GroupRouter router(net, groups, links);
+    for (int t = 0; t < 50; ++t) {
+      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+      const NodeId key = net.space().wrap(rng());
+      const Route r = router.route(from, key);
+      EXPECT_TRUE(r.ok);
+      EXPECT_LE(r.hops(), 1);  // clique: at most one hop
+    }
   }
 }
 
@@ -111,11 +121,11 @@ TEST(EdgeCases, ZoneTreeMultiZoneOwnership) {
   std::size_t zones = 0;
   bool someone_owns_many = false;
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto owned = can.tree.zones_of(m);
+    const auto owned = can.tree->zones_of(m);
     zones += owned.size();
     someone_owns_many |= owned.size() > 1;
     // Primary zone always contains the owner's ID.
-    const auto z = can.tree.zone(m);
+    const auto z = can.tree->zone(m);
     const int shift = 8 - z.len;
     EXPECT_EQ(net.id(m) >> shift, z.prefix >> shift);
   }
@@ -123,7 +133,7 @@ TEST(EdgeCases, ZoneTreeMultiZoneOwnership) {
   // Zones partition the space: total size == 256.
   std::uint64_t covered = 0;
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (const auto& z : can.tree.zones_of(m)) {
+    for (const auto& z : can.tree->zones_of(m)) {
       covered += std::uint64_t{1} << (8 - z.len);
     }
   }

@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "canon/crescendo.h"
 #include "common/parallel.h"
@@ -16,6 +17,7 @@
 #include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "overlay/population.h"
+#include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/timeseries.h"
@@ -131,11 +133,11 @@ TEST(MessageSim, RegistryStepperMatchesFamilyHops) {
 }
 
 TEST(MessageSim, EveryFamilyStepperTerminatesAndResolves) {
-  // Every registry family must expose a stepper the simulator can drive
-  // to completion fault-free. (The cancan stepper's prev-node guard is
-  // weaker than the scalar core's full visited set — docs/SIMULATION.md —
-  // so this asserts termination and a high ok rate, not hop equality.)
+  // Every registry family's stepper is its router's kernel, so at α=1
+  // with no faults the simulator walks the router's path: per-lookup hops
+  // and ok equal the family router's batch result exactly.
   const auto net = small_net(192, 3, 2003);
+  const QueryEngine engine(net);
   for (const auto& name : registry::family_names()) {
     const auto links = registry::build_family(net, name, 2003);
     MessageSimulator sim(net, links,
@@ -143,12 +145,20 @@ TEST(MessageSim, EveryFamilyStepperTerminatesAndResolves) {
     const Workload w = make_workload(net, 80, 13);
     submit_all(sim, w, 1.0);
     sim.run();
-    int ok = 0;
-    for (const auto& lookup : sim.lookups()) {
-      EXPECT_GE(lookup.completed_ms, 0.0) << name;
-      ok += lookup.ok;
+    std::vector<Query> queries;
+    for (std::size_t i = 0; i < w.from.size(); ++i) {
+      queries.push_back({w.from[i], w.keys[i]});
     }
-    EXPECT_GE(ok, 76) << name << ": " << ok << "/80 ok";
+    std::vector<RouteProbe> expected;
+    registry::family(name).make_router(net, links).run(engine, queries,
+                                                       &expected);
+    ASSERT_EQ(sim.lookups().size(), expected.size()) << name;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const auto& lookup = sim.lookups()[i];
+      EXPECT_GE(lookup.completed_ms, 0.0) << name << " " << i;
+      EXPECT_EQ(lookup.hops, expected[i].hops) << name << " " << i;
+      EXPECT_EQ(lookup.ok, expected[i].ok) << name << " " << i;
+    }
   }
 }
 

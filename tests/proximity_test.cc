@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "canon/crescendo.h"
 #include "canon/proximity.h"
@@ -89,38 +90,38 @@ class ProxFixture : public ::testing::Test {
         phys_(tiny_topology(), rng_),
         net_(make_physical_population(800, phys_, 32, rng_)),
         cost_(host_hop_cost(net_, phys_)),
-        groups_(net_, 16) {}
+        groups_(std::make_shared<const GroupedOverlay>(net_, 16)) {}
 
   Rng rng_;
   PhysicalNetwork phys_;
   OverlayNetwork net_;
   HopCost cost_;
-  GroupedOverlay groups_;
+  std::shared_ptr<const GroupedOverlay> groups_;
 };
 
 TEST_F(ProxFixture, ChordProxRoutesSucceed) {
   ProximityConfig cfg;
-  const auto links = build_chord_prox(net_, groups_, cost_, cfg, rng_);
+  const auto links = build_chord_prox(net_, *groups_, cost_, cfg, rng_);
   const GroupRouter router(net_, groups_, links);
   for (int t = 0; t < 400; ++t) {
     const auto from = static_cast<std::uint32_t>(rng_.uniform(net_.size()));
     const NodeId key = net_.space().wrap(rng_());
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.terminal(), groups_.responsible(key));
+    EXPECT_EQ(r.terminal(), groups_->responsible(key));
   }
 }
 
 TEST_F(ProxFixture, CrescendoProxRoutesSucceed) {
   ProximityConfig cfg;
-  const auto links = build_crescendo_prox(net_, groups_, cost_, cfg, rng_);
+  const auto links = build_crescendo_prox(net_, *groups_, cost_, cfg, rng_);
   const GroupRouter router(net_, groups_, links);
   for (int t = 0; t < 400; ++t) {
     const auto from = static_cast<std::uint32_t>(rng_.uniform(net_.size()));
     const NodeId key = net_.space().wrap(rng_());
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.terminal(), groups_.responsible(key));
+    EXPECT_EQ(r.terminal(), groups_->responsible(key));
   }
 }
 
@@ -128,15 +129,15 @@ TEST_F(ProxFixture, GroupLinksPreferNearbyEndpoints) {
   // The latency-sampled endpoint must be no worse (on average) than a
   // random member of the same target group.
   ProximityConfig cfg;
-  const auto links = build_chord_prox(net_, groups_, cost_, cfg, rng_);
+  const auto links = build_chord_prox(net_, *groups_, cost_, cfg, rng_);
   Summary chosen;
   Summary random_member;
   for (std::uint32_t m = 0; m < net_.size(); ++m) {
     for (const auto v : links.neighbors(m)) {
-      if (groups_.group_index_of(v) == groups_.group_index_of(m)) continue;
+      if (groups_->group_index_of(v) == groups_->group_index_of(m)) continue;
       chosen.add(cost_(m, v));
       const auto& g =
-          groups_.groups()[static_cast<std::size_t>(groups_.group_index_of(v))];
+          groups_->groups()[static_cast<std::size_t>(groups_->group_index_of(v))];
       random_member.add(cost_(m, g.members[rng_.uniform(g.members.size())]));
     }
   }
@@ -147,7 +148,7 @@ TEST_F(ProxFixture, CrescendoProxKeepsLowLevelRings) {
   // Below the top level, Crescendo (Prox.) must keep ordinary Crescendo
   // successor links (so intra-domain routing is unaffected).
   ProximityConfig cfg;
-  const auto links = build_crescendo_prox(net_, groups_, cost_, cfg, rng_);
+  const auto links = build_crescendo_prox(net_, *groups_, cost_, cfg, rng_);
   const DomainTree& dom = net_.domains();
   for (std::uint32_t m = 0; m < net_.size(); ++m) {
     const auto& chain = dom.domain_chain(m);
@@ -166,7 +167,7 @@ TEST_F(ProxFixture, ProximityReducesMeanRouteLatency) {
   // per-hop latency compared to proximity-oblivious Crescendo.
   ProximityConfig cfg;
   const auto plain = build_crescendo(net_);
-  const auto prox = build_crescendo_prox(net_, groups_, cost_, cfg, rng_);
+  const auto prox = build_crescendo_prox(net_, *groups_, cost_, cfg, rng_);
   const RingRouter plain_router(net_, plain);
   const GroupRouter prox_router(net_, groups_, prox);
   Summary plain_ms;

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "canon/cancan.h"
@@ -147,11 +149,11 @@ TEST(QueryEngine, XorRouterIsThreadInvariant) {
 
 TEST(QueryEngine, GroupRouterWithCostIsThreadInvariant) {
   const auto net = make_net();
-  const GroupedOverlay groups(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
   const HopCost cost = synthetic_cost();
   Rng brng(4);
   const auto links =
-      build_chord_prox(net, groups, cost, ProximityConfig{}, brng);
+      build_chord_prox(net, *groups, cost, ProximityConfig{}, brng);
   const GroupRouter router(net, groups, links);
   QueryEngine engine(net);
   engine.set_cost(cost);  // float accumulation order must still be fixed
@@ -161,22 +163,15 @@ TEST(QueryEngine, GroupRouterWithCostIsThreadInvariant) {
   });
 }
 
-TEST(QueryEngine, GenericRouteOnlyRouterIsThreadInvariant) {
-  // CanCanRouter exposes only route(); the generic run_batch entry point
-  // (full mode, no probe) must still be deterministic — and its atomic
-  // stuck/fallback diagnostics race-free — under fan-out.
+TEST(QueryEngine, CanCanRouterIsThreadInvariant) {
+  // The staged Can-Can kernel runs through the shared batch driver like
+  // every other family: deterministic under fan-out.
   const auto net = make_net();
-  const CanCanNetwork cancan(net);
-  const CanCanRouter router(cancan);
+  const CanCanRouter router(std::make_shared<const CanCanNetwork>(net));
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 1500, Rng(5));
   expect_thread_invariant([&](std::vector<RouteProbe>* pq) {
-    return engine.run_batch(
-        queries,
-        [&router](std::uint32_t from, NodeId key, Route& out) {
-          out = router.route(from, key);
-        },
-        nullptr, pq);
+    return engine.run(queries, router, pq);
   });
 }
 
@@ -216,10 +211,10 @@ TEST(Probe, AgreesWithFullRoutingOn1kQueries) {
   Rng brng(8);
   const auto kandy = build_kandy(net, BucketChoice::kClosest, brng);
   const XorRouter xr(net, kandy);
-  const GroupedOverlay groups(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
   Rng prng(9);
   const auto prox =
-      build_chord_prox(net, groups, synthetic_cost(), ProximityConfig{}, prng);
+      build_chord_prox(net, *groups, synthetic_cost(), ProximityConfig{}, prng);
   const GroupRouter group(net, groups, prox);
 
   const auto queries = uniform_workload(net, 1000, Rng(8));
@@ -288,8 +283,56 @@ TEST(QueryEngine, CountersFlushAggregatesOnly) {
             stats.total_hops);
   EXPECT_EQ(registry.counters().at("query_engine.failures").value(),
             stats.failures);
-  // The hot paths never bump the router's own counters.
+  // The hot paths never bump the router's own counters, and a healthy
+  // batch registers no hop-guard counter.
   EXPECT_EQ(registry.counters().count("ring_router.routes"), 0u);
+  EXPECT_EQ(stats.hop_guard_exits, 0u);
+  EXPECT_EQ(registry.counters().count("query_engine.hop_guard_exits"), 0u);
+}
+
+TEST(QueryEngine, HopGuardExitsAreCountedApartFromFailures) {
+  // A successor-only ring never dead-ends, but its long routes exceed the
+  // 4*16+16 = 80-hop guard of a 16-bit space: every failure is a guard
+  // exit, in every routing mode.
+  PopulationSpec spec;
+  spec.node_count = 256;
+  spec.id_bits = 16;
+  Rng rng(404);
+  const auto net = make_population(spec, rng);
+  const auto n = static_cast<NodeIndex>(net.size());
+  const LinkTable links = LinkTable::build(
+      net.ids(), [n](NodeIndex m, LinkRow& row) { row.push_back((m + 1) % n); });
+  const RingRouter router(net, links);
+  const auto queries = uniform_workload(net, 400, Rng(22));
+
+  int route_failures = 0;
+  for (const Query& q : queries) {
+    const Route r = router.route(q.from, q.key);
+    EXPECT_EQ(r.hop_guard, !r.ok);
+    route_failures += r.ok ? 0 : 1;
+  }
+  ASSERT_GT(route_failures, 0);
+
+  telemetry::MetricsRegistry registry;
+  telemetry::MetricsRegistry* prev = telemetry::install_registry(&registry);
+  QueryEngine engine(net);
+  const int saved = probe_batch_width();
+  std::uint64_t flushed = 0;
+  for (const int width : {0, 16}) {  // scalar probe, then probe_batch
+    set_probe_batch_width(width);
+    const QueryStats stats = engine.run(queries, router);
+    EXPECT_EQ(stats.failures, static_cast<std::uint64_t>(route_failures));
+    EXPECT_EQ(stats.hop_guard_exits, stats.failures) << "width " << width;
+    flushed += stats.hop_guard_exits;
+  }
+  set_probe_batch_width(saved);
+  engine.set_level_tracking(true);  // full mode: route_into
+  const QueryStats full = engine.run(queries, router);
+  EXPECT_EQ(full.hop_guard_exits, full.failures);
+  flushed += full.hop_guard_exits;
+  telemetry::install_registry(prev);
+  EXPECT_EQ(registry.counters().at("query_engine.hop_guard_exits").value(),
+            flushed);
 }
 
 TEST(QueryEngine, SinkModeReplaysFaithfulTracesInWorkloadOrder) {

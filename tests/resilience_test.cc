@@ -11,7 +11,7 @@
 #include "dht/iterative_lookup.h"
 #include "dht/kademlia.h"
 #include "overlay/population.h"
-#include "overlay/resilient_routing.h"
+#include "overlay/routing.h"
 
 namespace canon {
 namespace {
@@ -40,13 +40,12 @@ TEST(ResilientRouting, NoFailuresMatchesPlainGreedy) {
   const auto net = make_population(spec_of(400, 3), rng);
   const auto links = build_crescendo(net);
   const FailureSet failures(net.size());
-  const RingRouter plain(net, links);
-  const ResilientRingRouter resilient(net, links);
+  const RingRouter router(net, links);
   for (int t = 0; t < 200; ++t) {
     const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
     const NodeId key = net.space().wrap(rng());
-    const Route a = plain.route(from, key);
-    const Route b = resilient.route(from, key, failures);
+    const Route a = router.route(from, key);
+    const Route b = router.route(from, key, failures);
     EXPECT_TRUE(b.ok);
     EXPECT_EQ(b.terminal(), a.terminal());
   }
@@ -60,8 +59,8 @@ TEST(ResilientRouting, LiveResponsibleSkipsDeadPredecessors) {
   const NodeId key = net.space().wrap(rng());
   const std::uint32_t owner = net.responsible(key);
   failures.kill(owner);
-  const ResilientRingRouter router(net, links);
-  const std::uint32_t fallback = router.live_responsible(key, failures);
+  const RingRouter router(net, links);
+  const std::uint32_t fallback = router.kernel().live_responsible(key, failures);
   EXPECT_NE(fallback, owner);
   // The fallback is the next live predecessor.
   EXPECT_FALSE(failures.dead(fallback));
@@ -80,7 +79,7 @@ TEST_P(FailureRateTest, SurvivesRandomFailures) {
       failures.kill(i);
     }
   }
-  const ResilientRingRouter router(net, links, /*leaf_set=*/8);
+  const RingRouter router(net, links, /*leaf_set=*/8);
   int ok = 0;
   int total = 0;
   for (int t = 0; t < 300; ++t) {
@@ -107,7 +106,7 @@ TEST(ResilientRouting, RejectsDeadSource) {
   const auto links = build_crescendo(net);
   FailureSet failures(net.size());
   failures.kill(0);
-  const ResilientRingRouter router(net, links);
+  const RingRouter router(net, links);
   EXPECT_THROW(router.route(0, 1, failures), std::invalid_argument);
 }
 

@@ -12,9 +12,11 @@
 #include <string>
 
 #include "canon/crescendo.h"
+#include "common/rng.h"
 #include "overlay/message_sim.h"
 #include "overlay/overlay_network.h"
 #include "overlay/population.h"
+#include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/metrics.h"
@@ -393,7 +395,14 @@ TEST(RouteTrace, MetricsCountersTrackRouting) {
   RegistryGuard guard(&reg);
   const auto net = small_hierarchy();
   const auto links = build_crescendo(net);
-  const RingRouter router(net, links);  // resolves counters at construction
+  const RingRouter router(net, links);
+  // Batches through the engine use the telemetry-free hot paths: no
+  // router counter registers until the first route().
+  const QueryEngine engine(net);
+  engine.run(uniform_workload(net, 200, Rng(3)), router);
+  for (const auto& [name, counter] : reg.counters()) {
+    EXPECT_EQ(name.find("_router."), std::string::npos) << name;
+  }
   const Route r = router.route(0, 99);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(reg.counter("ring_router.routes").value(), 1u);
