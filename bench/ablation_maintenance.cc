@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   Summary messages;
   while (dyn.size() < max_n) {
     const auto ids = sample_unique_ids(1, space, rng);
-    if (dyn.links_by_id().contains(ids[0])) continue;
+    if (dyn.contains(ids[0])) continue;
     const auto paths = generate_hierarchy(1, hier, rng);
     const MaintenanceCost c = dyn.join(OverlayNode{ids[0], paths[0], -1});
     hops.add(c.lookup_hops);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                "in plain Chord)\n";
 
   // Structural audit of the incrementally grown network.
-  const LinkTable links = dyn.link_table();
+  const LinkTable& links = dyn.link_table();
   const audit::AuditReport audit_report =
       registry::audit_family("crescendo", dyn.network(), links);
   std::cout << "structural audit: " << audit_report.summary() << "\n";

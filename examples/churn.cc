@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   // journal and the JSON report every --snapshot-every membership ops.
   std::uint64_t ops = 0;
   const auto audit_now = [&] {
-    const LinkTable table = dht.link_table();
+    const LinkTable& table = dht.link_table();
     return registry::audit_family("crescendo", dht.network(), table);
   };
   const auto snapshot = [&] {
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
             << TextTable::num(leave_msgs.mean(), 1) << " messages\n";
 
   // Routing still works from everywhere.
-  const LinkTable links = dht.link_table();
+  const LinkTable& links = dht.link_table();
   const RingRouter router(dht.network(), links);
   int ok = 0;
   for (int t = 0; t < 1000; ++t) {

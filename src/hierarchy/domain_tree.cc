@@ -62,11 +62,14 @@ void DomainTree::build(std::span<const std::uint32_t> path_offsets,
   };
 
   // Order node indices by ID once; every domain's member list is a
-  // subsequence of this order and therefore also ID-sorted.
+  // subsequence of this order and therefore also ID-sorted. Ascending IDs
+  // (every OverlayNetwork's) already are that order.
   std::vector<NodeIndex> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](NodeIndex a, NodeIndex b) { return ids[a] < ids[b]; });
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    std::sort(order.begin(), order.end(),
+              [&](NodeIndex a, NodeIndex b) { return ids[a] < ids[b]; });
+  }
   for (std::size_t i = 1; i < n; ++i) {
     if (ids[order[i - 1]] == ids[order[i]]) {
       throw std::invalid_argument("DomainTree: duplicate node IDs");
@@ -91,44 +94,56 @@ void DomainTree::build(std::span<const std::uint32_t> path_offsets,
   domains_[0].members = order;
 
   // Recursively partition each domain's member list by the next path
-  // component. Iterative worklist to avoid deep recursion.
+  // component. Iterative worklist to avoid deep recursion. The partition
+  // is a counting pass plus a placement pass: `slot[b]` first counts the
+  // members taking branch b (recording each distinct branch once), then
+  // holds b's child domain index. Children get consecutive indices in
+  // ascending branch order and keep their members in ID order.
+  const std::uint16_t max_branch =
+      path_branches.empty()
+          ? 0
+          : *std::max_element(path_branches.begin(), path_branches.end());
+  std::vector<std::uint32_t> slot(static_cast<std::size_t>(max_branch) + 1, 0);
+  std::vector<std::uint16_t> branches;  // distinct branches of one domain
   std::vector<int> work = {0};
   while (!work.empty()) {
     const int d = work.back();
     work.pop_back();
     const int depth = domains_[static_cast<std::size_t>(d)].depth;
-    // Bucket members by their branch at this depth; members whose path ends
-    // here stay attached to this domain as their leaf.
-    std::vector<std::pair<std::uint16_t, NodeIndex>> buckets;
+    // Members whose path ends here stay attached to this domain as their
+    // leaf.
+    branches.clear();
     for (const NodeIndex node :
          domains_[static_cast<std::size_t>(d)].members) {
       chains_[chain_offsets_[node] + static_cast<std::uint32_t>(depth)] = d;
-      if (depth_of(node) > depth) {
-        buckets.emplace_back(branch_of(node, depth), node);
+      if (depth_of(node) > depth && slot[branch_of(node, depth)]++ == 0) {
+        branches.push_back(branch_of(node, depth));
       }
     }
-    if (buckets.empty()) continue;
-    std::stable_sort(buckets.begin(), buckets.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::size_t i = 0;
-    while (i < buckets.size()) {
-      const std::uint16_t branch = buckets[i].first;
+    if (branches.empty()) continue;
+    std::sort(branches.begin(), branches.end());
+    const auto first = static_cast<std::uint32_t>(domains_.size());
+    for (std::size_t k = 0; k < branches.size(); ++k) {
+      const auto child_index = static_cast<int>(first + k);
+      slot[branches[k]] = static_cast<std::uint32_t>(child_index);
       Domain child;
       child.parent = d;
       child.depth = depth + 1;
-      child.branch = branch;
-      while (i < buckets.size() && buckets[i].first == branch) {
-        child.members.push_back(buckets[i].second);
-        ++i;
-      }
-      const int child_index = static_cast<int>(domains_.size());
+      child.branch = branches[k];
       domains_.push_back(std::move(child));
       domains_[static_cast<std::size_t>(d)].children.push_back(child_index);
-      work.push_back(child_index);
-      max_depth_ = std::max(max_depth_, depth + 1);
     }
+    for (const NodeIndex node :
+         domains_[static_cast<std::size_t>(d)].members) {
+      if (depth_of(node) > depth) {
+        domains_[slot[branch_of(node, depth)]].members.push_back(node);
+      }
+    }
+    for (std::size_t k = 0; k < branches.size(); ++k) {
+      slot[branches[k]] = 0;
+      work.push_back(static_cast<int>(first + k));
+    }
+    max_depth_ = std::max(max_depth_, depth + 1);
   }
 }
 

@@ -34,7 +34,8 @@ struct Domain {
 /// Immutable index of all non-empty domains for a fixed node population.
 ///
 /// Node `i` is described by `paths[i]`; `ids[i]` orders members within each
-/// domain. Construction is O(n * depth) after an O(n log n) sort.
+/// domain. Construction is O(n * depth) after an O(n log n) sort by ID
+/// (skipped when the IDs already ascend).
 class DomainTree {
  public:
   /// `paths` and `ids` must be the same length; IDs need not be sorted but

@@ -9,14 +9,20 @@
 // incrementally across joins and leaves, counts the messages each
 // operation would send, and exposes per-level leaf sets (successor lists).
 //
+// Each change derives the next state from the current one. The next
+// network is the current ID-sorted arrays with one entry inserted or
+// erased; the next link table copies every clean row from the current
+// table (indices shifted by one past the change) and recomputes only the
+// affected rows and the joiner's. A change therefore costs one O(n) row
+// copy plus O(log n) recomputed rows, and it commits with no-throw moves:
+// a rejected join or leave leaves the structure untouched.
+//
 // The key invariant — verified by tests — is that the incrementally
-// maintained structure is identical to a from-scratch construction over
+// maintained table is byte-identical to a from-scratch construction over
 // the surviving member set.
 #ifndef CANON_MAINTENANCE_DYNAMIC_CRESCENDO_H
 #define CANON_MAINTENANCE_DYNAMIC_CRESCENDO_H
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -40,19 +46,20 @@ class DynamicCrescendo {
   /// Starts from an initial population (may be empty).
   DynamicCrescendo(IdSpace space, std::vector<OverlayNode> initial = {});
 
-  std::size_t size() const { return members_.size(); }
+  std::size_t size() const { return net_->size(); }
 
-  /// Current network (rebuilt after each membership change).
+  /// Current network (replaced by each membership change).
   const OverlayNetwork& network() const { return *net_; }
 
-  /// Current links, as ID -> sorted neighbor IDs.
-  const std::map<NodeId, std::vector<NodeId>>& links_by_id() const {
-    return links_; }
+  /// Current links as a LinkTable over network() (replaced by each
+  /// membership change).
+  const LinkTable& link_table() const { return table_; }
 
-  /// Current links as a LinkTable over network() (for routing).
-  LinkTable link_table() const;
+  /// True if a member has this ID.
+  bool contains(NodeId id) const;
 
-  /// Adds a node. Throws on duplicate ID.
+  /// Adds a node. Throws on a duplicate ID or an ID outside the space,
+  /// leaving the structure unchanged.
   MaintenanceCost join(const OverlayNode& node);
 
   /// Removes the node with this ID. Throws if absent.
@@ -68,17 +75,10 @@ class DynamicCrescendo {
   void set_journal(telemetry::EventJournal* journal) { journal_ = journal; }
 
  private:
-  void rebuild_network();
-  /// IDs whose links can change when `pivot` joins or leaves, computed on
-  /// the network that contains `pivot`.
-  std::vector<NodeId> affected_ids(std::uint32_t pivot) const;
-  void recompute_links(const std::vector<NodeId>& ids);
   int count_lookup_hops(const OverlayNode& node) const;
 
-  IdSpace space_;
-  std::vector<OverlayNode> members_;
   std::unique_ptr<OverlayNetwork> net_;
-  std::map<NodeId, std::vector<NodeId>> links_;
+  LinkTable table_;
   telemetry::EventJournal* journal_ = nullptr;
 };
 

@@ -23,7 +23,8 @@
 //               net.id(nb) per candidate.
 //
 // A built table is read-only: there is no edit path. Dynamic maintenance
-// and tests that need a changed row build a new table.
+// and tests that need a changed row build a new table (maintenance copies
+// its clean rows from the current table inside build()'s callback).
 //
 // build() runs shard by shard: each shard's rows are compacted into one
 // tightly packed chunk as soon as the shard completes, so peak memory
@@ -55,8 +56,8 @@ using LinkRow = std::vector<NodeIndex>;
 
 /// Puts node `m`'s appended row into table form: sorts it, drops
 /// duplicates and the self-link, and throws std::out_of_range on a target
-/// >= node_count. The one row rule, shared by build() and by every caller
-/// that recomputes single rows (maintenance, the auditor).
+/// >= node_count. The one row rule, shared by build() and by the auditor,
+/// which recomputes single rows without building a table.
 void sanitize_row(NodeIndex m, std::size_t node_count, LinkRow& row);
 
 /// A finished, read-only CSR link table. See the file comment.

@@ -15,7 +15,8 @@ struct OverlayNetwork::Soa {
 };
 
 /// Validates IDs against the space, then sorts the parallel arrays by ID
-/// (one permutation applied to every array) and rejects duplicates. The
+/// (one permutation applied to every array; no sort when the IDs already
+/// ascend) and rejects duplicates. The
 /// permutation is applied with gathers into fresh arrays: O(n) extra for
 /// the array being permuted, never one allocation per node.
 OverlayNetwork::Soa OverlayNetwork::sort_by_id(
@@ -34,10 +35,14 @@ OverlayNetwork::Soa OverlayNetwork::sort_by_id(
       throw std::invalid_argument("OverlayNetwork: ID outside the IdSpace");
     }
   }
+  // Already-ascending IDs (a network derived from another) keep the
+  // identity order, which is the order the sort would produce.
   std::vector<NodeIndex> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](NodeIndex a, NodeIndex b) { return ids[a] < ids[b]; });
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    std::sort(order.begin(), order.end(),
+              [&](NodeIndex a, NodeIndex b) { return ids[a] < ids[b]; });
+  }
 
   Soa out;
   out.ids.resize(n);

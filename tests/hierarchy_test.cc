@@ -2,6 +2,8 @@
 // index, and the synthetic hierarchy generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/rng.h"
@@ -121,6 +123,72 @@ TEST(DomainTree, DomainOfChecksLevel) {
   const DomainTree tree(paths, {1});
   EXPECT_EQ(tree.domain_of(0, 0), tree.root());
   EXPECT_THROW(tree.domain_of(0, 5), std::out_of_range);
+}
+
+TEST(DomainTree, PartitionMatchesPrefixGrouping) {
+  // Ragged random paths with branches up to 65535 and unsorted IDs: every
+  // distinct path prefix is exactly one domain, holding every node with
+  // that prefix in ID order; children take consecutive indices in
+  // ascending branch order; each chain names the node's prefixes.
+  Rng rng(11);
+  for (const std::uint16_t max_branch : {std::uint16_t{3}, std::uint16_t{65535}}) {
+    const std::size_t n = 300;
+    std::vector<DomainPath> paths;
+    std::vector<NodeId> ids;
+    std::set<std::vector<std::uint16_t>> prefixes;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<std::uint16_t> branches(rng.uniform(4));
+      for (auto& b : branches) {
+        b = rng.uniform(2) == 0 ? static_cast<std::uint16_t>(rng.uniform(3))
+                                : static_cast<std::uint16_t>(
+                                      rng.uniform(max_branch + 1u));
+      }
+      for (std::size_t l = 0; l <= branches.size(); ++l) {
+        prefixes.insert({branches.begin(), branches.begin() + l});
+      }
+      paths.emplace_back(std::move(branches));
+      ids.push_back((i * 7919) % 1009);  // unique, not ascending
+    }
+    const DomainTree tree(paths, ids);
+    ASSERT_EQ(tree.domain_count(), static_cast<int>(prefixes.size()));
+    std::vector<std::vector<std::uint16_t>> prefix_of(prefixes.size());
+    for (int d = 0; d < tree.domain_count(); ++d) {
+      const Domain& dom = tree.domain(d);
+      if (d != tree.root()) {
+        ASSERT_LT(dom.parent, d);
+        prefix_of[d] = prefix_of[dom.parent];
+        prefix_of[d].push_back(dom.branch);
+      }
+      for (std::size_t k = 0; k < dom.children.size(); ++k) {
+        EXPECT_EQ(dom.children[k], dom.children[0] + static_cast<int>(k));
+        if (k > 0) {
+          EXPECT_LT(tree.domain(dom.children[k - 1]).branch,
+                    tree.domain(dom.children[k]).branch);
+        }
+      }
+      std::vector<NodeIndex> want;
+      for (NodeIndex i = 0; i < n; ++i) {
+        const auto& b = paths[i].branches();
+        if (b.size() >= prefix_of[d].size() &&
+            std::equal(prefix_of[d].begin(), prefix_of[d].end(), b.begin())) {
+          want.push_back(i);
+        }
+      }
+      std::sort(want.begin(), want.end(),
+                [&](NodeIndex a, NodeIndex b) { return ids[a] < ids[b]; });
+      EXPECT_EQ(dom.members, want) << "domain " << d;
+    }
+    for (NodeIndex i = 0; i < n; ++i) {
+      const auto chain = tree.domain_chain(i);
+      ASSERT_EQ(chain.size(), paths[i].branches().size() + 1);
+      for (std::size_t l = 0; l < chain.size(); ++l) {
+        EXPECT_EQ(prefix_of[chain[l]],
+                  std::vector<std::uint16_t>(paths[i].branches().begin(),
+                                             paths[i].branches().begin() +
+                                                 static_cast<long>(l)));
+      }
+    }
+  }
 }
 
 TEST(Generators, FlatHierarchy) {

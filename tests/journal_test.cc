@@ -241,7 +241,7 @@ TEST(Journal, ChurnRunReplaysToIdenticalVerdict) {
   std::uint64_t ops = 0;
   while (dyn.size() < 120) {  // grow: 120 journaled joins
     const auto ids = sample_unique_ids(1, space, rng);
-    if (dyn.links_by_id().contains(ids[0])) continue;
+    if (dyn.contains(ids[0])) continue;
     dyn.join(OverlayNode{ids[0], generate_hierarchy(1, hier, rng)[0], -1});
     ++ops;
   }
@@ -250,7 +250,7 @@ TEST(Journal, ChurnRunReplaysToIdenticalVerdict) {
         static_cast<std::uint32_t>(rng.uniform(dyn.network().size()));
     dyn.leave(dyn.network().id(victim));
     const auto ids = sample_unique_ids(1, space, rng);
-    if (dyn.links_by_id().contains(ids[0])) {
+    if (dyn.contains(ids[0])) {
       --i;
       continue;
     }
@@ -260,7 +260,7 @@ TEST(Journal, ChurnRunReplaysToIdenticalVerdict) {
   ASSERT_GE(ops, 500u);
 
   // Final snapshot from the live (incrementally maintained) structure.
-  const LinkTable live = dyn.link_table();
+  const LinkTable& live = dyn.link_table();
   const audit::AuditReport live_report =
       registry::audit_family("crescendo", dyn.network(), live);
   journal.audit_snapshot(dyn.size(), live_report.total_checks(),

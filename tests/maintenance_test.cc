@@ -2,9 +2,12 @@
 // incremental-equals-from-scratch invariant, message costs and leaf sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "canon/crescendo.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "maintenance/dynamic_crescendo.h"
 #include "overlay/population.h"
@@ -17,21 +20,11 @@ OverlayNode make_node(NodeId id, DomainPath path) {
   return OverlayNode{id, std::move(path), -1};
 }
 
-/// Asserts the dynamic structure's links equal a from-scratch Crescendo
-/// build over the same population.
+/// Asserts the dynamic structure's table is byte-identical (same CSR) to a
+/// from-scratch Crescendo build over the same population.
 void expect_equals_scratch(const DynamicCrescendo& dynamic) {
-  const OverlayNetwork& net = dynamic.network();
-  const LinkTable scratch = build_crescendo(net);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto want = scratch.neighbors(m);
-    const auto it = dynamic.links_by_id().find(net.id(m));
-    ASSERT_NE(it, dynamic.links_by_id().end());
-    const auto& got = it->second;
-    ASSERT_EQ(got.size(), want.size()) << "node " << net.id(m);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i], net.id(want[i]));
-    }
-  }
+  EXPECT_TRUE(dynamic.link_table() == build_crescendo(dynamic.network()))
+      << dynamic.size() << " nodes";
 }
 
 TEST(DynamicCrescendo, JoinsMatchScratchConstruction) {
@@ -84,7 +77,7 @@ TEST(DynamicCrescendo, MixedChurnMatchesScratch) {
     const bool join = alive.size() < 10 || rng.uniform(3) != 0;
     if (join) {
       const auto ids = sample_unique_ids(1, IdSpace(20), rng);
-      if (dyn.links_by_id().contains(ids[0])) continue;
+      if (dyn.contains(ids[0])) continue;
       const auto paths = generate_hierarchy(1, hier, rng);
       const OverlayNode n = make_node(ids[0], paths[0]);
       dyn.join(n);
@@ -107,11 +100,11 @@ TEST(DynamicCrescendo, RoutingWorksThroughoutChurn) {
   DynamicCrescendo dyn(IdSpace(20));
   for (int round = 0; round < 80; ++round) {
     const auto ids = sample_unique_ids(1, IdSpace(20), rng);
-    if (dyn.links_by_id().contains(ids[0])) continue;
+    if (dyn.contains(ids[0])) continue;
     const auto paths = generate_hierarchy(1, hier, rng);
     dyn.join(make_node(ids[0], paths[0]));
     if (dyn.size() >= 2 && round % 10 == 0) {
-      const LinkTable table = dyn.link_table();
+      const LinkTable& table = dyn.link_table();
       const RingRouter router(dyn.network(), table);
       for (int t = 0; t < 20; ++t) {
         const auto from =
@@ -133,7 +126,7 @@ TEST(DynamicCrescendo, JoinCostIsLogarithmic) {
   Summary messages;
   for (int i = 0; i < 400; ++i) {
     const auto ids = sample_unique_ids(1, IdSpace(28), rng);
-    if (dyn.links_by_id().contains(ids[0])) continue;
+    if (dyn.contains(ids[0])) continue;
     const auto paths = generate_hierarchy(1, hier, rng);
     const MaintenanceCost c = dyn.join(make_node(ids[0], paths[0]));
     if (dyn.size() > 100) messages.add(c.messages());
@@ -208,6 +201,186 @@ TEST(DynamicCrescendo, LeafSetsEnableSuccessorRepair) {
   ASSERT_GE(leaf_after.size(), 1u);
   // The new first successor is the old second entry.
   EXPECT_EQ(leaf_after[0], leaf_before[1]);
+}
+
+TEST(DynamicCrescendo, RejectedChangesLeaveTheStructureUnchanged) {
+  DynamicCrescendo dyn(IdSpace(8), {make_node(1, {0}), make_node(50, {1}),
+                                    make_node(100, {0})});
+  const LinkTable table_before = dyn.link_table();
+  const std::vector<NodeId> ids_before = dyn.network().ids();
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(dyn.size(), 3u);
+    EXPECT_EQ(dyn.network().ids(), ids_before);
+    EXPECT_TRUE(dyn.link_table() == table_before);
+  };
+  EXPECT_THROW(dyn.join(make_node(300, {0})), std::invalid_argument);
+  expect_unchanged();
+  EXPECT_THROW(dyn.join(make_node(50, {0})), std::invalid_argument);
+  expect_unchanged();
+  EXPECT_THROW(dyn.leave(99), std::invalid_argument);
+  expect_unchanged();
+  // Later changes still apply.
+  dyn.join(make_node(7, {1}));
+  dyn.leave(50);
+  EXPECT_EQ(dyn.network().ids(), (std::vector<NodeId>{1, 7, 100}));
+  expect_equals_scratch(dyn);
+}
+
+/// Oracle for a join's insertion-lookup hops on the pre-join network: the
+/// bootstrap is the lowest index among the nodes of maximal LCA depth with
+/// the joiner (an O(n) scan), and the route runs on a from-scratch table.
+int oracle_lookup_hops(const OverlayNetwork& net, const OverlayNode& joiner) {
+  if (net.size() == 0) return 0;
+  NodeIndex bootstrap = 0;
+  int best_lca = -1;
+  for (NodeIndex i = 0; i < net.size(); ++i) {
+    const int lca = net.path(i).lca_depth(joiner.domain.view());
+    if (lca > best_lca) {
+      best_lca = lca;
+      bootstrap = i;
+    }
+  }
+  const LinkTable scratch = build_crescendo(net);
+  return RingRouter(net, scratch).route(bootstrap, joiner.id).hops();
+}
+
+struct ChurnCase {
+  int id_bits;
+  int levels;           ///< HierarchySpec levels (1 = flat)
+  std::size_t initial;  ///< bootstrap population
+  int random_ops;       ///< random joins and leaves after the edge ops
+  bool drain;           ///< then leave down to empty and rejoin
+  std::uint64_t seed;
+};
+
+/// Seeded differential churn: two replicas, one maintained at 1 worker
+/// thread and one at 4, take the same changes. After every change both
+/// tables must equal a from-scratch build byte for byte, both costs must
+/// agree, and a join's lookup hops must match the O(n)-scan oracle. The
+/// scripted edges move the index shift to both ends of the ID order, empty
+/// the structure and open a top-level domain nobody occupies.
+TEST(DynamicCrescendo, DifferentialChurnMatchesScratchBuildAtAnyThreadCount) {
+  const ChurnCase cases[] = {
+      {16, 1, 40, 300, true, 801},  {16, 2, 60, 300, true, 802},
+      {16, 3, 50, 300, true, 803},  {16, 3, 0, 200, true, 804},
+      {64, 1, 30, 200, true, 805},  {64, 3, 80, 300, true, 806},
+      // Past one 512-node build shard, so the 4-thread replica builds in
+      // parallel.
+      {64, 3, 1100, 40, false, 807},
+  };
+  const int threads_before = parallel_threads();
+  for (const ChurnCase& c : cases) {
+    SCOPED_TRACE("id_bits " + std::to_string(c.id_bits) + ", levels " +
+                 std::to_string(c.levels) + ", seed " +
+                 std::to_string(c.seed));
+    const IdSpace space(c.id_bits);
+    Rng rng(c.seed);
+    HierarchySpec hier;
+    hier.levels = c.levels;
+    hier.fanout = 3;
+    const auto ids = sample_unique_ids(c.initial, space, rng);
+    const auto paths = generate_hierarchy(c.initial, hier, rng);
+    std::vector<OverlayNode> initial;
+    for (std::size_t i = 0; i < c.initial; ++i) {
+      initial.push_back(make_node(ids[i], paths[i]));
+    }
+    set_parallel_threads(1);
+    DynamicCrescendo serial(space, initial);
+    set_parallel_threads(4);
+    DynamicCrescendo parallel(space, initial);
+    ASSERT_TRUE(serial.link_table() == parallel.link_table());
+    expect_equals_scratch(serial);
+
+    const auto apply = [&](bool join, const OverlayNode& node) {
+      const int want_hops =
+          join ? oracle_lookup_hops(serial.network(), node) : 0;
+      set_parallel_threads(1);
+      const MaintenanceCost a =
+          join ? serial.join(node) : serial.leave(node.id);
+      set_parallel_threads(4);
+      const MaintenanceCost b =
+          join ? parallel.join(node) : parallel.leave(node.id);
+      EXPECT_EQ(a.lookup_hops, want_hops);
+      EXPECT_EQ(a.lookup_hops, b.lookup_hops);
+      EXPECT_EQ(a.nodes_updated, b.nodes_updated);
+      ASSERT_TRUE(serial.link_table() == parallel.link_table());
+      ASSERT_TRUE(serial.link_table() == build_crescendo(serial.network()))
+          << (join ? "join " : "leave ") << node.id << " at size "
+          << serial.size();
+    };
+    const auto join = [&](NodeId id, DomainPath path) {
+      ASSERT_FALSE(serial.contains(id));
+      apply(true, make_node(id, std::move(path)));
+    };
+    const auto leave_index = [&](std::size_t i) {
+      apply(false, make_node(serial.network().id(static_cast<NodeIndex>(i)),
+                             {}));
+    };
+    // A quarter of the random joiners land in the lowest and a quarter in
+    // the highest 1/64 of the space, and likewise a quarter of the random
+    // leavers sit at each end of the ID order: that is where links wrap
+    // around the ring, and where the index shift meets the wrap.
+    const auto fresh_id = [&] {
+      const NodeId edge = space.mask() >> 6;
+      NodeId id = 0;
+      do {
+        switch (rng.uniform(4)) {
+          case 0: id = rng() & edge; break;
+          case 1: id = space.mask() - (rng() & edge); break;
+          default: id = rng() & space.mask();
+        }
+      } while (serial.contains(id));
+      return id;
+    };
+    const auto random_index = [&] {
+      const std::size_t n = serial.size();
+      const std::size_t end = std::min<std::size_t>(n, 3);
+      switch (rng.uniform(4)) {
+        case 0: return static_cast<std::size_t>(rng.uniform(end));
+        case 1: return n - 1 - static_cast<std::size_t>(rng.uniform(end));
+        default: return static_cast<std::size_t>(rng.uniform(n));
+      }
+    };
+    const auto fresh_path = [&] { return generate_hierarchy(1, hier, rng)[0]; };
+
+    if (c.initial > 0) {
+      // Joiners below the smallest and above the largest ID, then leaves
+      // at index 0 and n - 1 (the joiners, then the original extremes).
+      join(0, fresh_path());
+      ASSERT_EQ(serial.network().id(0), 0u);
+      join(space.mask(), fresh_path());
+      ASSERT_EQ(serial.network().id(static_cast<NodeIndex>(serial.size() - 1)),
+                space.mask());
+      for (int twice = 0; twice < 2; ++twice) {
+        leave_index(0);
+        leave_index(serial.size() - 1);
+      }
+    }
+    if (c.levels > 1) {
+      // A top-level domain nobody occupies (the generator's branches are
+      // below the fanout), then a second member for it.
+      std::vector<std::uint16_t> branches(
+          static_cast<std::size_t>(c.levels - 1), 0);
+      branches[0] = static_cast<std::uint16_t>(hier.fanout);
+      join(fresh_id(), DomainPath(branches));
+      join(fresh_id(), DomainPath(branches));
+    }
+    for (int op = 0; op < c.random_ops; ++op) {
+      if (serial.size() < 2 || rng.uniform(2) == 0) {
+        join(fresh_id(), fresh_path());
+      } else {
+        leave_index(random_index());
+      }
+    }
+    if (c.drain) {
+      while (serial.size() > 1) leave_index(random_index());
+      leave_index(0);
+      ASSERT_EQ(serial.size(), 0u);
+      for (int i = 0; i < 3; ++i) join(fresh_id(), fresh_path());
+    }
+    EXPECT_EQ(serial.size(), parallel.size());
+  }
+  set_parallel_threads(threads_before);
 }
 
 }  // namespace

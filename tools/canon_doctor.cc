@@ -382,7 +382,7 @@ audit::AuditReport run_churn_ops(bench::BenchRun& run, DynamicCrescendo& dyn,
   const std::size_t floor_size = opt.nodes / 2 + 2;
 
   const auto snapshot = [&](std::uint64_t op) {
-    const LinkTable links = dyn.link_table();
+    const LinkTable& links = dyn.link_table();
     const audit::AuditReport report =
         registry::audit_family("crescendo", dyn.network(), links);
     if (journal) {
@@ -408,14 +408,12 @@ audit::AuditReport run_churn_ops(bench::BenchRun& run, DynamicCrescendo& dyn,
       OverlayNode node;
       do {
         node.id = rng() & space.mask();
-      } while (dyn.links_by_id().contains(node.id));
+      } while (dyn.contains(node.id));
       node.domain = generate_hierarchy(1, hier, rng)[0];
       dyn.join(node);
     } else {
-      const auto& links = dyn.links_by_id();
-      auto it = links.begin();
-      std::advance(it, static_cast<long>(rng.uniform(links.size())));
-      dyn.leave(it->first);
+      const auto victim = static_cast<NodeIndex>(rng.uniform(dyn.size()));
+      dyn.leave(dyn.network().id(victim));
     }
     if (snapshot_every > 0 && op % snapshot_every == 0 && op != ops) {
       snapshot(op);
@@ -469,7 +467,7 @@ int run_churn(bench::BenchRun& run, const DoctorOptions& opt,
   // around injected failures?
   bool success_ok = true;
   if (opt.faults.active()) {
-    const LinkTable links = dyn.link_table();
+    const LinkTable& links = dyn.link_table();
     telemetry::JsonValue row = family_row("crescendo", report);
     success_ok = run_fault_phase("crescendo", dyn.network(), links, opt,
                                  journal.get(), row);
