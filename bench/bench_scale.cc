@@ -31,15 +31,15 @@
 //   mean_hops        mean hop count over OK lookups
 //
 // Crescendo row names are "crescendo/<n>"; sizes quadruple from
-// --min-nodes to --max-nodes. A final "landmark/<routers>" row covers the
-// landmark-latency trajectory: a transit-stub topology past the 4096-router
-// exact threshold, its LandmarkLatency estimator, and a physical population
-// of --landmark-nodes hosts (0 disables the row). Per-subsystem peak bytes
-// ride in "mem/<row>/<tag>" series rows (gated in CI via
-// compare_bench.py --metric=peak_bytes) and the full ledgers plus the RSS
-// timeline land in metrics.memory. Attributed tags and bytes are
-// byte-identical at any --threads; only wall clocks and measured RSS move
-// (check_json_schema.py --threads-invariant strips exactly those).
+// --min-nodes to --max-nodes. A final "physical/<routers>" row covers a
+// transit-stub topology of 5160 routers, its latency oracle (built in
+// latency_build_s), and a physical population of --physical-nodes hosts
+// (0 disables the row). Per-subsystem peak bytes ride in
+// "mem/<row>/<tag>" series rows (gated in CI via compare_bench.py
+// --metric=peak_bytes) and the full ledgers plus the RSS timeline land in
+// metrics.memory. Attributed tags and bytes are byte-identical at any
+// --threads; only wall clocks and measured RSS move (check_json_schema.py
+// --threads-invariant strips exactly those).
 #include <chrono>
 #include <iostream>
 #include <mutex>
@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
   const std::uint64_t max_n = run.u64("max-nodes", std::uint64_t{1} << 20);
   const std::uint64_t lookups = run.u64("lookups", 100000);
   const int levels = static_cast<int>(run.u64("levels", 3));
-  const std::uint64_t landmark_nodes =
-      run.u64("landmark-nodes", std::uint64_t{1} << 16);
+  const std::uint64_t physical_nodes =
+      run.u64("physical-nodes", std::uint64_t{1} << 16);
   run.header("Mega-scale crescendo: streamed build + batch lookups",
              "construction/lookup throughput at 10^6+ nodes "
              "(32-bit hot paths, SoA metadata, streamed CSR, "
@@ -253,10 +253,9 @@ int main(int argc, char** argv) {
     telemetry::install_mem_accountant(prev);
   }
 
-  // Landmark-mode row: a transit-stub topology past the 4096-router exact
-  // threshold (the ROADMAP's uncovered trajectory), its LandmarkLatency
-  // estimator, and a crescendo build over a physical population.
-  if (landmark_nodes > 0) {
+  // Physical row: a transit-stub topology, its latency oracle, and a
+  // crescendo build over a physical population.
+  if (physical_nodes > 0) {
     telemetry::MemoryAccountant acct;
     telemetry::MemoryAccountant* prev =
         telemetry::install_mem_accountant(&acct);
@@ -275,7 +274,7 @@ int main(int argc, char** argv) {
 
     start = std::chrono::steady_clock::now();
     const auto net =
-        make_physical_population(landmark_nodes, phys, 32, rng);
+        make_physical_population(physical_nodes, phys, 32, rng);
     const double pop_s = seconds_since(start);
     timeline.sample();
     const double after_pop_mb = bench::current_rss_mb();
@@ -302,12 +301,8 @@ int main(int argc, char** argv) {
     const double attributed_mb =
         static_cast<double>(acct.current_bytes()) / (1024.0 * 1024.0);
     const int routers = phys.topology().router_count();
-    if (phys.latencies().exact()) {
-      std::cerr << "landmark row unexpectedly on the exact-matrix path\n";
-      return 1;
-    }
 
-    const std::string row_name = "landmark/" + std::to_string(routers);
+    const std::string row_name = "physical/" + std::to_string(routers);
     table.add_row({row_name, TextTable::num(pop_s, 2),
                    TextTable::num(build_s, 2),
                    TextTable::num(peak_mb, 0) + "/" +
@@ -320,12 +315,9 @@ int main(int argc, char** argv) {
     if (run.json_enabled()) {
       telemetry::JsonValue row = telemetry::JsonValue::object();
       row.set("name", telemetry::JsonValue(row_name));
-      row.set("nodes", telemetry::JsonValue(landmark_nodes));
+      row.set("nodes", telemetry::JsonValue(physical_nodes));
       row.set("routers", telemetry::JsonValue(
                              static_cast<std::int64_t>(routers)));
-      row.set("landmarks",
-              telemetry::JsonValue(static_cast<std::uint64_t>(
-                  phys.latencies().landmarks().size())));
       row.set("real_time", telemetry::JsonValue(build_s * 1e3));
       row.set("build_s", telemetry::JsonValue(build_s));
       row.set("pop_s", telemetry::JsonValue(pop_s));

@@ -187,12 +187,16 @@ class BenchRun {
     return flag_present(argc_, argv_, name);
   }
 
+  /// Exits with code 2 on any flag no accessor asked about
+  /// (reject_unknown_flags). Call it after reading every flag; header()
+  /// calls it, so only a binary that prints no header calls it itself.
+  void check_flags() const { reject_unknown_flags(argc_, argv_, known_); }
+
   /// Prints the bench header plus one line with every recorded param, so
   /// a pasted output snippet is reproducible on its own. Call it after
-  /// reading every flag: it first exits with code 2 on any flag no
-  /// accessor asked about (reject_unknown_flags).
+  /// reading every flag: it first runs check_flags().
   void header(const char* title, const char* paper_ref) const {
-    reject_unknown_flags(argc_, argv_, known_);
+    check_flags();
     std::printf("== %s ==\n", title);
     std::printf("   reproduces: %s\n", paper_ref);
     std::printf("  ");

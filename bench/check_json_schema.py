@@ -59,8 +59,9 @@ Modes:
     Runs the mega-scale bench with small parameters and asserts the
     per-row schema (name, build wall clock, peak + current RSS, link
     count, lookup throughput, mean hops), that the build.peak_rss_mb
-    gauge is recorded, that the landmark-mode row crossed the exact
-    threshold (> 4096 routers), and that every row routed its full
+    gauge is recorded, that the physical row ran on the 5160-router
+    topology with its latency oracle in the ledger
+    (topology.latency_matrix), and that every row routed its full
     lookup batch without failures. Each row reports both peak_rss_mb
     (process high-water) and current_rss_mb (point-in-time), so rows
     are self-describing in any read order.
@@ -471,7 +472,7 @@ def check_scale(binary):
         out = os.path.join(tmp, "report.json")
         subprocess.run(
             [binary, "--min-nodes=4096", "--max-nodes=16384",
-             "--lookups=2000", "--landmark-nodes=8192", f"--json={out}"],
+             "--lookups=2000", "--physical-nodes=8192", f"--json={out}"],
             check=True, stdout=subprocess.DEVNULL)
         with open(out) as f:
             doc = json.load(f)
@@ -482,7 +483,7 @@ def check_scale(binary):
     rows = [r for r in doc["series"] if not r["name"].startswith("mem/")]
     names = [r["name"] for r in rows]
     assert names[:2] == ["crescendo/4096", "crescendo/16384"], names
-    assert len(rows) == 3 and names[2].startswith("landmark/"), names
+    assert len(rows) == 3 and names[2].startswith("physical/"), names
     for row in rows:
         for key in ("name", "nodes", "real_time", "build_s", "pop_s",
                     "peak_rss_mb", "current_rss_mb", "links", "lookups",
@@ -503,11 +504,12 @@ def check_scale(binary):
         assert row["peak_rss_mb"] >= row["current_rss_mb"] * 0.5 > 0, row
     for row in rows[:2]:
         assert row["name"] == f"crescendo/{row['nodes']}", row["name"]
-    landmark = rows[2]
-    assert landmark["routers"] > 4096, (
-        f"landmark row must exceed the exact threshold: {landmark}")
-    assert landmark["landmarks"] > 0, landmark
-    assert landmark["latency_build_s"] >= 0, landmark
+    physical = rows[2]
+    assert physical["routers"] == 5160, physical
+    assert "topology.latency_matrix" in (
+        doc["metrics"]["memory"][physical["name"]]["tags"]), (
+        f"{physical['name']}: latency oracle missing from the ledger")
+    assert physical["latency_build_s"] >= 0, physical
     counters = doc["metrics"]["counters"]
     # Each of the 3 rows runs its 2000-lookup workload twice: once through
     # the scalar probe loop, once through the batch kernel.
@@ -515,8 +517,8 @@ def check_scale(binary):
     assert counters["query_engine.failures"] == 0
 
 
-# Subsystem tags every bench_scale row's ledger must carry (the landmark
-# row adds "topology.landmark" on top).
+# Subsystem tags every bench_scale row's ledger must carry (the physical
+# row adds its latency oracle, "topology.latency_matrix", on top).
 EXPECTED_SCALE_TAGS = {"overlay.soa", "hierarchy.path_pool",
                        "hierarchy.domain_tree", "link_table.csr",
                        "overlay.stream_chunks"}
@@ -545,7 +547,7 @@ def check_resources(binary):
         out = os.path.join(tmp, "report.json")
         subprocess.run(
             [binary, "--min-nodes=4096", "--max-nodes=4096",
-             "--lookups=1000", "--landmark-nodes=8192", f"--json={out}"],
+             "--lookups=1000", "--physical-nodes=8192", f"--json={out}"],
             check=True, stdout=subprocess.DEVNULL)
         with open(out) as f:
             doc = json.load(f)
@@ -561,8 +563,8 @@ def check_resources(binary):
         ledger = memory[name]
         check_memory_ledger(ledger, name)
         expected = set(EXPECTED_SCALE_TAGS)
-        if name.startswith("landmark/"):
-            expected.add("topology.landmark")
+        if name.startswith("physical/"):
+            expected.add("topology.latency_matrix")
         assert expected <= set(ledger["tags"]), (
             f"{name}: tags {set(ledger['tags'])} missing "
             f"{expected - set(ledger['tags'])}")

@@ -21,4 +21,8 @@ expect_rejected("${FIG5}" --min-node=64 --min-node
   --min-nodes=64 --max-nodes=64 --trials=10)
 expect_rejected("${DOCTOR}" --all=maybe --all --nodes=64)
 expect_rejected("${SCALE}" --shard-nodes=8192 --shard-nodes
-  --min-nodes=1024 --max-nodes=1024 --lookups=100 --landmark-nodes=0)
+  --min-nodes=1024 --max-nodes=1024 --lookups=100 --physical-nodes=0)
+expect_rejected("${SCALE}" --landmark-nodes=0 --landmark-nodes
+  --min-nodes=1024 --max-nodes=1024 --lookups=100 --physical-nodes=0)
+expect_rejected("${CHURN}" --nodez=64 --nodez --nodes=64 --pairs=10)
+expect_rejected("${SOAK}" --lookup=100 --lookup --nodes=256 --lookups=100)

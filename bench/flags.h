@@ -6,7 +6,7 @@
 // flag_bool treats as true). A numeric or boolean flag whose value does
 // not parse stops the program with exit code 2 and an error naming the
 // flag and the value. reject_unknown_flags() does the same for an
-// argument no accessor asked about (BenchRun::header calls it).
+// argument no accessor asked about (BenchRun::check_flags calls it).
 #ifndef CANON_BENCH_FLAGS_H
 #define CANON_BENCH_FLAGS_H
 

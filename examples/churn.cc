@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const std::uint64_t pairs = run.u64("pairs", 200);
   const std::uint64_t snapshot_every = run.u64("snapshot-every", 100);
   const std::string journal_path = run.str("journal", "");
+  run.check_flags();
 
   // Collect maintenance metrics for the whole run. The registry must be
   // installed before DynamicCrescendo is constructed so its instruments

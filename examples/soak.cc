@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const std::uint64_t lookup_count = run.u64("lookups", 20000);
   const std::string journal_path = run.str("journal", "");
   const std::string trace_path = run.str("trace", "");
+  run.check_flags();
 
   // The resource observatory rides along on every soak: subsystem byte
   // ledger + construction-phase spans (printed at the end; exported when

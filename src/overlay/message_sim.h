@@ -12,7 +12,7 @@
 //   Stepper (overlay/stepper.h). Each round it keeps up to α REQUEST
 //   probes outstanding against the best unresolved candidates.
 // * A REQUEST pays link latency (the HopCost callback, e.g. a transit-stub
-//   LandmarkLatency table; default_hop_ms otherwise), lands in the target's
+//   LatencyOracle lookup; default_hop_ms otherwise), lands in the target's
 //   bounded inbox (overflow ⇒ the message is dropped), waits for the node
 //   to drain ahead-of-it work, pays service_ms, and sends a RESPONSE
 //   carrying the step verdict back over the same link.

@@ -63,28 +63,4 @@ double RecordingTraceSink::mean_queue_ms() const {
   return n ? sum / static_cast<double>(n) : 0;
 }
 
-std::uint64_t LevelHopCounter::begin_lookup(std::uint32_t, std::uint64_t) {
-  return lookups_++;
-}
-
-void LevelHopCounter::on_hop(const HopRecord& hop) {
-  ++total_hops_;
-  if (hop.level < 0) return;
-  if (static_cast<std::size_t>(hop.level) >= by_level_.size()) {
-    by_level_.resize(static_cast<std::size_t>(hop.level) + 1, 0);
-  }
-  ++by_level_[static_cast<std::size_t>(hop.level)];
-}
-
-void LevelHopCounter::end_lookup(std::uint64_t, bool ok, std::uint32_t) {
-  if (!ok) ++failures_;
-}
-
-void LevelHopCounter::clear() {
-  lookups_ = 0;
-  failures_ = 0;
-  total_hops_ = 0;
-  by_level_.clear();
-}
-
 }  // namespace canon::telemetry

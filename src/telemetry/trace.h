@@ -87,31 +87,6 @@ class RecordingTraceSink : public RouteTraceSink {
   std::vector<LookupTrace> lookups_;
 };
 
-/// Counting-only sink for cheap aggregate breakdowns over many lookups
-/// (no per-hop storage): per-level hop counts plus lookup/hop/failure
-/// totals.
-class LevelHopCounter : public RouteTraceSink {
- public:
-  std::uint64_t begin_lookup(std::uint32_t from, std::uint64_t key) override;
-  void on_hop(const HopRecord& hop) override;
-  void end_lookup(std::uint64_t lookup, bool ok,
-                  std::uint32_t terminal) override;
-
-  std::uint64_t lookups() const { return lookups_; }
-  std::uint64_t failures() const { return failures_; }
-  std::uint64_t total_hops() const { return total_hops_; }
-  const std::vector<std::uint64_t>& hops_by_level() const {
-    return by_level_;
-  }
-  void clear();
-
- private:
-  std::uint64_t lookups_ = 0;
-  std::uint64_t failures_ = 0;
-  std::uint64_t total_hops_ = 0;
-  std::vector<std::uint64_t> by_level_;
-};
-
 }  // namespace canon::telemetry
 
 #endif  // CANON_TELEMETRY_TRACE_H

@@ -10,22 +10,20 @@
 #include "common/rng.h"
 #include "overlay/metrics.h"
 #include "overlay/overlay_network.h"
-#include "topology/landmark_latency.h"
+#include "topology/latency_oracle.h"
 #include "topology/transit_stub.h"
 
 namespace canon {
 
-/// A generated router graph plus its latency oracle — the exact all-pairs
-/// matrix at default scale, landmark triangulation past the threshold
-/// (see landmark_latency.h).
+/// A generated router graph plus its exact latency oracle (see
+/// latency_oracle.h), at any router count.
 class PhysicalNetwork {
  public:
-  PhysicalNetwork(const TransitStubConfig& config, Rng& rng,
-                  LandmarkLatencyConfig latency_config = {})
-      : topo_(config, rng), latency_(topo_, latency_config) {}
+  PhysicalNetwork(const TransitStubConfig& config, Rng& rng)
+      : topo_(config, rng), latency_(topo_) {}
 
   const TransitStubTopology& topology() const { return topo_; }
-  const LandmarkLatency& latencies() const { return latency_; }
+  const LatencyOracle& latencies() const { return latency_; }
 
   /// Latency between hosts attached to stub routers `ra` and `rb`:
   /// 1 ms up + router path + 1 ms down (2 ms between hosts on one stub).
@@ -40,7 +38,7 @@ class PhysicalNetwork {
 
  private:
   TransitStubTopology topo_;
-  LandmarkLatency latency_;
+  LatencyOracle latency_;
 };
 
 /// Builds an overlay population of `count` hosts attached uniformly

@@ -6,11 +6,11 @@
 // at --threads=1 (the exact pre-parallel serial code path) and a build at
 // any other thread count are byte-identical. These tests pin that promise
 // for every link-builder family across 3 seeds x 2 hierarchy shapes on a
-// population spanning several build shards, for the LatencyMatrix, and
-// for parallel_for itself (coverage, empty ranges, grain > n, exception
-// propagation). The same families and shapes also pin a digest of every
-// table on a smaller population, so a builder that changes a table or its
-// RNG draw order fails by name.
+// population spanning several build shards, and for parallel_for itself
+// (coverage, empty ranges, grain > n, exception propagation). The same
+// families and shapes also pin a digest of every table on a smaller
+// population, so a builder that changes a table or its RNG draw order
+// fails by name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,8 +39,6 @@
 #include "dht/symphony.h"
 #include "overlay/link_table.h"
 #include "overlay/population.h"
-#include "topology/latency_matrix.h"
-#include "topology/transit_stub.h"
 
 namespace canon {
 namespace {
@@ -433,30 +431,6 @@ TEST(ParallelDeterminism, RepeatedParallelBuildsAreIdentical) {
     const LinkTable a = fam.build(net, 42);
     const LinkTable b = fam.build(net, 42);
     EXPECT_TRUE(a == b) << fam.name << " is not stable across runs";
-  }
-}
-
-TEST(ParallelDeterminism, LatencyMatrixSerialEqualsParallel) {
-  ThreadGuard guard;
-  TransitStubConfig cfg;
-  cfg.transit_domains = 4;
-  cfg.transit_per_domain = 2;
-  cfg.stub_domains_per_transit = 2;
-  cfg.stubs_per_domain = 5;
-  for (const std::uint64_t seed : kSeeds) {
-    Rng rng(seed);
-    const TransitStubTopology topo(cfg, rng);
-    set_parallel_threads(1);
-    const LatencyMatrix serial(topo);
-    set_parallel_threads(kParallelThreads);
-    const LatencyMatrix parallel(topo);
-    ASSERT_EQ(serial.router_count(), parallel.router_count());
-    for (int a = 0; a < serial.router_count(); ++a) {
-      for (int b = 0; b < serial.router_count(); ++b) {
-        ASSERT_EQ(serial.latency(a, b), parallel.latency(a, b))
-            << "row " << a << " col " << b << " seed " << seed;
-      }
-    }
   }
 }
 

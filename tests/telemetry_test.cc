@@ -334,24 +334,6 @@ TEST(RouteTrace, RecordedPathMatchesRoute) {
   EXPECT_EQ(sink.lookups().size(), 1u);
 }
 
-TEST(RouteTrace, LevelHopCounterMatchesRecordingSink) {
-  const auto net = small_hierarchy();
-  const auto links = build_crescendo(net);
-  RingRouter router(net, links);
-  telemetry::RecordingTraceSink recording;
-  telemetry::LevelHopCounter counter;
-
-  router.set_trace(&recording);
-  for (NodeId key = 0; key < 256; key += 11) router.route(1, key);
-  router.set_trace(&counter);
-  for (NodeId key = 0; key < 256; key += 11) router.route(1, key);
-
-  EXPECT_EQ(counter.total_hops(), recording.total_hops());
-  EXPECT_EQ(counter.hops_by_level(), recording.hops_by_level());
-  EXPECT_EQ(counter.lookups(), recording.lookups().size());
-  EXPECT_EQ(counter.failures(), 0u);
-}
-
 TEST(RouteTrace, EventSimulatorReportsQueueingDelay) {
   // The discrete-event message simulator at α=1: every traced hop carries
   // the request leg's latency and its wait in the target's inbox.

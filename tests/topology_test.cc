@@ -1,8 +1,18 @@
-// Tests for the transit-stub topology, latency matrix, host attachment and
-// induced hierarchy.
+// Tests for the transit-stub topology, the latency oracle (against a plain
+// Dijkstra over the whole router graph), host attachment and the induced
+// hierarchy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "telemetry/mem_stats.h"
 #include "topology/physical_network.h"
 
 namespace canon {
@@ -67,10 +77,10 @@ TEST(TransitStub, HierarchyPathHasFourComponents) {
   EXPECT_THROW(topo.host_hierarchy_path(0), std::invalid_argument);
 }
 
-TEST(LatencyMatrix, SymmetricZeroDiagonalConnected) {
+TEST(LatencyOracle, SymmetricZeroDiagonalConnected) {
   Rng rng(405);
   const TransitStubTopology topo(small_config(), rng);
-  const LatencyMatrix m(topo);
+  const LatencyOracle m(topo);
   for (int a = 0; a < topo.router_count(); a += 7) {
     EXPECT_DOUBLE_EQ(m.latency(a, a), 0.0);
     for (int b = 0; b < topo.router_count(); b += 5) {
@@ -82,10 +92,10 @@ TEST(LatencyMatrix, SymmetricZeroDiagonalConnected) {
   }
 }
 
-TEST(LatencyMatrix, IntraStubDomainIsCheap) {
+TEST(LatencyOracle, IntraStubDomainIsCheap) {
   Rng rng(406);
   const TransitStubTopology topo(small_config(), rng);
-  const LatencyMatrix m(topo);
+  const LatencyOracle m(topo);
   // Two stub routers in the same stub domain: only 5 ms links between them.
   const auto& stubs = topo.stub_routers();
   for (std::size_t i = 0; i + 1 < stubs.size(); ++i) {
@@ -98,10 +108,10 @@ TEST(LatencyMatrix, IntraStubDomainIsCheap) {
   }
 }
 
-TEST(LatencyMatrix, CrossDomainIsExpensive) {
+TEST(LatencyOracle, CrossDomainIsExpensive) {
   Rng rng(407);
   const TransitStubTopology topo(small_config(), rng);
-  const LatencyMatrix m(topo);
+  const LatencyOracle m(topo);
   // Stub routers under different transit domains must cross two 20 ms
   // gateways and at least one 100 ms transit link.
   const auto& stubs = topo.stub_routers();
@@ -118,79 +128,171 @@ TEST(LatencyMatrix, CrossDomainIsExpensive) {
   EXPECT_GT(checked, 0);
 }
 
-TEST(LandmarkLatency, ExactModeMatchesMatrixBitForBit) {
-  Rng rng(412);
-  const TransitStubTopology topo(small_config(), rng);
-  // 54 routers is far below the default 4096 threshold: the estimator
-  // must route every query through the exact matrix.
-  const LandmarkLatency est(topo);
-  ASSERT_TRUE(est.exact());
-  const LatencyMatrix m(topo);
-  for (int a = 0; a < topo.router_count(); ++a) {
-    for (int b = 0; b < topo.router_count(); ++b) {
-      EXPECT_EQ(est.latency(a, b), m.latency(a, b));
+/// The reference: plain single-source Dijkstra from `src` over the whole
+/// router graph, blind to the transit-stub structure the oracle exploits.
+void single_source_latencies(const TransitStubTopology& topo, int src,
+                             std::vector<double>& dist) {
+  const std::size_t n = static_cast<std::size_t>(topo.router_count());
+  dist.assign(n, std::numeric_limits<double>::infinity());
+  dist[static_cast<std::size_t>(src)] = 0;
+  using Item = std::pair<double, int>;  // (distance, router)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+  queue.emplace(0.0, src);
+  while (!queue.empty()) {
+    const auto [d, u] = queue.top();
+    queue.pop();
+    if (d > dist[static_cast<std::size_t>(u)]) continue;
+    for (const auto& e : topo.edges(u)) {
+      const double nd = d + e.ms;
+      if (nd < dist[static_cast<std::size_t>(e.to)]) {
+        dist[static_cast<std::size_t>(e.to)] = nd;
+        queue.emplace(nd, e.to);
+      }
     }
   }
 }
 
-TEST(LandmarkLatency, EstimatesNeverUnderestimateAndBoundError) {
-  Rng rng(413);
-  const TransitStubTopology topo(small_config(), rng);
-  // Force landmark mode on a graph small enough to also hold the exact
-  // matrix for comparison.
-  LandmarkLatencyConfig cfg;
-  cfg.exact_threshold = 0;
-  cfg.stub_stride = 8;
-  const LandmarkLatency est(topo, cfg);
-  ASSERT_FALSE(est.exact());
-  EXPECT_GT(est.landmarks().size(), 0u);
-  const LatencyMatrix m(topo);
-  double rel_sum = 0;
-  int pairs = 0;
-  int exact_pairs = 0;
-  for (int a = 0; a < topo.router_count(); ++a) {
+/// Pairs compared, by the oracle branch that answers them.
+struct PairClasses {
+  std::uint64_t transit_transit = 0;
+  std::uint64_t stub_transit = 0;
+  std::uint64_t same_stub_domain = 0;
+  std::uint64_t cross_stub_domain = 0;
+};
+
+/// Expects the oracle's latency from each of `sources` to every router to
+/// equal the reference Dijkstra's double bit for bit, counting the pairs
+/// compared into `seen`.
+void expect_matches_dijkstra(const TransitStubTopology& topo,
+                             const std::vector<int>& sources,
+                             PairClasses& seen) {
+  const LatencyOracle oracle(topo);
+  EXPECT_EQ(oracle.router_count(), topo.router_count());
+  std::vector<double> dist;
+  for (const int a : sources) {
+    single_source_latencies(topo, a, dist);
+    const RouterInfo& ra = topo.router(a);
     for (int b = 0; b < topo.router_count(); ++b) {
-      const double exact = m.latency(a, b);
-      const double approx = est.latency(a, b);
-      // Triangle inequality: a landmark estimate can never come in below
-      // the true shortest path (float rounding aside).
-      EXPECT_GE(approx, exact - 1e-3);
-      if (a != b) {
-        rel_sum += (approx - exact) / exact;
-        ++pairs;
-        exact_pairs += approx <= exact + 1e-3;
+      EXPECT_EQ(oracle.latency(a, b), dist[static_cast<std::size_t>(b)])
+          << "routers " << a << " -> " << b;
+      const RouterInfo& rb = topo.router(b);
+      if (ra.is_transit && rb.is_transit) {
+        ++seen.transit_transit;
+      } else if (ra.is_transit || rb.is_transit) {
+        ++seen.stub_transit;
+      } else if (ra.transit_domain == rb.transit_domain &&
+                 ra.transit_index == rb.transit_index &&
+                 ra.stub_domain == rb.stub_domain) {
+        ++seen.same_stub_domain;
+      } else {
+        ++seen.cross_stub_domain;
       }
     }
+    if (::testing::Test::HasFailure()) break;  // one bad row says enough
   }
-  // Inter-stub-domain pairs are exact (the shortest path crosses a
-  // transit landmark); only intra-domain pairs are overestimated. On this
-  // toy graph (4-router stub domains) those pairs are ~6% of the total —
-  // a far larger share than at paper scale or beyond, where the mean
-  // relative error shrinks toward zero.
-  EXPECT_GT(exact_pairs, pairs * 9 / 10);
-  EXPECT_LT(rel_sum / pairs, 0.25);
 }
 
-TEST(LandmarkLatency, InterDomainEstimatesAreExact) {
-  Rng rng(414);
-  const TransitStubTopology topo(small_config(), rng);
-  LandmarkLatencyConfig cfg;
-  cfg.exact_threshold = 0;
-  const LandmarkLatency est(topo, cfg);
-  const LatencyMatrix m(topo);
-  const auto& stubs = topo.stub_routers();
-  int checked = 0;
-  for (std::size_t i = 0; i < stubs.size(); ++i) {
-    for (std::size_t j = i + 1; j < stubs.size(); ++j) {
-      if (topo.router(stubs[i]).transit_domain !=
-          topo.router(stubs[j]).transit_domain) {
-        EXPECT_NEAR(est.latency(stubs[i], stubs[j]),
-                    m.latency(stubs[i], stubs[j]), 1e-3);
-        ++checked;
-      }
-    }
+std::vector<int> all_routers(const TransitStubTopology& topo) {
+  std::vector<int> routers(static_cast<std::size_t>(topo.router_count()));
+  for (int r = 0; r < topo.router_count(); ++r) {
+    routers[static_cast<std::size_t>(r)] = r;
   }
-  EXPECT_GT(checked, 0);
+  return routers;
+}
+
+TEST(LatencyOracle, MatchesDijkstraOnThePaperTopology) {
+  // The default 2040-router config, every pair, at two seeds.
+  for (const std::uint64_t seed : {42u, 7u}) {
+    Rng rng(seed);
+    const TransitStubTopology topo(TransitStubConfig{}, rng);
+    PairClasses seen;
+    expect_matches_dijkstra(topo, all_routers(topo), seen);
+    EXPECT_EQ(seen.transit_transit, 40u * 40u) << "seed " << seed;
+  }
+}
+
+/// A random transit-stub config with whole-ms edge weights. The first four
+/// draws force the corner shapes: one transit domain, one transit router
+/// per domain, no stub domains, and one-router stub domains.
+TransitStubConfig random_whole_ms_config(Rng& rng, int draw) {
+  TransitStubConfig cfg;
+  cfg.transit_domains = 1 + static_cast<int>(rng.uniform(6));
+  cfg.transit_per_domain = 1 + static_cast<int>(rng.uniform(5));
+  cfg.stub_domains_per_transit = static_cast<int>(rng.uniform(6));
+  cfg.stubs_per_domain = 1 + static_cast<int>(rng.uniform(16));
+  cfg.transit_transit_ms = static_cast<double>(1 + rng.uniform(200));
+  cfg.transit_stub_ms = static_cast<double>(1 + rng.uniform(50));
+  cfg.stub_stub_ms = static_cast<double>(1 + rng.uniform(20));
+  cfg.extra_domain_edges = static_cast<int>(rng.uniform(10));
+  cfg.extra_edge_fraction = 0.25 * static_cast<double>(rng.uniform(5));
+  switch (draw) {
+    case 0: cfg.transit_domains = 1; break;
+    case 1: cfg.transit_per_domain = 1; break;
+    case 2: cfg.stub_domains_per_transit = 0; break;
+    case 3: cfg.stubs_per_domain = 1; break;
+    default: break;
+  }
+  return cfg;
+}
+
+TEST(LatencyOracle, MatchesDijkstraOnRandomWholeMsConfigs) {
+  Rng rng(2004);
+  PairClasses seen;
+  for (int draw = 0; draw < 16; ++draw) {
+    const TransitStubConfig cfg = random_whole_ms_config(rng, draw);
+    const TransitStubTopology topo(cfg, rng);
+    SCOPED_TRACE(testing::Message()
+                 << "draw " << draw << ": " << cfg.transit_domains << "x"
+                 << cfg.transit_per_domain << " transit, "
+                 << cfg.stub_domains_per_transit << "x"
+                 << cfg.stubs_per_domain << " stub");
+    expect_matches_dijkstra(topo, all_routers(topo), seen);
+  }
+  // Every branch of the oracle answered some of the pairs.
+  EXPECT_GT(seen.transit_transit, 0u);
+  EXPECT_GT(seen.stub_transit, 0u);
+  EXPECT_GT(seen.same_stub_domain, 0u);
+  EXPECT_GT(seen.cross_stub_domain, 0u);
+}
+
+TEST(LatencyOracle, MatchesDijkstraPast4096Routers) {
+  // bench_scale's physical row: 40 transit + 40 * 8 * 16 stub routers.
+  TransitStubConfig cfg;
+  cfg.stub_domains_per_transit = 8;
+  cfg.stubs_per_domain = 16;
+  Rng rng(42);
+  const TransitStubTopology topo(cfg, rng);
+  ASSERT_EQ(topo.router_count(), 5160);
+  // Every destination from every transit router plus a seeded sample.
+  std::vector<int> sources;
+  for (int r = 0; r < topo.router_count(); ++r) {
+    if (topo.router(r).is_transit) sources.push_back(r);
+  }
+  for (int i = 0; i < 64; ++i) {
+    sources.push_back(static_cast<int>(
+        rng.uniform(static_cast<std::uint64_t>(topo.router_count()))));
+  }
+  PairClasses seen;
+  expect_matches_dijkstra(topo, sources, seen);
+  EXPECT_GT(seen.same_stub_domain, 0u);
+  EXPECT_GT(seen.cross_stub_domain, 0u);
+}
+
+TEST(LatencyOracle, LedgerHoldsTablesFarSmallerThanAMatrix) {
+  telemetry::MemoryAccountant acct;
+  telemetry::MemoryAccountant* prev = telemetry::install_mem_accountant(&acct);
+  std::uint64_t bytes = 0;
+  {
+    Rng rng(42);
+    const LatencyOracle oracle(TransitStubTopology(TransitStubConfig{}, rng));
+    const auto it = acct.tags().find("topology.latency_matrix");
+    if (it != acct.tags().end()) bytes = it->second.current;
+  }
+  telemetry::install_mem_accountant(prev);
+  // 40^2 + 200 * 10^2 float entries plus one record per router, against
+  // the 2040^2 floats (16.6 MB) of an all-pairs matrix.
+  EXPECT_GE(bytes, (40u * 40u + 200u * 10u * 10u) * sizeof(float));
+  EXPECT_LE(bytes, 400000u);
 }
 
 TEST(PhysicalNetwork, HostLatencyAddsLastMile) {
