@@ -18,11 +18,15 @@
 //   * The LoadAccountant rides along on every row: hierarchical
 //     Crescendo keeps its intra-domain lookups confined (§5) even while
 //     collapsing under the flash crowd; flat Chord never confines.
+//   * So does the simulator's own profile: events handled per kind and
+//     the event queue's high-water mark. Each run() is timed into the
+//     message_sim.run_ms histogram, so events/s and messages/s follow.
 //
-// The simulator is serial and drains its event heap in (time, seq) order,
-// so every row — percentiles, timeout counts, confinement, the congestion
-// time series — is byte-identical at any --threads
-// (ctest bench_query_determinism_congestion).
+// The simulator is serial and its stable monotone event queue pops events
+// in time order, ties in the order they were scheduled, so every row —
+// percentiles, timeout counts, confinement, the profile, the congestion
+// time series — is byte-identical at any --threads (ctest
+// bench_query_determinism_congestion); only the run_ms histogram moves.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -32,6 +36,7 @@
 #include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "telemetry/load_stats.h"
+#include "telemetry/scoped_timer.h"
 #include "telemetry/timeseries.h"
 #include "topology/physical_network.h"
 
@@ -104,7 +109,10 @@ int main(int argc, char** argv) {
             sim.submit(queries[i].from, queries[i].key,
                        gap_ms * static_cast<double>(i));
           }
-          sim.run();
+          {
+            telemetry::ScopedTimer timer("message_sim.run_ms");
+            sim.run();
+          }
 
           const auto& results = sim.lookups();
           const double p50 = lookup_latency_percentile(results, 0.50);
@@ -160,6 +168,15 @@ int main(int argc, char** argv) {
           row.set("max_queue_depth",
                   telemetry::JsonValue(
                       static_cast<std::uint64_t>(max_queue)));
+          row.set("start_events", telemetry::JsonValue(totals.start_events));
+          row.set("arrive_events",
+                  telemetry::JsonValue(totals.arrive_events));
+          row.set("response_events",
+                  telemetry::JsonValue(totals.response_events));
+          row.set("timeout_events",
+                  telemetry::JsonValue(totals.timeout_events));
+          row.set("queue_high_water",
+                  telemetry::JsonValue(totals.queue_high_water));
           row.set("confinement",
                   telemetry::JsonValue(accountant.confinement_ratio()));
           row.set("load_stats", accountant.to_json());

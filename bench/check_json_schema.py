@@ -53,7 +53,11 @@ Modes:
     show the knee (zero timeouts below saturation, a large super-linear
     jump past it, p99 rising with it), hierarchical rows keep the §5
     confinement ratio >= 0.95 under the flash crowd while flat rows stay
-    < 0.2, and the collapse rows carry the congestion time series.
+    < 0.2, and the collapse rows carry the congestion time series. Each
+    row's simulator profile must add up: one start event per lookup, one
+    timeout event per attempt sent, arrivals <= sent, responses <=
+    serviced, and a queue high-water mark covering every lookup (all are
+    submitted before run()); every run() is timed in message_sim.run_ms.
 
   check_json_schema.py --scale <bench_scale_binary>
     Runs the mega-scale bench with small parameters and asserts the
@@ -380,7 +384,9 @@ CONGESTION_ROW_FIELDS = ("name", "family", "workload", "alpha", "load",
                          "gap_ms", "p50_ms", "p99_ms", "p999_ms",
                          "mean_hops", "sent", "serviced", "timeouts",
                          "retries", "link_drops", "inbox_drops", "failures",
-                         "max_queue_depth", "confinement", "load_stats")
+                         "max_queue_depth", "confinement", "load_stats",
+                         "start_events", "arrive_events", "response_events",
+                         "timeout_events", "queue_high_water")
 
 
 def check_congestion(binary):
@@ -395,6 +401,10 @@ def check_congestion(binary):
     rows = doc["series"]
     # 2 families x {uniform, zipf} x alpha {1,2,4} x 4 load points.
     assert len(rows) == 48, f"expected 48 rows, got {len(rows)}"
+    run_ms = doc["metrics"]["histograms"].get("message_sim.run_ms")
+    assert run_ms and run_ms["count"] == len(rows), (
+        f"expected one message_sim.run_ms sample per row, got {run_ms}")
+    lookups = doc["params"]["lookups"]
     assert len({r["name"] for r in rows}) == len(rows), "duplicate row names"
     sweeps = {}  # (family, workload, alpha) -> [(load, row)]
     for row in rows:
@@ -406,6 +416,14 @@ def check_congestion(binary):
         # local injection at its source (no wire message).
         assert row["serviced"] <= row["sent"] + row["load_stats"]["queries"], row
         assert row["retries"] <= row["timeouts"], row
+        # The simulator profile: every lookup starts once, every attempt
+        # arms one timeout, an attempt lands at most once, and only a
+        # serviced request answers.
+        assert row["start_events"] == lookups, row["name"]
+        assert row["timeout_events"] == row["sent"], row["name"]
+        assert row["arrive_events"] <= row["sent"], row["name"]
+        assert row["response_events"] <= row["serviced"], row["name"]
+        assert row["queue_high_water"] >= lookups, row["name"]
         # retry_budget resends keep lookups alive through the collapse.
         assert row["failures"] <= 0.01 * row["load_stats"]["queries"], row
         # The ledger rides along on every row (same invariants as the

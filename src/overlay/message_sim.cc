@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -40,13 +41,24 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
     throw std::invalid_argument(
         "MessageSimulator: inbox_capacity must be >= 1");
   }
-  if (config_.service_ms <= 0 || config_.timeout_ms <= 0) {
+  // Negated comparisons, so a NaN fails them: it would put NaN event
+  // times in the queue.
+  if (!(config_.service_ms > 0) || !(config_.timeout_ms > 0)) {
     throw std::invalid_argument(
         "MessageSimulator: service_ms and timeout_ms must be > 0");
   }
-  if (config_.backoff < 1.0 || config_.retry_budget < 1) {
+  if (!(config_.backoff >= 1.0) || config_.retry_budget < 1) {
     throw std::invalid_argument(
         "MessageSimulator: backoff must be >= 1 and retry_budget >= 1");
+  }
+  if (config_.retry_budget >
+      std::numeric_limits<decltype(Event::attempt)>::max() + 1) {
+    throw std::invalid_argument(
+        "MessageSimulator: retry_budget must fit the 16-bit attempt stamp");
+  }
+  if (!std::isfinite(config_.default_hop_ms) || config_.default_hop_ms < 0) {
+    throw std::invalid_argument(
+        "MessageSimulator: default_hop_ms must be finite and >= 0");
   }
 }
 
@@ -91,6 +103,10 @@ int MessageSimulator::submit(std::uint32_t from, NodeId key, double at_ms) {
   if (from >= net_->size()) {
     throw std::out_of_range("MessageSimulator::submit: bad node");
   }
+  if (!std::isfinite(at_ms) || at_ms < now_) {
+    throw std::invalid_argument(
+        "MessageSimulator::submit: at_ms must be finite and >= now_ms()");
+  }
   LookupResult result;
   result.from = from;
   result.key = key;
@@ -104,25 +120,30 @@ int MessageSimulator::submit(std::uint32_t from, NodeId key, double at_ms) {
   trace_ids_.push_back(
       sinks_.trace ? sinks_.trace->begin_lookup(from, key) : kUntraced);
   if (sinks_.timeseries) sinks_.timeseries->lookup_issued(at_ms);
-  push_event(at_ms, Kind::kStart, id, -1);
+  push_event(at_ms, Kind::kStart, id);
   return id;
 }
 
-void MessageSimulator::push_event(double at_ms, Kind kind,
-                                  std::int32_t lookup, std::int32_t probe,
+void MessageSimulator::push_event(double at_ms, Kind kind, std::int32_t index,
                                   std::int32_t attempt) {
   Event ev;
-  ev.at_ms = at_ms;
-  ev.seq = next_seq_++;
-  ev.lookup = lookup;
-  ev.probe = probe;
-  ev.attempt = attempt;
+  ev.key = time_key(at_ms);
+  ev.index = index;
+  ev.attempt = static_cast<std::uint16_t>(attempt);
   ev.kind = kind;
   queue_.push(ev);
+  totals_.queue_high_water =
+      std::max<std::uint64_t>(totals_.queue_high_water, queue_.size());
 }
 
 double MessageSimulator::link_ms(NodeIndex a, NodeIndex b) const {
-  return latency_ ? latency_(a, b) : config_.default_hop_ms;
+  if (!latency_) return config_.default_hop_ms;
+  const double ms = latency_(a, b);
+  if (!(ms >= 0)) {
+    throw std::invalid_argument(
+        "MessageSimulator: HopCost returned a negative or NaN latency");
+  }
+  return ms;
 }
 
 void MessageSimulator::apply_faults_until(double now) {
@@ -256,7 +277,7 @@ void MessageSimulator::send_probe(std::int32_t probe_id, double now) {
     ++totals_.link_drops;
   } else {
     push_event(now + link_ms(probe.sent_from, probe.target), Kind::kArrive,
-               probe.lookup, probe_id, probe.attempt);
+               probe_id, probe.attempt);
   }
   // The response-leg verdict rides in the probe so kArrive can apply it.
   probe.response_lost = response_lost;
@@ -265,8 +286,7 @@ void MessageSimulator::send_probe(std::int32_t probe_id, double now) {
   const double deadline =
       config_.timeout_ms *
       std::pow(config_.backoff, static_cast<double>(probe.attempt));
-  push_event(now + deadline, Kind::kTimeout, probe.lookup, probe_id,
-             probe.attempt);
+  push_event(now + deadline, Kind::kTimeout, probe_id, probe.attempt);
 }
 
 void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
@@ -298,7 +318,7 @@ void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
   probe.inbox_ms = static_cast<float>(start - now);
   const double done = start + config_.service_ms;
   push_event(done + link_ms(probe.target, probe.sent_from), Kind::kResponse,
-             probe.lookup, probe_id, attempt);
+             probe_id, attempt);
 }
 
 void MessageSimulator::on_response(std::int32_t probe_id,
@@ -422,23 +442,26 @@ void MessageSimulator::run() {
     sinks_.timeseries->live_nodes(now_, static_cast<double>(live_nodes()));
   }
   while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    now_ = std::max(now_, ev.at_ms);
+    const Event ev = queue_.pop();
+    now_ = key_time(ev.key);
     apply_faults_until(now_);
     maybe_snapshot(now_);
     switch (ev.kind) {
       case Kind::kStart:
-        start_lookup(ev.lookup, ev.at_ms);
+        ++totals_.start_events;
+        start_lookup(ev.index, now_);
         break;
       case Kind::kArrive:
-        on_arrive(ev.probe, ev.attempt, ev.at_ms);
+        ++totals_.arrive_events;
+        on_arrive(ev.index, ev.attempt, now_);
         break;
       case Kind::kResponse:
-        on_response(ev.probe, ev.attempt, ev.at_ms);
+        ++totals_.response_events;
+        on_response(ev.index, ev.attempt, now_);
         break;
       case Kind::kTimeout:
-        on_timeout(ev.probe, ev.attempt, ev.at_ms);
+        ++totals_.timeout_events;
+        on_timeout(ev.index, ev.attempt, now_);
         break;
     }
   }

@@ -28,12 +28,15 @@
 //   chain — hop counts match the QueryEngine probe on the same workload —
 //   while α>1 buys warm backups at the cost of speculative load.
 //
-// Determinism contract: the engine is serial; the event heap drains in
-// (time, sequence) order, so simultaneous events resolve identically on
-// every run; drop decisions come from RNG streams forked per message
-// attempt (root seed → fork(lookup) → fork(attempt)); nothing reads the
-// wall clock or thread count. Reports derived from a run are therefore
-// byte-identical at any --threads.
+// Determinism contract: the engine is serial; its stable monotone event
+// queue (overlay/event_queue.h) pops events in time order and events at
+// the same time in the order they were scheduled, so simultaneous events
+// resolve identically on every run; drop decisions come from RNG streams
+// forked per message attempt (root seed → fork(lookup) → fork(attempt));
+// nothing reads the wall clock or thread count. Reports derived from a
+// run are therefore byte-identical at any --threads. The clock never runs
+// backwards: a submission before now_ms(), or a link latency that is
+// negative or NaN, throws instead of being scheduled in the past.
 //
 // Observers attach as one SimSinks bundle (below): raw pointers to the
 // caller-owned sinks plus the options that only mean something when a
@@ -50,12 +53,12 @@
 
 #include <array>
 #include <cstdint>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "overlay/event_queue.h"
 #include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/metrics.h"
@@ -118,6 +121,7 @@ struct MessageSimConfig {
   /// Serial cost for a node to service one request (ms).
   double service_ms = 0.05;
   /// Per-message link latency when no HopCost callback is supplied.
+  /// A HopCost must likewise return a latency >= 0 (never NaN).
   double default_hop_ms = 1.0;
   /// Outstanding probes per round (Kademlia's α). 1 = the iterative
   /// baseline; clamped by the candidate width below.
@@ -134,7 +138,8 @@ struct MessageSimConfig {
   double timeout_ms = 8.0;
   double backoff = 2.0;
   /// Sends per candidate before it is marked failed (kRetryBudget: the
-  /// ladder the resilient routing cores use).
+  /// ladder the resilient routing cores use). At most 65536: an event
+  /// stamps its attempt in 16 bits.
   int retry_budget = kRetryBudget;
 };
 
@@ -143,7 +148,8 @@ class MessageSimulator {
   /// `stepper` empty selects the greedy-clockwise ring stepper; pass a
   /// family's stepper from registry::family(name).make_stepper for any
   /// other family. `latency` empty charges default_hop_ms per message.
-  /// Throws std::invalid_argument on a config out of range.
+  /// Throws std::invalid_argument on a config out of range (including a
+  /// negative or non-finite default_hop_ms).
   MessageSimulator(const OverlayNetwork& net, const LinkTable& links,
                    Stepper stepper = {}, HopCost latency = {},
                    MessageSimConfig config = {});
@@ -170,12 +176,22 @@ class MessageSimulator {
     std::uint64_t link_drops = 0;  ///< request/response legs the plan dropped
     std::uint64_t inbox_drops = 0; ///< requests bounced off a full inbox
     std::uint64_t failures = 0;    ///< lookups completed unsuccessfully
+
+    /// The engine's own profile, as deterministic as the counts above:
+    /// events popped per kind, and the most ever queued at once.
+    std::uint64_t start_events = 0;     ///< one per submitted lookup
+    std::uint64_t arrive_events = 0;    ///< request legs that landed
+    std::uint64_t response_events = 0;  ///< response legs that landed
+    std::uint64_t timeout_events = 0;   ///< one per attempt, stale or not
+    std::uint64_t queue_high_water = 0; ///< most events queued at once
   };
 
-  /// Schedules a lookup; returns its index into lookups().
+  /// Schedules a lookup; returns its index into lookups(). Throws
+  /// std::out_of_range on a bad node and std::invalid_argument on an
+  /// `at_ms` that is not finite or lies before now_ms().
   int submit(std::uint32_t from, NodeId key, double at_ms);
 
-  /// Drains the event heap; every submitted lookup completes (ok or not).
+  /// Drains the event queue; every submitted lookup completes (ok or not).
   void run();
 
   const std::vector<LookupResult>& lookups() const { return lookups_; }
@@ -207,18 +223,12 @@ class MessageSimulator {
   enum class Kind : std::uint8_t { kStart, kArrive, kResponse, kTimeout };
 
   struct Event {
-    double at_ms = 0;
-    std::uint64_t seq = 0;  ///< tie-break: heap pops in (time, seq) order
-    std::int32_t lookup = -1;
-    std::int32_t probe = -1;
-    std::int32_t attempt = 0;  ///< timeout staleness stamp
+    std::uint64_t key = 0;      ///< time_key of the event's time
+    std::int32_t index = -1;    ///< the lookup (kStart) or the probe
+    std::uint16_t attempt = 0;  ///< staleness stamp: the probe's attempt
     Kind kind = Kind::kStart;
-
-    bool operator>(const Event& other) const {
-      if (at_ms != other.at_ms) return at_ms > other.at_ms;
-      return seq > other.seq;
-    }
   };
+  static_assert(sizeof(Event) == 16);
 
   struct Probe {
     std::int32_t lookup = -1;
@@ -251,8 +261,8 @@ class MessageSimulator {
     std::vector<std::uint32_t> path;  ///< frontier chain, source first
   };
 
-  void push_event(double at_ms, Kind kind, std::int32_t lookup,
-                  std::int32_t probe, std::int32_t attempt = 0);
+  void push_event(double at_ms, Kind kind, std::int32_t index,
+                  std::int32_t attempt = 0);
   double link_ms(NodeIndex a, NodeIndex b) const;
   void apply_faults_until(double now);
   void maybe_snapshot(double now);
@@ -289,8 +299,7 @@ class MessageSimulator {
   MessageSimConfig config_;
   int hop_guard_;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::uint64_t next_seq_ = 0;
+  MonotoneEventQueue<Event> queue_;
   double now_ = 0;
 
   std::vector<LookupResult> lookups_;

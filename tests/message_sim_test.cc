@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "canon/crescendo.h"
@@ -88,6 +89,17 @@ std::string fingerprint(const MessageSimulator& sim) {
   for (const auto l : sim.node_load()) out << l << ",";
   for (const auto d : sim.max_queue_depth()) out << d << ",";
   return out.str();
+}
+
+/// 64-bit FNV-1a: fixed by its definition, unlike std::hash, so a pinned
+/// digest means the same bytes on every standard library.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 TEST(MessageSim, Alpha1MatchesGreedyRouterExactly) {
@@ -323,8 +335,83 @@ TEST(MessageSim, ValidatesConfigAndInputs) {
   cfg.inbox_capacity = 0;
   EXPECT_THROW(MessageSimulator(net, links, {}, {}, cfg),
                std::invalid_argument);
+  // Event times must never run behind the clock or be NaN: a negative or
+  // non-finite hop latency, a NaN service time, deadline or backoff, a
+  // submission before now_ms() or at a non-finite time, and a HopCost
+  // answering negative or NaN all throw.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double hop_ms : {-1.0, kNaN, kInf}) {
+    cfg = {};
+    cfg.default_hop_ms = hop_ms;
+    EXPECT_THROW(MessageSimulator(net, links, {}, {}, cfg),
+                 std::invalid_argument)
+        << hop_ms;
+  }
+  for (double MessageSimConfig::*field :
+       {&MessageSimConfig::service_ms, &MessageSimConfig::timeout_ms,
+        &MessageSimConfig::backoff}) {
+    cfg = {};
+    cfg.*field = kNaN;
+    EXPECT_THROW(MessageSimulator(net, links, {}, {}, cfg),
+                 std::invalid_argument);
+  }
+  cfg = {};
+  cfg.retry_budget = 65537;  // attempts 0..65536 overflow the 16-bit stamp
+  EXPECT_THROW(MessageSimulator(net, links, {}, {}, cfg),
+               std::invalid_argument);
   MessageSimulator sim(net, links);
   EXPECT_THROW(sim.submit(99, 0, 0.0), std::out_of_range);
+  for (const double at_ms : {-0.5, kNaN, kInf, -kInf}) {
+    EXPECT_THROW(sim.submit(0, 0, at_ms), std::invalid_argument) << at_ms;
+  }
+  sim.submit(0, net.id(16), 0.0);
+  sim.run();
+  ASSERT_GT(sim.now_ms(), 0.0);
+  EXPECT_THROW(sim.submit(0, net.id(16), sim.now_ms() / 2),
+               std::invalid_argument);
+  sim.submit(0, net.id(16), sim.now_ms());  // at the clock: fine
+  sim.run();
+  EXPECT_TRUE(sim.lookups().back().ok);
+  for (const double bad_ms : {-1.0, kNaN}) {
+    MessageSimulator costed(
+        net, links, {}, [bad_ms](std::uint32_t, std::uint32_t) {
+          return bad_ms;
+        });
+    costed.submit(0, net.id(16), 0.0);
+    EXPECT_THROW(costed.run(), std::invalid_argument) << bad_ms;
+  }
+}
+
+TEST(MessageSim, ProfileCountsEveryEventKind) {
+  // One start per lookup, one timeout armed per attempt sent, one arrival
+  // per attempt whose request leg was not dropped, at most one response
+  // per serviced request; every lookup is queued before run(), so the
+  // high-water mark covers them.
+  const auto net = small_net(256, 3, 2012);
+  const auto links = build_crescendo(net);
+  FaultPlan plan = FaultPlan::fail_fraction(net.size(), 0.1, 59);
+  plan.set_drop(0.05, 60);
+  MessageSimConfig cfg;
+  cfg.alpha = 2;
+  cfg.timeout_ms = 4.0;
+  MessageSimulator sim(net, links, {}, {}, cfg);
+  SimSinks sinks;
+  sinks.fault_plan = &plan;
+  sim.attach(sinks);
+  const Workload w = make_workload(net, 300, 43);
+  submit_all(sim, w, 0.25);
+  EXPECT_EQ(sim.totals().queue_high_water, 300u);
+  sim.run();
+  const auto& t = sim.totals();
+  EXPECT_EQ(t.start_events, 300u);
+  EXPECT_EQ(t.timeout_events, t.sent);
+  EXPECT_LE(t.arrive_events, t.sent);
+  EXPECT_LE(t.sent - t.arrive_events, t.link_drops);  // dropped requests
+  EXPECT_LE(t.response_events, t.serviced);
+  EXPECT_GE(t.queue_high_water, 300u);
+  EXPECT_GT(t.timeouts, 0u);
+  EXPECT_GT(t.link_drops, 0u);
 }
 
 // Event-level behaviour that every consumer of the simulator relies on:
@@ -539,7 +626,8 @@ TEST(EventSim, FaultPlanKillsNodesAtTheScheduledInstant) {
 }
 
 TEST(MessageSim, ByteIdenticalAtAnyThreadCount) {
-  // The engine is serial and heap-ordered by (time, seq); the process-wide
+  // The engine is serial and its stable monotone queue pops events in
+  // time order, ties in the order they were scheduled; the process-wide
   // thread knob must not leak into any number it produces — the contract
   // behind ctest's bench_query_determinism_congestion.
   const auto net = small_net(256, 3, 2010);
@@ -569,6 +657,143 @@ TEST(MessageSim, ByteIdenticalAtAnyThreadCount) {
     }
   }
   set_parallel_threads(0);
+}
+
+TEST(MessageSim, PinnedOutcomeDigest) {
+  // Every number fingerprint() prints, hashed, for runs that lean on the
+  // order of simultaneous and near-simultaneous events: α=1 and α=3, 64
+  // submissions at one instant, zero-latency links (events scheduled at
+  // the current time), an overflowing 4-slot inbox, a crash / revive
+  // schedule with 5% drops, and a 40 ms ladder that backs off.
+  // The constants were recorded with the binary-heap event queue that the
+  // radix queue replaced, so any change to the order these runs depend
+  // on shows here.
+  const auto net = small_net(256, 3, 2011);
+  const auto crescendo = build_crescendo(net);
+  const auto kademlia = registry::build_family(net, "kademlia", 2011);
+  const Stepper xor_stepper =
+      registry::family("kademlia").make_stepper(net, kademlia);
+  // Pair-dependent latencies with non-dyadic fractions, so event times
+  // fill their mantissas the way transit-stub latencies do.
+  const HopCost latency = [](std::uint32_t a, std::uint32_t b) {
+    const std::uint32_t mix = (a * 2654435761u) ^ (b * 40503u);
+    return 1.0 + static_cast<double>(mix % 1000) / 997.0;
+  };
+  const Workload w = make_workload(net, 400, 41);
+
+  struct Case {
+    const char* name;
+    std::uint64_t digest;
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+
+  for (const int alpha : {1, 3}) {  // the greedy ring, paced submissions
+    MessageSimConfig cfg;
+    cfg.alpha = alpha;
+    MessageSimulator sim(net, crescendo, {}, latency, cfg);
+    submit_all(sim, w, 0.3);
+    sim.run();
+    got.emplace_back("crescendo/a" + std::to_string(alpha),
+                     fnv1a(fingerprint(sim)));
+  }
+  {  // α=3 through the XOR stepper.
+    MessageSimConfig cfg;
+    cfg.alpha = 3;
+    MessageSimulator sim(net, kademlia, xor_stepper, latency, cfg);
+    submit_all(sim, w, 0.3);
+    sim.run();
+    got.emplace_back("kademlia/a3", fnv1a(fingerprint(sim)));
+  }
+  {  // 64 lookups submitted at the same instant, unit hop latency.
+    MessageSimConfig cfg;
+    cfg.alpha = 2;
+    MessageSimulator sim(net, crescendo, {}, {}, cfg);
+    for (std::size_t i = 0; i < 64; ++i) {
+      sim.submit(w.from[i], w.keys[i], 3.0);
+    }
+    sim.run();
+    got.emplace_back("same_instant", fnv1a(fingerprint(sim)));
+  }
+  {  // Zero link latency: a response's next probe lands at the same
+     // instant, queued behind events already due then.
+    MessageSimConfig cfg;
+    cfg.alpha = 3;
+    cfg.default_hop_ms = 0.0;
+    cfg.service_ms = 0.5;
+    MessageSimulator sim(net, crescendo, {}, {}, cfg);
+    for (std::size_t i = 0; i < 128; ++i) {  // 16 at each whole ms
+      sim.submit(w.from[i % 8], w.keys[i], static_cast<double>(i / 16));
+    }
+    sim.run();
+    got.emplace_back("zero_hop", fnv1a(fingerprint(sim)));
+  }
+  {  // A 4-slot inbox overflowing under a hot key.
+    MessageSimConfig cfg;
+    cfg.inbox_capacity = 4;
+    cfg.service_ms = 1.0;
+    cfg.timeout_ms = 12.0;
+    MessageSimulator sim(net, crescendo, {}, latency, cfg);
+    const NodeId hot_key = net.id(77);
+    for (std::size_t i = 0; i < 200; ++i) {
+      sim.submit(w.from[i], hot_key, 0.1 * static_cast<double>(i));
+    }
+    sim.run();
+    EXPECT_GT(sim.totals().inbox_drops, 0u);
+    got.emplace_back("inbox4", fnv1a(fingerprint(sim)));
+  }
+  {  // Scheduled crashes and revivals plus 5% per-leg drops.
+    FaultPlan plan;
+    for (std::uint32_t node = 0; node < net.size(); node += 5) {
+      plan.crash(node, 10 + node % 40);
+      if (node % 3 == 0) plan.revive(node, 60 + node % 50);
+    }
+    plan.set_drop(0.05, 57);
+    MessageSimConfig cfg;
+    cfg.alpha = 2;
+    cfg.timeout_ms = 6.0;
+    MessageSimulator sim(net, crescendo, {}, latency, cfg);
+    SimSinks sinks;
+    sinks.fault_plan = &plan;
+    sim.attach(sinks);
+    submit_all(sim, w, 0.3);
+    sim.run();
+    EXPECT_GT(sim.totals().link_drops, 0u);
+    EXPECT_GT(sim.totals().timeouts, 0u);
+    got.emplace_back("crash_revive_drop", fnv1a(fingerprint(sim)));
+  }
+  {  // A 40 ms first deadline against a dead fifth: retries back off.
+    const FaultPlan plan = FaultPlan::fail_fraction(net.size(), 0.2, 58);
+    MessageSimConfig cfg;
+    cfg.timeout_ms = 40.0;
+    MessageSimulator sim(net, crescendo, {}, latency, cfg);
+    SimSinks sinks;
+    sinks.fault_plan = &plan;
+    sim.attach(sinks);
+    submit_all(sim, w, 0.3);
+    sim.run();
+    EXPECT_GT(sim.totals().retries, 0u);
+    got.emplace_back("backoff40", fnv1a(fingerprint(sim)));
+  }
+
+  const Case kPinned[] = {
+      {"crescendo/a1", 0x68c95e49f2bd9cfdULL},
+      {"crescendo/a3", 0xadbc54359199222eULL},
+      {"kademlia/a3", 0x09d5832ba574bd8cULL},
+      {"same_instant", 0xa7f6de5e85401035ULL},
+      {"zero_hop", 0xc49f06074ab01ba8ULL},
+      {"inbox4", 0xf1984bfe387a77e7ULL},
+      {"crash_revive_drop", 0x519e8280f358d1afULL},
+      {"backoff40", 0xd0e1d959fc1b3899ULL},
+  };
+  ASSERT_EQ(got.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, kPinned[i].name);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                  static_cast<unsigned long long>(got[i].second));
+    EXPECT_EQ(got[i].second, kPinned[i].digest)
+        << got[i].first << " digest is now " << hex;
+  }
 }
 
 }  // namespace
