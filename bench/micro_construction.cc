@@ -77,9 +77,10 @@ BENCHMARK(BM_BuildLatencyOracle);
 
 void BM_ChurnPair(benchmark::State& state) {
   // One leave plus one join on a 3-level, fanout-5 DynamicCrescendo of
-  // fixed size: the maintenance layer's per-change cost (one row copy plus
-  // the recomputed affected rows, and the joiner's insertion lookup). Each
-  // leaver goes to the back of a spare queue and rejoins later.
+  // fixed size: the maintenance layer's per-change cost (the spliced
+  // network, the table's clean rows copied in blocks plus the recomputed
+  // affected rows, and the joiner's insertion lookup). Each leaver goes to
+  // the back of a spare queue and rejoins later.
   const auto n = static_cast<std::size_t>(state.range(0));
   const IdSpace space(32);
   Rng rng(42);

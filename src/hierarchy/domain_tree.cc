@@ -50,6 +50,70 @@ DomainTree::DomainTree(std::span<const std::uint32_t> path_offsets,
   build(path_offsets, path_branches, ids);
 }
 
+DomainTree::DomainTree(const DomainTree& prev, IndexChange change,
+                       std::span<const std::uint32_t> path_offsets,
+                       std::span<const std::uint16_t> path_branches,
+                       const std::vector<NodeId>& ids) {
+  const std::size_t n = change.next_size(prev.node_count());
+  if (change.at >= (change.insert ? n : prev.node_count()) ||
+      ids.size() != n || path_offsets.size() != n + 1) {
+    throw std::invalid_argument("DomainTree: change does not fit the arrays");
+  }
+  // The changed node's chain, root first. It keeps every domain index
+  // unless the node opens a domain (its path leaves the tree) or is the
+  // last member of one.
+  std::vector<std::int32_t> chain;
+  bool same_domains = true;
+  if (change.insert) {
+    int d = prev.root();
+    chain.push_back(d);
+    for (std::uint32_t k = path_offsets[change.at];
+         k < path_offsets[change.at + 1]; ++k) {
+      d = prev.child(d, path_branches[k]);
+      if (d < 0) {
+        same_domains = false;
+        break;
+      }
+      chain.push_back(d);
+    }
+  } else {
+    const auto old = prev.domain_chain(change.at);
+    chain.assign(old.begin(), old.end());
+    for (const int d : chain) same_domains &= prev.domain(d).members.size() > 1;
+  }
+  if (!same_domains) {
+    build(path_offsets, path_branches, ids);
+    return;
+  }
+
+  domains_.resize(prev.domains_.size());
+  for (std::size_t k = 0; k < domains_.size(); ++k) {
+    const Domain& from = prev.domains_[k];
+    Domain& to = domains_[k];
+    to.parent = from.parent;
+    to.depth = from.depth;
+    to.branch = from.branch;
+    to.children = from.children;
+    // Members ascend by index (index order is ID order), so the changed
+    // node sits at the lower bound of the pivot.
+    const auto chain_pos = static_cast<std::size_t>(from.depth);
+    const bool on_chain = chain_pos < chain.size() &&
+                          chain[chain_pos] == static_cast<std::int32_t>(k);
+    const auto split = std::lower_bound(from.members.begin(),
+                                        from.members.end(), change.at);
+    to.members.resize(on_chain ? change.next_size(from.members.size())
+                               : from.members.size());
+    auto out = std::copy(from.members.begin(), split, to.members.begin());
+    if (on_chain && change.insert) *out++ = change.at;
+    std::transform(split + (on_chain && !change.insert ? 1 : 0),
+                   from.members.end(), out,
+                   [change](NodeIndex v) { return change.next(v); });
+  }
+  splice_rows<std::int32_t>(prev.chain_offsets_, prev.chains_, change, chain,
+                            chain_offsets_, chains_);
+  max_depth_ = prev.max_depth_;
+}
+
 void DomainTree::build(std::span<const std::uint32_t> path_offsets,
                        std::span<const std::uint16_t> path_branches,
                        const std::vector<NodeId>& ids) {
@@ -145,6 +209,15 @@ void DomainTree::build(std::span<const std::uint32_t> path_offsets,
     }
     max_depth_ = std::max(max_depth_, depth + 1);
   }
+}
+
+int DomainTree::child(int d, std::uint16_t branch) const {
+  // Children take consecutive indices in ascending branch order.
+  const std::vector<int>& children = domain(d).children;
+  const auto it = std::lower_bound(
+      children.begin(), children.end(), branch,
+      [this](int c, std::uint16_t b) { return domain(c).branch < b; });
+  return it != children.end() && domain(*it).branch == branch ? *it : -1;
 }
 
 int DomainTree::domain_of(NodeIndex node, int level) const {

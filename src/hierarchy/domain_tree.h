@@ -10,6 +10,11 @@
 // array plus a packed chain array) instead of n separate vectors: at 10^6+
 // nodes the pooled layout removes a 24-byte vector header and an allocator
 // round-trip per node, and domain_chain() hands out spans into the pool.
+//
+// A tree can also be derived from the tree of the population one join or
+// leave earlier (dynamic maintenance): when no domain opens or empties,
+// every domain keeps its index, so the derivation shifts member indices
+// past the change and splices the one changed chain.
 #ifndef CANON_HIERARCHY_DOMAIN_TREE_H
 #define CANON_HIERARCHY_DOMAIN_TREE_H
 
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/splice.h"
 #include "hierarchy/domain_path.h"
 
 namespace canon {
@@ -51,12 +57,31 @@ class DomainTree {
              std::span<const std::uint16_t> path_branches,
              const std::vector<NodeId>& ids);
 
+  /// The tree after one change to `prev`'s population: the path pool and
+  /// IDs are the changed population's, in the shape the constructor above
+  /// takes, and equal `prev`'s arrays with node `change.at` inserted or
+  /// erased. The IDs must ascend before and after the change (as every
+  /// OverlayNetwork's do), so index order is member order. Every domain
+  /// keeps its index: member indices shift by one past the change and the
+  /// changed node's chain is spliced in or out.
+  /// A change that opens or empties a domain indexes the arrays with the
+  /// constructor above instead, because a domain's index depends on its
+  /// siblings. Either way the result equals that constructor's.
+  DomainTree(const DomainTree& prev, IndexChange change,
+             std::span<const std::uint32_t> path_offsets,
+             std::span<const std::uint16_t> path_branches,
+             const std::vector<NodeId>& ids);
+
   std::size_t node_count() const { return chain_offsets_.size() - 1; }
   int domain_count() const { return static_cast<int>(domains_.size()); }
   const Domain& domain(int d) const {
     return domains_[static_cast<std::size_t>(d)];
   }
   int root() const { return 0; }
+
+  /// The child of domain `d` taking branch `branch`, or -1 if no node
+  /// occupies it.
+  int child(int d, std::uint16_t branch) const;
 
   /// Maximum leaf-domain depth over all nodes (0 for a flat population).
   int max_depth() const { return max_depth_; }

@@ -40,8 +40,10 @@ std::vector<NodeIndex> affected_nodes(const OverlayNetwork& net,
       const NodeId lo = space.advance(pid, space.mask() + 1 - dist - gap +
                                                1);  // pid - dist - gap + 1
       const std::size_t count = ring.count_in(lo, gap);
-      for (std::size_t i = 0; i < count; ++i) {
-        out.push_back(ring.select_in(lo, gap, i));
+      if (count == 0) continue;
+      for (std::size_t i = 0, pos = ring.successor_pos(lo); i < count; ++i) {
+        out.push_back(ring.at(pos));
+        if (++pos == ring.size()) pos = 0;
       }
     }
   }
@@ -49,65 +51,6 @@ std::vector<NodeIndex> affected_nodes(const OverlayNetwork& net,
   out.erase(std::unique(out.begin(), out.end()), out.end());
   out.erase(std::remove(out.begin(), out.end(), pivot), out.end());
   return out;
-}
-
-/// `net` with `joiner` inserted at index `at` (its lower_bound, so the IDs
-/// stay ascending), or with node `at` erased when `joiner` is null. Throws,
-/// as any OverlayNetwork does, on an ID outside the space.
-std::unique_ptr<OverlayNetwork> next_network(const OverlayNetwork& net,
-                                             NodeIndex at,
-                                             const OverlayNode* joiner) {
-  const std::size_t n = net.size();
-  const std::size_t next_n = joiner != nullptr ? n + 1 : n - 1;
-  std::vector<NodeId> ids;
-  ids.reserve(next_n);
-  DomainPathPool paths;
-  paths.offsets.reserve(next_n + 1);
-  paths.offsets.push_back(0);
-  std::vector<std::int32_t> attach;
-  attach.reserve(next_n);
-  const auto append = [&](NodeId id, DomainPathView path, std::int32_t a) {
-    ids.push_back(id);
-    paths.push_back(path);
-    attach.push_back(a);
-  };
-  for (NodeIndex i = 0; i <= n; ++i) {
-    if (i == at) {
-      if (joiner == nullptr) continue;
-      append(joiner->id, joiner->domain.view(), joiner->attach);
-    }
-    if (i < n) append(net.id(i), net.path(i), net.attach(i));
-  }
-  return std::make_unique<OverlayNetwork>(net.space(), std::move(ids),
-                                          std::move(paths), std::move(attach));
-}
-
-/// The table over `next` after one change at `pivot` (the joiner's index
-/// in `next`, or the leaver's index in the network `old` was built on).
-/// Rows in `dirty` (indices into `next`) are recomputed; every other row is
-/// old's row for the same node, its indices shifted by one past the pivot.
-LinkTable next_table(const OverlayNetwork& next, const LinkTable& old,
-                     const std::vector<NodeIndex>& dirty, NodeIndex pivot,
-                     bool joined) {
-  std::vector<char> recompute(next.size(), 0);
-  for (const NodeIndex m : dirty) recompute[m] = 1;
-  return LinkTable::build(next.ids(), [&](NodeIndex m, LinkRow& row) {
-    if (recompute[m]) {
-      add_crescendo_links(next, m, row);
-      return;
-    }
-    if (joined) {
-      for (const NodeIndex v : old.neighbors(m > pivot ? m - 1 : m)) {
-        row.push_back(v >= pivot ? v + 1 : v);
-      }
-    } else {
-      // A clean row never links to the leaver: every node that does is
-      // affected.
-      for (const NodeIndex v : old.neighbors(m >= pivot ? m + 1 : m)) {
-        row.push_back(v > pivot ? v - 1 : v);
-      }
-    }
-  });
 }
 
 }  // namespace
@@ -132,41 +75,37 @@ int DynamicCrescendo::count_lookup_hops(const OverlayNode& node) const {
   // of maximal LCA depth with the joiner.
   const DomainTree& tree = net_->domains();
   int d = tree.root();
-  for (int level = 0; level < node.domain.depth(); ++level) {
-    const std::vector<int>& children = tree.domain(d).children;
-    const auto child = std::find_if(
-        children.begin(), children.end(), [&](int c) {
-          return tree.domain(c).branch == node.domain.branch(level);
-        });
-    if (child == children.end()) break;
-    d = *child;
+  for (const std::uint16_t branch : node.domain.branches()) {
+    const int child = tree.child(d, branch);
+    if (child < 0) break;
+    d = child;
   }
   const NodeIndex bootstrap = tree.domain(d).members.front();
   return RingRouter(*net_, table_).route(bootstrap, node.id).hops();
 }
 
 MaintenanceCost DynamicCrescendo::join(const OverlayNode& node) {
+  // Rejected before the timer and the counter, which count changes.
   if (contains(node.id)) {
     throw std::invalid_argument("DynamicCrescendo::join: duplicate ID");
+  }
+  if (node.id != net_->space().wrap(node.id)) {
+    throw std::invalid_argument(
+        "DynamicCrescendo::join: ID outside the IdSpace");
   }
   telemetry::ScopedTimer timer("maintenance.join_ms");
   if (telemetry::Counter* c = telemetry::maybe_counter("maintenance.joins")) {
     c->inc();
   }
-  const std::vector<NodeId>& ids = net_->ids();
-  const auto pivot = static_cast<NodeIndex>(
-      std::lower_bound(ids.begin(), ids.end(), node.id) - ids.begin());
-  std::unique_ptr<OverlayNetwork> next = next_network(*net_, pivot, &node);
+  auto next = std::make_unique<OverlayNetwork>(*net_, node);
+  const NodeIndex pivot = next->index_of(node.id);
 
   MaintenanceCost cost;
   cost.lookup_hops = count_lookup_hops(node);
   std::vector<NodeIndex> dirty = affected_nodes(*next, pivot);
   cost.nodes_updated = static_cast<int>(dirty.size());
-  dirty.push_back(pivot);
-  LinkTable table = next_table(*next, table_, dirty, pivot, true);
-
-  net_ = std::move(next);
-  table_ = std::move(table);
+  dirty.insert(std::lower_bound(dirty.begin(), dirty.end(), pivot), pivot);
+  commit(std::move(next), {pivot, true}, dirty);
   if (journal_) {
     journal_->join(node.id, node.domain.branches(), cost.lookup_hops,
                    net_->size());
@@ -185,23 +124,30 @@ MaintenanceCost DynamicCrescendo::leave(NodeId id) {
   if (telemetry::Counter* c = telemetry::maybe_counter("maintenance.leaves")) {
     c->inc();
   }
-  const auto pivot = static_cast<NodeIndex>(it - ids.begin());
+  const IndexChange change{static_cast<NodeIndex>(it - ids.begin()), false};
   MaintenanceCost cost;
   // Affected set computed while the leaver is still present, then moved to
-  // the next network's indices.
-  std::vector<NodeIndex> dirty = affected_nodes(*net_, pivot);
+  // the next network's indices. It holds every node linking to the
+  // leaver, so no clean row does.
+  std::vector<NodeIndex> dirty = affected_nodes(*net_, change.at);
   cost.nodes_updated = static_cast<int>(dirty.size());
-  for (NodeIndex& m : dirty) m = m > pivot ? m - 1 : m;
-  std::unique_ptr<OverlayNetwork> next = next_network(*net_, pivot, nullptr);
-  LinkTable table = next_table(*next, table_, dirty, pivot, false);
-
-  net_ = std::move(next);
-  table_ = std::move(table);
+  for (NodeIndex& m : dirty) m = change.next(m);
+  commit(std::make_unique<OverlayNetwork>(*net_, change.at), change, dirty);
   if (journal_) {
     journal_->leave(id, net_->size());
     journal_->repair("leave", id, cost.nodes_updated);
   }
   return cost;
+}
+
+void DynamicCrescendo::commit(std::unique_ptr<OverlayNetwork> next,
+                              IndexChange change,
+                              const std::vector<NodeIndex>& dirty) {
+  LinkTable table = LinkTable::derive(
+      table_, next->ids(), change, dirty,
+      [&](NodeIndex m, LinkRow& row) { add_crescendo_links(*next, m, row); });
+  net_ = std::move(next);
+  table_ = std::move(table);
 }
 
 std::vector<NodeId> DynamicCrescendo::leaf_set(NodeId id, int level,

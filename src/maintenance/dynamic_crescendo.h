@@ -9,17 +9,22 @@
 // incrementally across joins and leaves, counts the messages each
 // operation would send, and exposes per-level leaf sets (successor lists).
 //
-// Each change derives the next state from the current one. The next
-// network is the current ID-sorted arrays with one entry inserted or
-// erased; the next link table copies every clean row from the current
-// table (indices shifted by one past the change) and recomputes only the
-// affected rows and the joiner's. A change therefore costs one O(n) row
-// copy plus O(log n) recomputed rows, and it commits with no-throw moves:
-// a rejected join or leave leaves the structure untouched.
+// Each change derives the next state from the current one by splicing,
+// without re-running the builders. The next network is the current one
+// with one node inserted or erased (OverlayNetwork's derivation
+// constructors: the arrays are spliced, and the domain tree shifts its
+// member indices past the change). The next link table is
+// LinkTable::derive: it recomputes only the affected rows and the
+// joiner's, and copies each run of clean rows from the current table as
+// one block, indices shifted by one past the change. A change therefore
+// costs O(n) block copies plus O(log n) recomputed rows, and it commits
+// with no-throw moves: a rejected join or leave leaves the structure
+// untouched and is not counted.
 //
 // The key invariant — verified by tests — is that the incrementally
 // maintained table is byte-identical to a from-scratch construction over
-// the surviving member set.
+// the surviving member set, and the derived network equals one constructed
+// from that member set.
 #ifndef CANON_MAINTENANCE_DYNAMIC_CRESCENDO_H
 #define CANON_MAINTENANCE_DYNAMIC_CRESCENDO_H
 
@@ -59,10 +64,11 @@ class DynamicCrescendo {
   bool contains(NodeId id) const;
 
   /// Adds a node. Throws on a duplicate ID or an ID outside the space,
-  /// leaving the structure unchanged.
+  /// leaving the structure and the maintenance metrics unchanged.
   MaintenanceCost join(const OverlayNode& node);
 
-  /// Removes the node with this ID. Throws if absent.
+  /// Removes the node with this ID. Throws if absent, leaving the
+  /// structure and the maintenance metrics unchanged.
   MaintenanceCost leave(NodeId id);
 
   /// The `count` successors of `id` within its level-`level` domain ring —
@@ -76,6 +82,10 @@ class DynamicCrescendo {
 
  private:
   int count_lookup_hops(const OverlayNode& node) const;
+  /// Derives the table over `next`, recomputing the ascending rows `dirty`
+  /// (indices into `next`), and replaces the held network and table.
+  void commit(std::unique_ptr<OverlayNetwork> next, IndexChange change,
+              const std::vector<NodeIndex>& dirty);
 
   std::unique_ptr<OverlayNetwork> net_;
   LinkTable table_;

@@ -98,7 +98,6 @@ LinkTable LinkTable::build(std::span<const NodeId> ids,
     }
   }
   out.targets_.resize(total);
-  out.ids_.assign(ids.begin(), ids.end());
   out.target_ids_.resize(total);
   parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
@@ -120,12 +119,106 @@ LinkTable LinkTable::build(std::span<const NodeId> ids,
   return out;
 }
 
+LinkTable LinkTable::derive(const LinkTable& prev, std::span<const NodeId> ids,
+                            IndexChange change,
+                            std::span<const NodeIndex> dirty,
+                            const AddLinks& add_links) {
+  const std::size_t n = ids.size();
+  const std::size_t prev_n = prev.node_count_;
+  if (change.at >= (change.insert ? n : prev_n) ||
+      n != change.next_size(prev_n)) {
+    throw std::invalid_argument("LinkTable::derive: change does not fit");
+  }
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    if (dirty[i] >= n || (i > 0 && dirty[i] <= dirty[i - 1])) {
+      throw std::invalid_argument(
+          "LinkTable::derive: dirty rows must ascend below the node count");
+    }
+  }
+  if (change.insert &&
+      !std::binary_search(dirty.begin(), dirty.end(), change.at)) {
+    throw std::invalid_argument(
+        "LinkTable::derive: the inserted node's row must be dirty");
+  }
+
+  // The dirty rows in table form, back to back, and the exact link count:
+  // the old table's, less the erased row and the old dirty rows, plus the
+  // new dirty rows.
+  std::vector<NodeIndex> fresh;
+  std::vector<std::size_t> fresh_end(dirty.size());
+  std::size_t total = prev.total_links();
+  if (!change.insert) total -= prev.degree(change.at);
+  LinkRow row;
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    const NodeIndex m = dirty[i];
+    row.clear();
+    add_links(m, row);
+    sanitize_row(m, n, row);
+    fresh.insert(fresh.end(), row.begin(), row.end());
+    fresh_end[i] = fresh.size();
+    if (!change.insert || m != change.at) {
+      total -= prev.degree(change.prev(m));
+    }
+  }
+  total += fresh.size();
+  checked_offset(total);
+
+  LinkTable out;
+  out.node_count_ = n;
+  out.offsets_.reserve(n + 1);
+  out.targets_.reserve(total);
+  out.target_ids_.reserve(total);
+  NodeIndex m = 0;  // next row to fill
+  // Copies the clean rows [m, end), whose old rows are contiguous, as one
+  // block.
+  const auto copy_block = [&](NodeIndex end) {
+    if (m == end) return;
+    const NodeIndex first = change.prev(m);
+    const LinkOffset begin = prev.offsets_[first];
+    const LinkOffset stop = prev.offsets_[first + (end - m)];
+    const auto k = static_cast<LinkOffset>(out.targets_.size());
+    const LinkOffset shift = k - begin;  // modulo 2^32
+    for (NodeIndex r = first + 1; r <= first + (end - m); ++r) {
+      out.offsets_.push_back(prev.offsets_[r] + shift);
+    }
+    out.targets_.insert(out.targets_.end(), prev.targets_.begin() + begin,
+                        prev.targets_.begin() + stop);
+    for (auto it = out.targets_.begin() + k; it != out.targets_.end(); ++it) {
+      *it = change.next(*it);
+    }
+    out.target_ids_.insert(out.target_ids_.end(),
+                           prev.target_ids_.begin() + begin,
+                           prev.target_ids_.begin() + stop);
+    m = end;
+  };
+  // Copies the clean rows [m, end): one block, or two when the erased
+  // node's old row falls between them.
+  const auto copy_clean = [&](NodeIndex end) {
+    if (!change.insert && m < change.at && change.at < end) {
+      copy_block(change.at);
+    }
+    copy_block(end);
+  };
+  std::size_t f = 0;
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    copy_clean(dirty[i]);
+    for (; f < fresh_end[i]; ++f) {
+      out.targets_.push_back(fresh[f]);
+      out.target_ids_.push_back(ids[fresh[f]]);
+    }
+    out.offsets_.push_back(static_cast<LinkOffset>(out.targets_.size()));
+    ++m;
+  }
+  copy_clean(static_cast<NodeIndex>(n));
+  out.account_csr();
+  return out;
+}
+
 void LinkTable::account_csr() {
   mem_.reset("link_table.csr",
              telemetry::vector_bytes(offsets_) +
                  telemetry::vector_bytes(targets_) +
-                 telemetry::vector_bytes(target_ids_) +
-                 telemetry::vector_bytes(ids_));
+                 telemetry::vector_bytes(target_ids_));
 }
 
 bool LinkTable::has_link(NodeIndex from, NodeIndex to) const {

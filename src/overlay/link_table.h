@@ -5,10 +5,11 @@
 //
 // Construction and CSR invariants
 // -------------------------------
-// Every table is made by LinkTable::build(ids, add_links): the builder
-// appends each node's out-links to a row, and build() sorts the row,
-// drops duplicates and self-links, and compacts the whole table into a
-// flat CSR (compressed sparse row) layout:
+// Every table is made by LinkTable::build(ids, add_links), or derived from
+// one by LinkTable::derive (below): the builder appends each node's
+// out-links to a row, and build() sorts the row, drops duplicates and
+// self-links, and compacts the whole table into a flat CSR (compressed
+// sparse row) layout:
 //
 //   offsets_  : node_count() + 1 monotone offsets into the flat arrays;
 //               node m's neighbors occupy [offsets_[m], offsets_[m + 1]).
@@ -22,9 +23,11 @@
 //               so routers read one contiguous array instead of chasing
 //               net.id(nb) per candidate.
 //
-// A built table is read-only: there is no edit path. Dynamic maintenance
-// and tests that need a changed row build a new table (maintenance copies
-// its clean rows from the current table inside build()'s callback).
+// A table is read-only: there is no edit path. Tests that need a changed
+// row build a new table. Dynamic maintenance derives a new table from the
+// current one after one join or leave: derive() recomputes the rows the
+// change dirtied through the same row rule and copies every maximal run
+// of clean rows as one block, shifting its targets by one past the change.
 //
 // build() runs shard by shard: each shard's rows are compacted into one
 // tightly packed chunk as soon as the shard completes, so peak memory
@@ -41,6 +44,7 @@
 
 #include "common/ids.h"
 #include "common/prefetch.h"
+#include "common/splice.h"
 #include "common/stats.h"
 #include "telemetry/mem_stats.h"
 
@@ -91,6 +95,24 @@ class LinkTable {
   static LinkTable build(std::span<const NodeId> ids,
                          const AddLinks& add_links,
                          const ShardProgress& on_shard = {});
+
+  /// The table over the nodes of `ids` after one change to `prev`'s
+  /// population (`ids` is the changed population's ID array). The
+  /// ascending rows `dirty` (new indices) are filled by add_links and put
+  /// in table form as build() does; on an insert they must include the new
+  /// node. Every other row is `prev`'s row for the same node: each maximal
+  /// run of such clean rows is copied as one block, its targets shifted by
+  /// one past the change, its inline IDs as they are, and its offsets moved
+  /// by one constant. The arrays are sized exactly, so the table equals
+  /// build() over the same rows, ledger charge included.
+  ///
+  /// Precondition on an erase: no clean row links to the erased node (its
+  /// index would shift onto its successor). Serial; throws
+  /// std::invalid_argument if `ids`, `change` and `dirty` do not fit
+  /// `prev`, and std::out_of_range on a dirty row's target >= ids.size().
+  static LinkTable derive(const LinkTable& prev, std::span<const NodeId> ids,
+                          IndexChange change, std::span<const NodeIndex> dirty,
+                          const AddLinks& add_links);
 
   std::size_t node_count() const { return node_count_; }
 
@@ -179,9 +201,6 @@ class LinkTable {
   std::vector<LinkOffset> offsets_ = {0};  // CSR, node_count_ + 1
   std::vector<NodeIndex> targets_;         // CSR, flat indices
   std::vector<NodeId> target_ids_;         // CSR, flat NodeIds
-  // node index -> NodeId. No reader left; kept so the link_table.csr
-  // ledger charge stays byte-identical until the next baseline change.
-  std::vector<NodeId> ids_;
   telemetry::MemCharge mem_;      // ledger holding for the CSR arrays
 };
 

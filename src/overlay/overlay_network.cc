@@ -35,8 +35,8 @@ OverlayNetwork::Soa OverlayNetwork::sort_by_id(
       throw std::invalid_argument("OverlayNetwork: ID outside the IdSpace");
     }
   }
-  // Already-ascending IDs (a network derived from another) keep the
-  // identity order, which is the order the sort would produce.
+  // Already-ascending IDs keep the identity order, which is the order the
+  // sort would produce.
   std::vector<NodeIndex> order(n);
   std::iota(order.begin(), order.end(), 0);
   if (!std::is_sorted(ids.begin(), ids.end())) {
@@ -163,12 +163,81 @@ OverlayNetwork::OverlayNetwork(IdSpace space, Soa soa)
       ids_(std::move(soa.ids)),
       paths_(std::move(soa.paths)),
       attach_(std::move(soa.attach)),
-      tree_({paths_.offsets.data(), paths_.offsets.size()},
-            {paths_.branches.data(), paths_.branches.size()}, ids_) {
+      tree_(paths_.offsets, paths_.branches, ids_) {
+  charge_memory();
+}
+
+void OverlayNetwork::charge_memory() {
   mem_soa_.reset("overlay.soa", telemetry::vector_bytes(ids_) +
                                     telemetry::vector_bytes(attach_));
   mem_paths_.reset("hierarchy.path_pool", paths_.memory_bytes());
   mem_tree_.reset("hierarchy.domain_tree", tree_.memory_bytes());
+}
+
+namespace {
+
+/// `paths` with `joiner`'s path spliced in as row `change.at`, or with row
+/// `change.at` spliced out.
+DomainPathPool splice_paths(const DomainPathPool& paths, IndexChange change,
+                            const OverlayNode* joiner) {
+  DomainPathPool out;
+  std::span<const std::uint16_t> row;
+  if (joiner != nullptr) row = joiner->domain.branches();
+  splice_rows<std::uint16_t>(paths.offsets, paths.branches, change, row,
+                             out.offsets, out.branches);
+  return out;
+}
+
+/// `attach` across the change. An empty array means no node is attached,
+/// and stays empty while that holds.
+std::vector<std::int32_t> splice_attach(const std::vector<std::int32_t>& attach,
+                                        std::size_t n, IndexChange change,
+                                        const OverlayNode* joiner) {
+  const std::int32_t joined = joiner != nullptr ? joiner->attach : -1;
+  if (!attach.empty()) return splice(attach, change, joined);
+  if (joined == -1) return {};
+  return splice(std::vector<std::int32_t>(n, -1), change, joined);
+}
+
+/// The insert of ID `id` at its lower_bound in `prev`, validated as the
+/// constructors validate IDs.
+IndexChange join_change(const OverlayNetwork& prev, NodeId id) {
+  if (id != prev.space().wrap(id)) {
+    throw std::invalid_argument("OverlayNetwork: ID outside the IdSpace");
+  }
+  const std::vector<NodeId>& ids = prev.ids();
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it != ids.end() && *it == id) {
+    throw std::invalid_argument("OverlayNetwork: duplicate node IDs");
+  }
+  return {static_cast<NodeIndex>(it - ids.begin()), true};
+}
+
+/// The erase of node `leaver` from `prev`, validated.
+IndexChange leave_change(const OverlayNetwork& prev, NodeIndex leaver) {
+  if (leaver >= prev.size()) {
+    throw std::out_of_range("OverlayNetwork: leaver index out of range");
+  }
+  return {leaver, false};
+}
+
+}  // namespace
+
+OverlayNetwork::OverlayNetwork(const OverlayNetwork& prev,
+                               const OverlayNode& joiner)
+    : OverlayNetwork(prev, join_change(prev, joiner.id), &joiner) {}
+
+OverlayNetwork::OverlayNetwork(const OverlayNetwork& prev, NodeIndex leaver)
+    : OverlayNetwork(prev, leave_change(prev, leaver), nullptr) {}
+
+OverlayNetwork::OverlayNetwork(const OverlayNetwork& prev, IndexChange change,
+                               const OverlayNode* joiner)
+    : space_(prev.space_),
+      ids_(splice(prev.ids_, change, joiner != nullptr ? joiner->id : 0)),
+      paths_(splice_paths(prev.paths_, change, joiner)),
+      attach_(splice_attach(prev.attach_, prev.size(), change, joiner)),
+      tree_(prev.tree_, change, paths_.offsets, paths_.branches, ids_) {
+  charge_memory();
 }
 
 OverlayNetwork::Soa OverlayNetwork::soa_from_nodes(

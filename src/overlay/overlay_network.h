@@ -13,6 +13,11 @@
 // NodeId array. The OverlayNode struct remains as a convenience view:
 // node(i) materializes one on demand.
 //
+// A network can also be derived from another one join or leave earlier
+// (dynamic maintenance): the derivation constructors splice the arrays and
+// the domain tree instead of sorting and partitioning the population again,
+// and the result equals a network constructed from the changed member list.
+//
 // Link construction (src/dht, src/canon) and routing (routing.h) are layered
 // on top of this class; it owns no links itself.
 #ifndef CANON_OVERLAY_OVERLAY_NETWORK_H
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/splice.h"
 #include "hierarchy/domain_path.h"
 #include "hierarchy/domain_tree.h"
 #include "telemetry/mem_stats.h"
@@ -103,6 +109,15 @@ class OverlayNetwork {
   OverlayNetwork(IdSpace space, std::vector<NodeId> ids, DomainPathPool paths,
                  std::vector<std::int32_t> attach = {});
 
+  /// Derivation constructors: `prev` with `joiner` inserted at its
+  /// lower_bound, or with node `leaver` erased. The ID array, path pool
+  /// and attachments are spliced and the domain tree derived (see
+  /// DomainTree's derivation constructor). Throws like the constructors
+  /// above on an ID outside the space or a duplicate ID, and
+  /// std::out_of_range on a leaver index >= prev.size().
+  OverlayNetwork(const OverlayNetwork& prev, const OverlayNode& joiner);
+  OverlayNetwork(const OverlayNetwork& prev, NodeIndex leaver);
+
   const IdSpace& space() const { return space_; }
   std::size_t size() const { return ids_.size(); }
 
@@ -156,6 +171,12 @@ class OverlayNetwork {
                         std::vector<std::int32_t> attach);
   static Soa soa_from_nodes(const std::vector<OverlayNode>& nodes);
   OverlayNetwork(IdSpace space, Soa soa);
+  /// Both derivation constructors, on a validated change (`joiner` is
+  /// null for an erase).
+  OverlayNetwork(const OverlayNetwork& prev, IndexChange change,
+                 const OverlayNode* joiner);
+  /// (Re)charges the three metadata stores to the memory ledger.
+  void charge_memory();
 
   IdSpace space_;
   std::vector<NodeId> ids_;           // ascending

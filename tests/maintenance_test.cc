@@ -12,6 +12,8 @@
 #include "maintenance/dynamic_crescendo.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
+#include "same_network.h"
+#include "telemetry/metrics.h"
 
 namespace canon {
 namespace {
@@ -203,9 +205,18 @@ TEST(DynamicCrescendo, LeafSetsEnableSuccessorRepair) {
   EXPECT_EQ(leaf_after[0], leaf_before[1]);
 }
 
+/// Installs a metrics registry for one scope.
+struct RegistryGuard {
+  telemetry::MetricsRegistry registry;
+  telemetry::MetricsRegistry* prev = telemetry::install_registry(&registry);
+  ~RegistryGuard() { telemetry::install_registry(prev); }
+};
+
 TEST(DynamicCrescendo, RejectedChangesLeaveTheStructureUnchanged) {
   DynamicCrescendo dyn(IdSpace(8), {make_node(1, {0}), make_node(50, {1}),
                                     make_node(100, {0})});
+  // The maintenance counters and timers count committed changes only.
+  RegistryGuard metrics;
   const LinkTable table_before = dyn.link_table();
   const std::vector<NodeId> ids_before = dyn.network().ids();
   const auto expect_unchanged = [&] {
@@ -224,6 +235,11 @@ TEST(DynamicCrescendo, RejectedChangesLeaveTheStructureUnchanged) {
   dyn.leave(50);
   EXPECT_EQ(dyn.network().ids(), (std::vector<NodeId>{1, 7, 100}));
   expect_equals_scratch(dyn);
+  telemetry::MetricsRegistry& r = metrics.registry;
+  EXPECT_EQ(r.counter("maintenance.joins").value(), 1u);
+  EXPECT_EQ(r.counter("maintenance.leaves").value(), 1u);
+  EXPECT_EQ(r.histogram("maintenance.join_ms").count(), 1u);
+  EXPECT_EQ(r.histogram("maintenance.leave_ms").count(), 1u);
 }
 
 /// Oracle for a join's insertion-lookup hops on the pre-join network: the
@@ -254,11 +270,14 @@ struct ChurnCase {
 };
 
 /// Seeded differential churn: two replicas, one maintained at 1 worker
-/// thread and one at 4, take the same changes. After every change both
-/// tables must equal a from-scratch build byte for byte, both costs must
-/// agree, and a join's lookup hops must match the O(n)-scan oracle. The
-/// scripted edges move the index shift to both ends of the ID order, empty
-/// the structure and open a top-level domain nobody occupies.
+/// thread and one at 4, take the same changes. After every change the
+/// derived network must equal one constructed from the member list in
+/// every field, both tables must equal a from-scratch build over that
+/// network byte for byte, both costs must agree, and a join's lookup hops
+/// must match the O(n)-scan oracle. The scripted edges move the index
+/// shift to both ends of the ID order, empty the structure and open a
+/// top-level domain nobody occupies, so the derived domain tree takes both
+/// the shifted and the re-indexed branch.
 TEST(DynamicCrescendo, DifferentialChurnMatchesScratchBuildAtAnyThreadCount) {
   const ChurnCase cases[] = {
       {16, 1, 40, 300, true, 801},  {16, 2, 60, 300, true, 802},
@@ -290,6 +309,7 @@ TEST(DynamicCrescendo, DifferentialChurnMatchesScratchBuildAtAnyThreadCount) {
     DynamicCrescendo parallel(space, initial);
     ASSERT_TRUE(serial.link_table() == parallel.link_table());
     expect_equals_scratch(serial);
+    std::vector<OverlayNode> members = initial;
 
     const auto apply = [&](bool join, const OverlayNode& node) {
       const int want_hops =
@@ -303,8 +323,19 @@ TEST(DynamicCrescendo, DifferentialChurnMatchesScratchBuildAtAnyThreadCount) {
       EXPECT_EQ(a.lookup_hops, want_hops);
       EXPECT_EQ(a.lookup_hops, b.lookup_hops);
       EXPECT_EQ(a.nodes_updated, b.nodes_updated);
+      if (join) {
+        members.push_back(node);
+      } else {
+        std::erase_if(members,
+                      [&](const OverlayNode& m) { return m.id == node.id; });
+      }
+      const OverlayNetwork scratch(space, members);
+      ASSERT_TRUE(same_network(serial.network(), scratch))
+          << (join ? "join " : "leave ") << node.id << " at size "
+          << serial.size();
+      ASSERT_TRUE(same_network(parallel.network(), scratch));
       ASSERT_TRUE(serial.link_table() == parallel.link_table());
-      ASSERT_TRUE(serial.link_table() == build_crescendo(serial.network()))
+      ASSERT_TRUE(serial.link_table() == build_crescendo(scratch))
           << (join ? "join " : "leave ") << node.id << " at size "
           << serial.size();
     };

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -13,6 +16,8 @@
 #include "overlay/overlay_network.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
+#include "same_network.h"
+#include "telemetry/mem_stats.h"
 
 namespace canon {
 namespace {
@@ -41,6 +46,50 @@ TEST(OverlayNetwork, RejectsDuplicatesAndOutOfRange) {
   EXPECT_THROW(OverlayNetwork(IdSpace(4), dup), std::invalid_argument);
   std::vector<OverlayNode> big = {{16, {}, -1}};
   EXPECT_THROW(OverlayNetwork(IdSpace(4), big), std::invalid_argument);
+}
+
+TEST(OverlayNetwork, DerivedNetworkMatchesConstructor) {
+  // Joins and leaves from empty up to about 100 nodes and back to empty.
+  // Ragged paths over three branches open and empty domains at every
+  // depth; half the joiners carry no attachment, so the attachment array
+  // starts empty and is materialized by the first attached joiner.
+  Rng rng(31);
+  const IdSpace space(10);
+  std::vector<OverlayNode> members;
+  OverlayNetwork net(space, members);
+  for (int op = 0; op < 800; ++op) {
+    const bool grow = op < 400 ? rng.uniform(4) != 0 : rng.uniform(4) == 0;
+    if (net.size() == 0 || (grow && net.size() < space.mask())) {
+      OverlayNode joiner;
+      do {
+        joiner.id = rng() & space.mask();
+      } while (std::binary_search(net.ids().begin(), net.ids().end(),
+                                  joiner.id));
+      std::vector<std::uint16_t> branches(rng.uniform(4));
+      for (auto& b : branches) b = static_cast<std::uint16_t>(rng.uniform(3));
+      joiner.domain = DomainPath(std::move(branches));
+      joiner.attach =
+          rng.uniform(2) == 0 ? -1 : static_cast<std::int32_t>(rng.uniform(50));
+      net = OverlayNetwork(net, joiner);
+      members.push_back(joiner);
+    } else {
+      const auto leaver = static_cast<NodeIndex>(rng.uniform(net.size()));
+      const NodeId id = net.id(leaver);
+      net = OverlayNetwork(net, leaver);
+      std::erase_if(members, [&](const OverlayNode& m) { return m.id == id; });
+    }
+    ASSERT_TRUE(same_network(net, OverlayNetwork(space, members)))
+        << "op " << op << ", " << net.size() << " nodes";
+  }
+  // The derivation keeps the constructor's validation.
+  const OverlayNetwork small = small_net();
+  EXPECT_THROW(OverlayNetwork(small, OverlayNode{16, {}, -1}),
+               std::invalid_argument);
+  EXPECT_THROW(OverlayNetwork(small, OverlayNode{5, {}, -1}),
+               std::invalid_argument);
+  EXPECT_THROW(OverlayNetwork(small, NodeIndex{6}), std::out_of_range);
+  const OverlayNetwork empty(IdSpace(4), std::vector<OverlayNode>{});
+  EXPECT_THROW(OverlayNetwork(empty, NodeIndex{0}), std::out_of_range);
 }
 
 TEST(OverlayNetwork, Responsible) {
@@ -216,6 +265,127 @@ TEST(LinkTable, ShardedBuildMatchesPerNodeReference) {
     }
   }
   set_parallel_threads(0);
+}
+
+/// A link rule on node IDs alone, so a node's row in one population is
+/// its row in another, mapped to that population's indices.
+bool hashed_link(NodeId x, NodeId y) {
+  std::uint64_t h = (x * 0x9e3779b97f4a7c15ULL) ^ (y + 0x632be59bd9b4e019ULL);
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 29;
+  return h % 4 == 0;
+}
+
+/// Rows of the hashed rule over `ids`, plus a self-link and a duplicate
+/// for the row rule to drop.
+LinkTable::AddLinks hashed_rows(const std::vector<NodeId>& ids) {
+  return [&ids](NodeIndex m, LinkRow& row) {
+    for (NodeIndex j = 0; j < ids.size(); ++j) {
+      if (hashed_link(ids[m], ids[j])) row.push_back(j);
+    }
+    row.push_back(m);
+    row.push_back(row.front());
+  };
+}
+
+/// The link_table.csr bytes charged for the table `make` returns.
+std::uint64_t csr_bytes(const std::function<LinkTable()>& make) {
+  telemetry::MemoryAccountant acct;
+  telemetry::install_mem_accountant(&acct);
+  const LinkTable table = make();
+  telemetry::install_mem_accountant(nullptr);
+  return acct.tags().at("link_table.csr").current;
+}
+
+/// Derives the table over `prev_ids` across one change, recomputing the
+/// rows that must be (the joiner's and every row linking to the changed
+/// node) plus `extra` (new indices), and checks it against build() over
+/// the changed IDs, ledger charge included.
+void expect_derive_matches_build(const std::vector<NodeId>& prev_ids,
+                                 IndexChange change, NodeId joiner,
+                                 std::vector<NodeIndex> extra) {
+  std::vector<NodeId> ids = prev_ids;
+  NodeId changed = joiner;
+  if (change.insert) {
+    ids.insert(ids.begin() + change.at, joiner);
+  } else {
+    changed = ids[change.at];
+    ids.erase(ids.begin() + change.at);
+  }
+  ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  std::vector<NodeIndex> dirty;
+  for (NodeIndex m = 0; m < ids.size(); ++m) {
+    const bool required = ids[m] == changed || hashed_link(ids[m], changed);
+    if (required || std::find(extra.begin(), extra.end(), m) != extra.end()) {
+      dirty.push_back(m);
+    }
+  }
+  const LinkTable prev = LinkTable::build(prev_ids, hashed_rows(prev_ids));
+  const auto derived = [&] {
+    return LinkTable::derive(prev, ids, change, dirty, hashed_rows(ids));
+  };
+  const auto built = [&] { return LinkTable::build(ids, hashed_rows(ids)); };
+  EXPECT_TRUE(derived() == built())
+      << (change.insert ? "insert at " : "erase at ") << change.at << ", "
+      << dirty.size() << " dirty rows";
+  EXPECT_EQ(csr_bytes(derived), csr_bytes(built));
+}
+
+TEST(LinkTable, DeriveMatchesBuildOverTheSameRows) {
+  // IDs 10, 20, ..., 400: about a quarter of the rows link to any node.
+  std::vector<NodeId> ids(40);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 10 * (i + 1);
+  const auto n = static_cast<NodeIndex>(ids.size());
+  // Inserts at index 0, in the middle and at n (the new last index): the
+  // required rows only, then with dirty rows beside the pivot and at both
+  // ends.
+  for (const auto& [at, joiner] :
+       {std::pair<NodeIndex, NodeId>{0, 5}, {20, 205}, {n, 1000}}) {
+    SCOPED_TRACE("insert at " + std::to_string(at));
+    expect_derive_matches_build(ids, {at, true}, joiner, {});
+    expect_derive_matches_build(
+        ids, {at, true}, joiner,
+        {0, at == 0 ? 0 : at - 1, at + 1, n});
+  }
+  // Erases at index 0, in the middle and at n - 1, likewise.
+  for (const NodeIndex at : {NodeIndex{0}, NodeIndex{20}, n - 1}) {
+    SCOPED_TRACE("erase at " + std::to_string(at));
+    expect_derive_matches_build(ids, {at, false}, 0, {});
+    expect_derive_matches_build(ids, {at, false}, 0,
+                                {0, at == 0 ? 0 : at - 1, at, n - 2});
+  }
+  // 0 -> 1 and 1 -> 0 nodes.
+  expect_derive_matches_build({}, {0, true}, 7, {});
+  expect_derive_matches_build({7}, {0, false}, 0, {});
+}
+
+TEST(LinkTable, DeriveRejectsWhatDoesNotFit) {
+  std::vector<NodeId> prev_ids = {10, 20, 30, 40};
+  const LinkTable prev = LinkTable::build(prev_ids, hashed_rows(prev_ids));
+  const std::vector<NodeId> ids = {10, 15, 20, 30, 40};
+  const auto rows = hashed_rows(ids);
+  const IndexChange insert{1, true};
+  const auto derive = [&](IndexChange change, std::vector<NodeIndex> dirty,
+                          std::span<const NodeId> over,
+                          const LinkTable::AddLinks& add_links) {
+    return LinkTable::derive(prev, over, change, dirty, add_links);
+  };
+  EXPECT_NO_THROW(derive(insert, {1}, ids, rows));
+  // A dirty row's target past the node count, as in build().
+  EXPECT_THROW(derive(insert, {1}, ids,
+                      [](NodeIndex, LinkRow& row) { row.push_back(5); }),
+               std::out_of_range);
+  // The inserted node's row must be dirty; dirty rows ascend, unique, in
+  // range; the IDs and the change fit the table.
+  EXPECT_THROW(derive(insert, {0}, ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive(insert, {2, 1}, ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive(insert, {1, 1}, ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive(insert, {1, 5}, ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive(insert, {1}, prev_ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive({5, true}, {1}, ids, rows), std::invalid_argument);
+  EXPECT_THROW(derive({4, false}, {}, {prev_ids.data(), 3}, rows),
+               std::invalid_argument);
 }
 
 // Builds the full Chord links on the small ring by brute force so the
