@@ -120,10 +120,10 @@ int main(int argc, char** argv) {
                                   links, trials, rng));
   }
   {
-    const auto can = build_can(flat);
-    const CanRouter r(flat, can.tree, can.links);
-    rows.push_back(measure("CAN (flat, prefix-tree)",
-                           can.links.mean_degree(), r, flat, trials, rng));
+    const auto links = build_can(flat);
+    const CanRouter r(flat, links);
+    rows.push_back(measure("CAN (flat, prefix-tree)", links.mean_degree(), r,
+                           flat, trials, rng));
   }
   rows.push_back(canon_row("Can-Can", "cancan"));
 

@@ -56,8 +56,7 @@ void BM_BuildCanCan(benchmark::State& state) {
   const auto net = bench::bench_population(
       static_cast<std::size_t>(state.range(0)), 4);
   for (auto _ : state) {
-    CanCanNetwork cancan(net);
-    benchmark::DoNotOptimize(cancan.links().total_links());
+    benchmark::DoNotOptimize(build_cancan(net).total_links());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

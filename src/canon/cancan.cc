@@ -1,40 +1,48 @@
 #include "canon/cancan.h"
 
-#include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
-#include "common/parallel.h"
 #include "dht/kademlia.h"
 #include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
 
-CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
-    : net_(&net) {
-  telemetry::ScopedTimer timer("build.cancan_ms");
+CanCanZones::CanCanZones(const OverlayNetwork& net)
+    : net_(&net),
+      stride_(static_cast<std::size_t>(net.domains().max_depth()) + 1),
+      slots_(net.size() * stride_) {
   const DomainTree& dom = net.domains();
-  trees_.resize(static_cast<std::size_t>(dom.domain_count()));
-  // Per-domain zone tries are independent; one shard per few domains.
-  parallel_for(static_cast<std::size_t>(dom.domain_count()), 4,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t d = begin; d < end; ++d) {
-                   const auto& members =
-                       dom.domain(static_cast<int>(d)).members;
-                   trees_[d] = std::make_unique<ZoneTree>(
-                       net, std::span<const std::uint32_t>{members.data(),
-                                                           members.size()});
-                 }
-               });
-
-  const auto add_node_links = [&](NodeIndex m, LinkRow& row) {
-    const auto& chain = dom.domain_chain(m);
-    const int leaf = static_cast<int>(chain.size()) - 1;
-    // Leaf domain: every CAN edge.
-    for (const std::uint32_t v :
-         tree(chain[static_cast<std::size_t>(leaf)]).neighbors(m)) {
-      row.push_back(v);
+  trees_.reserve(static_cast<std::size_t>(dom.domain_count()));
+  for (int d = 0; d < dom.domain_count(); ++d) {
+    const Domain& domain = dom.domain(d);
+    const ZoneTree& t = trees_.emplace_back(
+        net, std::span<const std::uint32_t>{domain.members.data(),
+                                            domain.members.size()});
+    const auto level = static_cast<std::size_t>(domain.depth);
+    for (std::size_t pos = 0; pos < domain.members.size(); ++pos) {
+      slots_[domain.members[pos] * stride_ + level] =
+          Slot{d, static_cast<std::uint32_t>(pos), t.lcps(pos)};
     }
+  }
+}
+
+std::uint32_t CanCanZones::responsible(NodeId key) const {
+  return tree(net_->domains().root()).owner_of(key);
+}
+
+LinkTable build_cancan(const OverlayNetwork& net) {
+  telemetry::ScopedTimer timer("build.cancan_ms");
+  const CanCanZones zones(net);
+  const DomainTree& dom = net.domains();
+  const int bits = net.space().bits();
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    const int leaf = dom.node_depth(m);
+    // Leaf domain: every CAN edge.
+    const CanCanZones::Slot& leaf_slot = zones.slot(m, leaf);
+    zones.tree(leaf_slot.domain).append_neighbors(leaf_slot.pos, row);
     // Higher levels: a face edge survives the merge only if it is shorter
     // than the shortest lower-level link *for that face* (the per-bucket
     // reading of condition (b), as in Kandy). On the virtual hypercube a
@@ -42,34 +50,36 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
     // covers exactly the faces at positions < len(lower zone), so deeper
     // faces are always kept, and a shallower face survives only when the
     // lower domain has no member at all across it (its ID bucket is empty).
-    const int bits = net.space().bits();
     for (int level = leaf - 1; level >= 0; --level) {
-      const RingView child_ring =
-          net.domain_ring(chain[static_cast<std::size_t>(level + 1)]);
-      const int lower_len =
-          tree(chain[static_cast<std::size_t>(level + 1)]).zone(m).len;
-      const ZoneTree& t = tree(chain[static_cast<std::size_t>(level)]);
-      const int len = t.zone(m).len;
+      const CanCanZones::Slot& lower = zones.slot(m, level + 1);
+      const CanCanZones::Slot& here = zones.slot(m, level);
+      const RingView child_ring = net.domain_ring(lower.domain);
+      const int lower_len = ZoneTree::primary_len(lower.lcps);
+      const int len = ZoneTree::primary_len(here.lcps);
+      const ZoneTree& t = zones.tree(here.domain);
       for (int pos = 0; pos < len; ++pos) {
         // Keep only if the child domain is empty across this face.
         if (pos < lower_len &&
             bucket_count(net, child_ring, net.id(m), bits - 1 - pos) != 0) {
           continue;
         }
-        t.face_neighbors(m, pos, row);
+        t.append_face_owners(here.pos, pos, row);
       }
     }
-  };
-  links_ = LinkTable::build(net.ids(), add_node_links);
+  });
 }
 
-std::uint32_t CanCanNetwork::responsible(NodeId key) const {
-  return tree(net_->domains().root()).owner_of(key);
+CanCanKernel::CanCanKernel(const OverlayNetwork& net,
+                           std::shared_ptr<const CanCanZones> zones,
+                           const LinkTable& links)
+    : net_(&net),
+      zones_(std::move(zones)),
+      links_(&links),
+      max_hops_(8 * net.space().bits() + 16) {
+  if (&zones_->net() != &net) {
+    throw std::invalid_argument("CanCanKernel: zones of another network");
+  }
 }
-
-CanCanKernel::CanCanKernel(std::shared_ptr<const CanCanNetwork> network)
-    : network_(std::move(network)),
-      max_hops_(8 * network_->net().space().bits() + 16) {}
 
 template <typename Pick, typename Ctx>
 Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
@@ -85,7 +95,7 @@ Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
     if constexpr (Ctx::kActive) {
       return live_stage_owner(d, key, ctx.dead);
     } else {
-      return network_->tree(d).owner_of(key);
+      return zones_->tree(d).owner_of(key);
     }
   };
   NodeIndex owner = stage_owner(stage);
@@ -96,12 +106,18 @@ Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
   }
   state = (std::uint64_t{site.at} + 1) << 32 |
           static_cast<std::uint64_t>(stage + 1);
-  const ZoneTree& t = network_->tree(stage);
-  const int cur_match = t.match_len(site.at, key);
+  // A candidate is in the stage iff its slot at the stage's level names
+  // the stage; the slot also gives its prefix match.
+  const int level = dom.domain(stage).depth;
+  const int bits = net().space().bits();
+  const int cur_match = ZoneTree::match_len(
+      site.id, zones_->slot(site.at, level).lcps, key, bits);
   for (std::size_t j = 0; j < site.count; ++j) {
     const NodeIndex nb = site.targets[j];
-    if (nb == prev || !t.contains(nb)) continue;
-    const int m = t.match_len(nb, key);
+    if (nb == prev) continue;
+    const CanCanZones::Slot& s = zones_->slot(nb, level);
+    if (s.domain != stage) continue;
+    const int m = ZoneTree::match_len(site.ids[j], s.lcps, key, bits);
     if (m > cur_match) pick.offer(static_cast<Score>(m), j);
   }
   if (!pick.found()) {
@@ -119,7 +135,7 @@ Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
     const std::uint64_t cur_d = (site.id ^ key) & mask;
     for (std::size_t j = 0; j < site.count; ++j) {
       const NodeIndex nb = site.targets[j];
-      if (nb == prev || !t.contains(nb)) continue;
+      if (nb == prev || zones_->slot(nb, level).domain != stage) continue;
       const std::uint64_t d = (site.ids[j] ^ key) & mask;
       if (d < cur_d) pick.offer(cur_d - d, j);
     }
@@ -129,14 +145,13 @@ Hop CanCanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
 
 NodeIndex CanCanKernel::live_stage_owner(int d, NodeId key,
                                          const FailureSet& dead) const {
-  const ZoneTree& t = network_->tree(d);
-  const NodeIndex structural = t.owner_of(key);
+  const NodeIndex structural = zones_->tree(d).owner_of(key);
   if (!dead.dead(structural)) return structural;
   const IdSpace& space = net().space();
   NodeIndex best = RingView::kNone;
   std::uint64_t best_d = 0;
   for (const NodeIndex m : net().domains().domain(d).members) {
-    if (dead.dead(m) || !t.contains(m)) continue;
+    if (dead.dead(m)) continue;
     const std::uint64_t dist = space.xor_distance(net().id(m), key);
     if (best == RingView::kNone || dist < best_d) {
       best = m;

@@ -13,9 +13,15 @@
 // within the current domain's partition the message greedily extends the
 // prefix match with the key until it reaches the key's zone owner, then the
 // stage lifts to the parent domain.
+//
+// The partitions are ZoneTree views over the domain member lists (no trie
+// is built); CanCanZones adds one slot per (node, level) holding the
+// node's domain there, its list position and its two LCPs, so the kernel
+// decides a candidate's stage membership and prefix match from one slot.
 #ifndef CANON_CANON_CANCAN_H
 #define CANON_CANON_CANCAN_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -26,16 +32,29 @@
 
 namespace canon {
 
-/// The per-domain zone partitions plus the Canon-filtered link table.
-class CanCanNetwork {
+/// The per-domain zone partitions of `net` plus the per-(node, level)
+/// slots (see file comment). Borrows `net`, which must outlive it.
+class CanCanZones {
  public:
-  explicit CanCanNetwork(const OverlayNetwork& net);
+  explicit CanCanZones(const OverlayNetwork& net);
+
+  /// Node m's place in the partition of its level-l domain.
+  struct Slot {
+    std::int32_t domain = -1;  ///< DomainTree index; -1 below m's leaf
+    std::uint32_t pos = 0;     ///< m's position in the domain's member list
+    ZoneTree::Lcps lcps;       ///< m's LCPs there
+  };
 
   const OverlayNetwork& net() const { return *net_; }
-  const LinkTable& links() const { return links_; }
 
   /// Zone partition of domain `d` (a DomainTree index).
-  const ZoneTree& tree(int d) const { return *trees_[static_cast<std::size_t>(d)]; }
+  const ZoneTree& tree(int d) const {
+    return trees_[static_cast<std::size_t>(d)];
+  }
+
+  const Slot& slot(NodeIndex m, int level) const {
+    return slots_[m * stride_ + static_cast<std::size_t>(level)];
+  }
 
   /// The node that should answer `key` (owner of the key's zone in the
   /// root partition).
@@ -43,30 +62,37 @@ class CanCanNetwork {
 
  private:
   const OverlayNetwork* net_;
-  std::vector<std::unique_ptr<ZoneTree>> trees_;  // by domain index
-  LinkTable links_;
+  std::vector<ZoneTree> trees_;  // by domain index
+  std::size_t stride_;           // levels per node: max_depth + 1
+  std::vector<Slot> slots_;      // node-major
 };
 
-/// Staged greedy kernel over a CanCanNetwork (see file comment): within
-/// the stage domain's partition, bit fixing toward the key, then a hop to
-/// the neighbor owning the key's stage zone, then — for faces the merge
-/// filter removed — a neighbor strictly XOR-closer to the key. Reaching
-/// the stage owner lifts the stage to the parent domain without a hop;
-/// the lookup ends at the root partition's owner. Under faults a dead
-/// stage owner's zone is taken over by the live stage member XOR-closest
-/// to the key (every stage domain contains the live source, so a takeover
-/// always exists). Cycle guard: never step back to the node just left.
-/// Per-lookup state: (previous node + 1) << 32 | (stage domain + 1). The
-/// CanCanNetwork is shared.
+/// Builds the Can-Can link table (see file comment).
+LinkTable build_cancan(const OverlayNetwork& net);
+
+/// Staged greedy kernel over the Can-Can partitions (see file comment):
+/// within the stage domain's partition, bit fixing toward the key, then a
+/// hop to the neighbor owning the key's stage zone, then — for faces the
+/// merge filter removed — a neighbor strictly XOR-closer to the key.
+/// Reaching the stage owner lifts the stage to the parent domain without
+/// a hop; the lookup ends at the root partition's owner. Under faults a
+/// dead stage owner's zone is taken over by the live stage member
+/// XOR-closest to the key (every stage domain contains the live source, so
+/// a takeover always exists). Cycle guard: never step back to the node
+/// just left. Per-lookup state: (previous node + 1) << 32 | (stage domain
+/// + 1). `net` and `links` are borrowed; the zones, which must be `net`'s,
+/// are shared.
 class CanCanKernel {
  public:
   using Score = std::uint64_t;
   static constexpr const char* kCounterPrefix = nullptr;
 
-  explicit CanCanKernel(std::shared_ptr<const CanCanNetwork> network);
+  CanCanKernel(const OverlayNetwork& net,
+               std::shared_ptr<const CanCanZones> zones,
+               const LinkTable& links);
 
-  const OverlayNetwork& net() const { return network_->net(); }
-  const LinkTable& links() const { return network_->links(); }
+  const OverlayNetwork& net() const { return *net_; }
+  const LinkTable& links() const { return *links_; }
   /// 8·bits+16: the staged walk needs a wider guard than the one-stage
   /// kernels' 4·bits+16.
   int max_hops() const { return max_hops_; }
@@ -80,7 +106,9 @@ class CanCanKernel {
   /// `d` (see class comment).
   NodeIndex live_stage_owner(int d, NodeId key, const FailureSet& dead) const;
 
-  std::shared_ptr<const CanCanNetwork> network_;
+  const OverlayNetwork* net_;
+  std::shared_ptr<const CanCanZones> zones_;
+  const LinkTable* links_;
   int max_hops_;
 };
 

@@ -2,203 +2,194 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
 
-namespace {
-
-/// Bit of `id` at prefix position `pos` (0 = most significant of the space).
-int bit_at(NodeId id, int pos, int bits) {
-  return static_cast<int>((id >> (bits - 1 - pos)) & 1);
-}
-
-}  // namespace
-
 ZoneTree::ZoneTree(const OverlayNetwork& net,
                    std::span<const std::uint32_t> members)
-    : net_(&net) {
+    : ids_(net.ids().data()),
+      members_(members),
+      bits_(net.space().bits()),
+      mask_(net.space().mask()) {
   if (members.empty()) throw std::invalid_argument("ZoneTree: no members");
   for (std::size_t i = 1; i < members.size(); ++i) {
-    if (net.id(members[i - 1]) >= net.id(members[i])) {
+    if (id_at(i - 1) >= id_at(i)) {
       throw std::invalid_argument("ZoneTree: members must be ID-sorted");
     }
   }
-  build(members, 0, members.size(), 0, 0);
 }
 
-int ZoneTree::make_leaf(std::uint32_t owner, NodeId prefix, int len) {
-  const int idx = static_cast<int>(trie_.size());
-  trie_.push_back(TrieNode{{-1, -1}, owner, true, Zone{prefix, len}});
-  leaves_of_[owner].push_back(idx);
-  // The primary leaf is the one containing the owner's own ID.
-  const int bits = net_->space().bits();
-  const NodeId id = net_->id(owner);
-  if (len == 0 || (id >> (bits - len)) == (prefix >> (bits - len))) {
-    primary_leaf_[owner] = idx;
-  }
-  return idx;
+std::size_t ZoneTree::lower_pos(NodeId x, std::size_t lo,
+                                std::size_t hi) const {
+  const auto it = std::lower_bound(
+      members_.begin() + static_cast<std::ptrdiff_t>(lo),
+      members_.begin() + static_cast<std::ptrdiff_t>(hi), x,
+      [this](std::uint32_t m, NodeId k) { return ids_[m] < k; });
+  return static_cast<std::size_t>(it - members_.begin());
 }
 
-int ZoneTree::build(std::span<const std::uint32_t> members, std::size_t lo,
-                    std::size_t hi, NodeId prefix, int len) {
-  const int bits = net_->space().bits();
-  if (hi - lo == 1) return make_leaf(members[lo], prefix, len);
-  if (len >= bits) throw std::logic_error("ZoneTree: duplicate IDs");
-
-  // Split the ID-sorted span at the first member whose bit `len` is 1.
-  const NodeId half = NodeId{1} << (bits - 1 - len);
-  const NodeId split_id = prefix | half;
-  std::size_t mid = lo;
-  while (mid < hi && net_->id(members[mid]) < split_id) ++mid;
-
-  const int idx = static_cast<int>(trie_.size());
-  trie_.push_back(TrieNode{{-1, -1}, 0, false, Zone{prefix, len}});
-  int left;
-  int right;
-  if (mid == lo) {
-    // Left half empty: owned by the boundary member (smallest ID on the
-    // populated side), the member "closest across" the empty block.
-    left = make_leaf(members[lo], prefix, len + 1);
-    right = build(members, lo, hi, split_id, len + 1);
-  } else if (mid == hi) {
-    right = make_leaf(members[hi - 1], split_id, len + 1);
-    left = build(members, lo, hi, prefix, len + 1);
-  } else {
-    left = build(members, lo, mid, prefix, len + 1);
-    right = build(members, mid, hi, split_id, len + 1);
-  }
-  trie_[static_cast<std::size_t>(idx)].child[0] = left;
-  trie_[static_cast<std::size_t>(idx)].child[1] = right;
-  return idx;
+std::size_t ZoneTree::position(std::uint32_t node) const {
+  const std::size_t pos = lower_pos(ids_[node], 0, members_.size());
+  return pos < members_.size() && members_[pos] == node ? pos : kNoPos;
 }
 
-int ZoneTree::leaf_containing(NodeId point) const {
-  const int bits = net_->space().bits();
-  int cur = 0;
-  int depth = 0;
-  while (!trie_[static_cast<std::size_t>(cur)].is_leaf) {
-    cur = trie_[static_cast<std::size_t>(cur)].child[bit_at(point, depth,
-                                                            bits)];
-    ++depth;
+std::size_t ZoneTree::checked_position(std::uint32_t node,
+                                       const char* what) const {
+  const std::size_t pos = position(node);
+  if (pos == kNoPos) {
+    throw std::invalid_argument(std::string(what) + ": not a member");
   }
-  return cur;
+  return pos;
 }
 
-ZoneTree::Zone ZoneTree::zone(std::uint32_t node) const {
-  const auto it = primary_leaf_.find(node);
-  if (it == primary_leaf_.end()) {
-    throw std::invalid_argument("ZoneTree::zone: not a member");
+ZoneTree::Lcps ZoneTree::lcps(std::size_t pos) const {
+  const int shift = 64 - bits_;
+  const NodeId id = id_at(pos);
+  Lcps l;
+  if (pos > 0) {
+    l.pred = static_cast<std::int8_t>(
+        std::countl_zero((id_at(pos - 1) ^ id) << shift));
   }
-  return trie_[static_cast<std::size_t>(it->second)].block;
+  if (pos + 1 < members_.size()) {
+    l.succ = static_cast<std::int8_t>(
+        std::countl_zero((id_at(pos + 1) ^ id) << shift));
+  }
+  return l;
 }
 
-std::vector<ZoneTree::Zone> ZoneTree::zones_of(std::uint32_t node) const {
-  const auto it = leaves_of_.find(node);
-  if (it == leaves_of_.end()) {
-    throw std::invalid_argument("ZoneTree::zones_of: not a member");
-  }
-  std::vector<Zone> out;
-  out.reserve(it->second.size());
-  out.push_back(zone(node));
-  const int primary = primary_leaf_.at(node);
-  for (const int leaf : it->second) {
-    if (leaf != primary) {
-      out.push_back(trie_[static_cast<std::size_t>(leaf)].block);
-    }
-  }
-  return out;
+std::size_t ZoneTree::resolve_owner(std::size_t succ, NodeId point) const {
+  if (succ == 0) return 0;
+  if (succ == members_.size()) return succ - 1;
+  // The zones of consecutive members meet at their split point: the owner
+  // is whichever of the two shares the longer prefix with the point.
+  return (id_at(succ - 1) ^ point) < (id_at(succ) ^ point) ? succ - 1 : succ;
 }
 
 std::uint32_t ZoneTree::owner_of(NodeId point) const {
-  return trie_[static_cast<std::size_t>(leaf_containing(point))].owner;
+  point &= mask_;
+  return members_[resolve_owner(lower_pos(point, 0, members_.size()), point)];
 }
 
-void ZoneTree::collect_leaf_owners(int trie_node,
+std::size_t ZoneTree::seek(NodeId x, std::size_t from) const {
+  const std::size_t n = members_.size();
+  // Gallop away from `from` until [lo, hi] brackets the answer.
+  std::size_t lo;
+  std::size_t hi;
+  if (id_at(from) < x) {
+    lo = from + 1;
+    hi = lo;
+    for (std::size_t step = 1; hi < n && id_at(hi) < x; step *= 2) {
+      lo = hi + 1;
+      hi = from + 2 * step;
+    }
+    hi = std::min(hi, n);
+  } else {
+    hi = from;
+    lo = 0;
+    for (std::size_t step = 1; step <= from; step *= 2) {
+      if (id_at(from - step) < x) {
+        lo = from - step + 1;
+        break;
+      }
+      hi = from - step;
+    }
+  }
+  return lower_pos(x, lo, hi);
+}
+
+void ZoneTree::append_block_owners(NodeId prefix, int len, std::size_t from,
                                    std::vector<std::uint32_t>& out) const {
-  const TrieNode& t = trie_[static_cast<std::size_t>(trie_node)];
-  if (t.is_leaf) {
-    out.push_back(t.owner);
-    return;
-  }
-  collect_leaf_owners(t.child[0], out);
-  collect_leaf_owners(t.child[1], out);
+  const NodeId last_point = prefix | (len >= 64 ? 0 : mask_ >> len);
+  const std::size_t first = resolve_owner(seek(prefix, from), prefix);
+  const std::size_t last = resolve_owner(seek(last_point, first), last_point);
+  out.insert(out.end(), members_.begin() + static_cast<std::ptrdiff_t>(first),
+             members_.begin() + static_cast<std::ptrdiff_t>(last) + 1);
 }
 
-void ZoneTree::block_owners(NodeId prefix, int len,
-                            std::vector<std::uint32_t>& out) const {
-  // Descend along `prefix`; stopping early at a leaf means one larger zone
-  // covers the whole block.
-  const int bits = net_->space().bits();
-  int cur = 0;
-  int depth = 0;
-  while (depth < len && !trie_[static_cast<std::size_t>(cur)].is_leaf) {
-    cur = trie_[static_cast<std::size_t>(cur)].child[bit_at(prefix, depth,
-                                                            bits)];
-    ++depth;
+ZoneTree::Zone ZoneTree::block(NodeId x, int len) const {
+  return Zone{x & ~(len >= 64 ? 0 : mask_ >> len) & mask_, len};
+}
+
+template <typename Fn>
+void ZoneTree::for_each_zone(std::size_t pos, Fn&& fn) const {
+  const NodeId id = id_at(pos);
+  const Lcps l = lcps(pos);
+  const int len = primary_len(l);
+  fn(block(id, len));
+  // Empty-sibling blocks: strictly between the two LCPs the member's trie
+  // span reaches only toward its nearer neighbour. Where its bit points
+  // away from that neighbour, the half of the span behind it is empty and
+  // the member, the span's boundary member, owns that half.
+  const bool owned_bit = l.pred < l.succ;
+  for (int d = std::min(l.pred, l.succ) + 1; d + 1 < len; ++d) {
+    const NodeId bit = NodeId{1} << (bits_ - 1 - d);
+    if (((id & bit) != 0) == owned_bit) fn(block(id ^ bit, d + 1));
   }
-  collect_leaf_owners(cur, out);
+}
+
+void ZoneTree::append_face_owners(std::size_t pos, int face,
+                                  std::vector<std::uint32_t>& out) const {
+  const Zone z = block(id_at(pos), primary_len(lcps(pos)));
+  append_block_owners(z.prefix ^ (NodeId{1} << (bits_ - 1 - face)), z.len,
+                      pos, out);
+}
+
+void ZoneTree::append_neighbors(std::size_t pos,
+                                std::vector<std::uint32_t>& out) const {
+  for_each_zone(pos, [&](const Zone& z) {
+    for (int face = 0; face < z.len; ++face) {
+      append_block_owners(z.prefix ^ (NodeId{1} << (bits_ - 1 - face)), z.len,
+                          pos, out);
+    }
+  });
+}
+
+ZoneTree::Zone ZoneTree::zone(std::uint32_t node) const {
+  const std::size_t pos = checked_position(node, "ZoneTree::zone");
+  return block(id_at(pos), primary_len(lcps(pos)));
+}
+
+std::vector<ZoneTree::Zone> ZoneTree::zones_of(std::uint32_t node) const {
+  std::vector<Zone> out;
+  for_each_zone(checked_position(node, "ZoneTree::zones_of"),
+                [&](const Zone& z) { out.push_back(z); });
+  return out;
 }
 
 void ZoneTree::face_neighbors(std::uint32_t node, int pos,
                               std::vector<std::uint32_t>& out) const {
-  const Zone z = zone(node);
-  if (pos < 0 || pos >= z.len) {
+  const std::size_t at = checked_position(node, "ZoneTree::face_neighbors");
+  if (pos < 0 || pos >= primary_len(lcps(at))) {
     throw std::out_of_range("ZoneTree::face_neighbors: bad face position");
   }
-  const int bits = net_->space().bits();
-  block_owners(z.prefix ^ (NodeId{1} << (bits - 1 - pos)), z.len, out);
+  append_face_owners(at, pos, out);
 }
 
 std::vector<std::uint32_t> ZoneTree::neighbors(std::uint32_t node) const {
   std::vector<std::uint32_t> out;
-  const int bits = net_->space().bits();
-  for (const Zone& z : zones_of(node)) {
-    for (int pos = 0; pos < z.len; ++pos) {
-      block_owners(z.prefix ^ (NodeId{1} << (bits - 1 - pos)), z.len, out);
-    }
-  }
+  append_neighbors(checked_position(node, "ZoneTree::neighbors"), out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   out.erase(std::remove(out.begin(), out.end(), node), out.end());
   return out;
 }
 
-int ZoneTree::match_len(std::uint32_t node, NodeId key) const {
-  const auto it = leaves_of_.find(node);
-  if (it == leaves_of_.end()) {
-    throw std::invalid_argument("ZoneTree::match_len: not a member");
-  }
-  const int bits = net_->space().bits();
-  int best = 0;
-  for (const int leaf : it->second) {
-    const Zone& z = trie_[static_cast<std::size_t>(leaf)].block;
-    const NodeId diff = (z.prefix ^ key) & net_->space().mask();
-    const int m =
-        diff == 0 ? z.len : std::min(bits - 1 - floor_log2(diff), z.len);
-    best = std::max(best, m);
-  }
-  return best;
-}
-
-CanNetwork build_can(const OverlayNetwork& net) {
+LinkTable build_can(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.can_ms");
-  const RingView ring = net.ring();
-  auto tree = std::make_shared<const ZoneTree>(net, ring.members());
-  LinkTable links =
-      LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-        for (const std::uint32_t v : tree->neighbors(m)) row.push_back(v);
-      });
-  return CanNetwork{std::move(tree), std::move(links)};
+  // The ring lists every node in index order: position m is node m.
+  const ZoneTree tree(net, net.ring().members());
+  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
+    tree.append_neighbors(m, row);
+  });
 }
 
-CanKernel::CanKernel(const OverlayNetwork& net,
-                     std::shared_ptr<const ZoneTree> tree,
-                     const LinkTable& links)
+CanKernel::CanKernel(const OverlayNetwork& net, const LinkTable& links)
     : net_(&net),
-      tree_(std::move(tree)),
+      tree_(net, net.ring().members()),
       links_(&links),
       max_hops_(hop_guard(net)) {}
 
@@ -212,16 +203,18 @@ Hop CanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
   } else if constexpr (Ctx::kActive) {
     target = live_owner(key, ctx.dead);
   } else {
-    target = tree_->owner_of(key);
+    target = tree_.owner_of(key);
   }
   if (site.at == target) return Hop::kArrived;
   state = (std::uint64_t{site.at} + 1) << 32 | (std::uint64_t{target} + 1);
   // Bit fixing: neighbors growing the zone-prefix match, longest first.
-  const int cur_match = tree_->match_len(site.at, key);
+  const int bits = net_->space().bits();
+  const int cur_match =
+      ZoneTree::match_len(site.id, tree_.lcps(site.at), key, bits);
   for (std::size_t j = 0; j < site.count; ++j) {
     const NodeIndex nb = site.targets[j];
-    if (nb == prev || !tree_->contains(nb)) continue;
-    const int m = tree_->match_len(nb, key);
+    if (nb == prev) continue;
+    const int m = ZoneTree::match_len(site.ids[j], tree_.lcps(nb), key, bits);
     if (m > cur_match) pick.offer(static_cast<Score>(m), j);
   }
   if (!pick.found()) {
@@ -239,7 +232,7 @@ Hop CanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
       const std::uint64_t cur_d = (site.id ^ key) & mask;
       for (std::size_t j = 0; j < site.count; ++j) {
         const NodeIndex nb = site.targets[j];
-        if (nb == prev || !tree_->contains(nb)) continue;
+        if (nb == prev) continue;
         const std::uint64_t d = (site.ids[j] ^ key) & mask;
         if (d < cur_d) pick.offer(cur_d - d, j);
       }
@@ -249,13 +242,13 @@ Hop CanKernel::rank(const HopSite& site, NodeId key, std::uint64_t& state,
 }
 
 NodeIndex CanKernel::live_owner(NodeId key, const FailureSet& dead) const {
-  const NodeIndex structural = tree_->owner_of(key);
+  const NodeIndex structural = tree_.owner_of(key);
   if (!dead.dead(structural)) return structural;
   const IdSpace& space = net_->space();
   NodeIndex best = RingView::kNone;
   std::uint64_t best_d = 0;
   for (NodeIndex i = 0; i < net_->size(); ++i) {
-    if (dead.dead(i) || !tree_->contains(i)) continue;
+    if (dead.dead(i)) continue;
     const std::uint64_t d = space.xor_distance(net_->id(i), key);
     if (best == RingView::kNone || d < best_d) {
       best = i;

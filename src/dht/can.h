@@ -14,13 +14,31 @@
 // of the populated side (the classic CAN situation of a node owning more
 // than one zone). The partition is a deterministic function of the member
 // set, which dynamic-maintenance tests rely on.
+//
+// No trie is stored: a member's zones are a closed-form function of its ID
+// and its two ID-order neighbours. Take the member at position i of the
+// ID-sorted list, and let p and s be the bit-LCPs of its ID with its
+// predecessor's and its successor's (-1 where there is no such neighbour).
+// * Its primary zone is its ID's first L = 1 + max(p, s) bits (L = 0 for a
+//   lone member).
+// * It also owns one empty-sibling block for each depth d with
+//   min(p, s) < d < max(p, s) at which its bit d is 1 and p < s, or 0 and
+//   p > s: the sibling, of length d + 1, of its own (d + 1)-bit prefix.
+// * Together these zones tile the interval between its split points with
+//   its two neighbours, so the owner of a point is the XOR-closer of the
+//   point's two list neighbours, and the owners of an aligned block are the
+//   contiguous run of members from the owner of its first point to the
+//   owner of its last.
+// * With q = LCP(ID, key), the longest prefix match between the key and
+//   any of its zones is L if q >= L, q + 1 if q is one of its
+//   empty-sibling depths, and q otherwise.
 #ifndef CANON_DHT_CAN_H
 #define CANON_DHT_CAN_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "overlay/link_table.h"
@@ -29,11 +47,15 @@
 
 namespace canon {
 
-/// The CAN zone partition for one member set (see file comment).
+/// The CAN zone partition of one member list (see file comment): a search
+/// view over the ID-sorted list, like RingView. Cheap to copy; it owns
+/// nothing, so `net` and the member list must outlive it. The builders and
+/// the CAN/Can-Can kernels pass list positions they already know.
 class ZoneTree {
  public:
-  /// Builds the partition for `members` (node indices sorted by ascending
-  /// ID — domain member lists already are).
+  /// Views `members` (node indices sorted by strictly ascending ID — domain
+  /// member lists already are). Throws std::invalid_argument when the list
+  /// is empty or not strictly ascending.
   ZoneTree(const OverlayNetwork& net, std::span<const std::uint32_t> members);
 
   struct Zone {
@@ -41,16 +63,46 @@ class ZoneTree {
     int len = 0;        ///< prefix length in bits (0 = whole space)
   };
 
-  std::size_t member_count() const { return primary_leaf_.size(); }
-  bool contains(std::uint32_t node) const {
-    return primary_leaf_.contains(node);
-  }
+  /// Bit-LCPs of a member's ID with its list predecessor's and successor's
+  /// IDs, -1 where there is no such neighbour. They fix its zones.
+  struct Lcps {
+    std::int8_t pred = -1;
+    std::int8_t succ = -1;
+  };
+
+  /// The LCPs of the member at list position `pos`.
+  Lcps lcps(std::size_t pos) const;
+
+  /// Length of the primary zone of a member with these LCPs.
+  static int primary_len(Lcps l) { return 1 + std::max(l.pred, l.succ); }
+
+  /// Longest prefix match between `key` and any zone of the member with
+  /// ID `id` and LCPs `l` in a `bits`-bit space (the closed form of the
+  /// file comment; a few bit operations).
+  static int match_len(NodeId id, Lcps l, NodeId key, int bits);
+
+  /// Appends the owners of the zones adjacent to the primary zone of the
+  /// member at `pos` across the face at prefix position `face`
+  /// (face < its primary length).
+  void append_face_owners(std::size_t pos, int face,
+                          std::vector<std::uint32_t>& out) const;
+
+  /// Appends the owners across every face of every zone of the member at
+  /// `pos`. May repeat a node and include the member itself.
+  void append_neighbors(std::size_t pos, std::vector<std::uint32_t>& out) const;
+
+  // Node-index API, for the auditor and tests: each call searches the
+  // list; given a non-member node, contains returns false and the others
+  // throw std::invalid_argument.
+
+  bool contains(std::uint32_t node) const { return position(node) != kNoPos; }
 
   /// The primary zone of `node`: its shortest unique prefix among the
   /// members. Always contains the node's own ID.
   Zone zone(std::uint32_t node) const;
 
-  /// Every zone owned by `node` (primary first).
+  /// Every zone owned by `node`: primary first, then its empty-sibling
+  /// blocks by increasing length.
   std::vector<Zone> zones_of(std::uint32_t node) const;
 
   /// The member owning the zone containing `point`.
@@ -69,57 +121,81 @@ class ZoneTree {
   /// Longest prefix match between `key` and any zone owned by `node`
   /// (each zone's match is capped at its own length). Equals the zone
   /// length of the key's containing zone iff node owns the key.
-  int match_len(std::uint32_t node, NodeId key) const;
+  int match_len(std::uint32_t node, NodeId key) const {
+    const std::size_t pos = checked_position(node, "ZoneTree::match_len");
+    return match_len(id_at(pos), lcps(pos), key, bits_);
+  }
 
  private:
-  struct TrieNode {
-    int child[2] = {-1, -1};  ///< -1 on a leaf
-    std::uint32_t owner = 0;  ///< valid on leaves
-    bool is_leaf = true;
-    Zone block;
-  };
+  static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-  int build(std::span<const std::uint32_t> members, std::size_t lo,
-            std::size_t hi, NodeId prefix, int len);
-  int make_leaf(std::uint32_t owner, NodeId prefix, int len);
-  int leaf_containing(NodeId point) const;
-  void collect_leaf_owners(int trie_node, std::vector<std::uint32_t>& out) const;
-  void block_owners(NodeId prefix, int len,
-                    std::vector<std::uint32_t>& out) const;
+  NodeId id_at(std::size_t pos) const { return ids_[members_[pos]]; }
+  /// First position in [lo, hi) with ID >= `x`, or hi.
+  std::size_t lower_pos(NodeId x, std::size_t lo, std::size_t hi) const;
+  /// List position of `node`, or kNoPos when it is not a member.
+  std::size_t position(std::uint32_t node) const;
+  std::size_t checked_position(std::uint32_t node, const char* what) const;
+  /// The aligned block of `len` bits holding `x`.
+  Zone block(NodeId x, int len) const;
+  /// The member owning `point`, given the position of its first member
+  /// with ID >= point (the list size when there is none).
+  std::size_t resolve_owner(std::size_t succ, NodeId point) const;
+  /// First position with ID >= `x` (or the list size), galloping from
+  /// position `from`.
+  std::size_t seek(NodeId x, std::size_t from) const;
+  /// Appends the owners of the aligned block `prefix`/`len`, searching
+  /// from position `from`.
+  void append_block_owners(NodeId prefix, int len, std::size_t from,
+                           std::vector<std::uint32_t>& out) const;
+  /// Calls fn(Zone) for every zone of the member at `pos`, in zones_of
+  /// order.
+  template <typename Fn>
+  void for_each_zone(std::size_t pos, Fn&& fn) const;
 
-  const OverlayNetwork* net_;
-  std::vector<TrieNode> trie_;
-  std::unordered_map<std::uint32_t, int> primary_leaf_;
-  std::unordered_map<std::uint32_t, std::vector<int>> leaves_of_;
+  const NodeId* ids_;
+  std::span<const std::uint32_t> members_;
+  int bits_;
+  NodeId mask_;
 };
+
+inline int ZoneTree::match_len(NodeId id, Lcps l, NodeId key, int bits) {
+  const int len = primary_len(l);
+  const int shift = 64 - bits;
+  // q = LCP(id, key); bits of the key above the space are shifted out.
+  const int q = std::countl_zero((id ^ key) << shift);
+  if (q >= len) return len;
+  // The key's first differing bit enters the empty-sibling block at depth
+  // q when this member owns it.
+  const bool extra = q > std::min(l.pred, l.succ) && q + 1 < len &&
+                     (((id << shift) >> (63 - q)) & 1) ==
+                         static_cast<NodeId>(l.pred < l.succ);
+  return extra ? q + 1 : q;
+}
 
 /// Builds the flat logarithmic-degree CAN network over all nodes.
-/// The returned tree is what CanKernel ranks over.
-struct CanNetwork {
-  std::shared_ptr<const ZoneTree> tree;
-  LinkTable links;
-};
-CanNetwork build_can(const OverlayNetwork& net);
+LinkTable build_can(const OverlayNetwork& net);
 
-/// Greedy bit-fixing kernel over a CAN zone partition: each hop moves to
-/// the neighbor with the longest zone-prefix match with the key; when
-/// prefix matches cannot grow, a hop to a neighbor owning the key is taken
-/// (the key's zone may be a short empty-sibling block). The lookup ends at
-/// the key's zone owner — under faults the zone takeover rule makes the
-/// live member XOR-closest to the key the target. Second tier: a neighbor
-/// strictly XOR-closer to the key. Cycle guard: never step back to the
-/// node just left. Per-lookup state: (previous node + 1) << 32 | (target
-/// + 1). `net` and `links` are borrowed; the zone tree is shared.
+/// Greedy bit-fixing kernel over the CAN zone partition of the whole
+/// ring: each hop moves to the neighbor with the longest zone-prefix match
+/// with the key; when prefix matches cannot grow, a hop to a neighbor
+/// owning the key is taken (the key's zone may be a short empty-sibling
+/// block). The lookup ends at the key's zone owner — under faults the zone
+/// takeover rule makes the live member XOR-closest to the key the target.
+/// Second tier: a neighbor strictly XOR-closer to the key. Cycle guard:
+/// never step back to the node just left. Per-lookup state: (previous
+/// node + 1) << 32 | (target + 1). `net` and `links` are borrowed. The
+/// ring lists every node in index order, so a node's list position is its
+/// index.
 class CanKernel {
  public:
   using Score = std::uint64_t;
   static constexpr const char* kCounterPrefix = nullptr;
 
-  CanKernel(const OverlayNetwork& net, std::shared_ptr<const ZoneTree> tree,
-            const LinkTable& links);
+  CanKernel(const OverlayNetwork& net, const LinkTable& links);
 
   const OverlayNetwork& net() const { return *net_; }
   const LinkTable& links() const { return *links_; }
+  const ZoneTree& tree() const { return tree_; }
   int max_hops() const { return max_hops_; }
 
   template <typename Pick, typename Ctx>
@@ -132,7 +208,7 @@ class CanKernel {
 
  private:
   const OverlayNetwork* net_;
-  std::shared_ptr<const ZoneTree> tree_;
+  ZoneTree tree_;
   const LinkTable* links_;
   int max_hops_;
 };

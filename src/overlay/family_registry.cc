@@ -48,7 +48,7 @@ LinkTable build_kademlia_hook(const OverlayNetwork& net, Rng& rng) {
   return build_kademlia(net, BucketChoice::kClosest, rng);
 }
 LinkTable build_can_hook(const OverlayNetwork& net, Rng&) {
-  return build_can(net).links;
+  return build_can(net);
 }
 LinkTable build_crescendo_hook(const OverlayNetwork& net, Rng&) {
   return build_crescendo(net);
@@ -66,7 +66,7 @@ LinkTable build_kandy_hook(const OverlayNetwork& net, Rng& rng) {
   return build_kandy(net, BucketChoice::kClosest, rng);
 }
 LinkTable build_cancan_hook(const OverlayNetwork& net, Rng&) {
-  return CanCanNetwork(net).links();
+  return build_cancan(net);
 }
 LinkTable build_chord_prox_hook(const OverlayNetwork& net, Rng& rng) {
   const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
@@ -82,10 +82,11 @@ LinkTable build_crescendo_prox_hook(const OverlayNetwork& net, Rng& rng) {
 // ---------------------------------------------------------------------------
 // make_router / make_stepper hooks
 //
-// One concrete GreedyRouter per metric; its kernel shares ownership of
-// any auxiliary structure it ranks over (the CAN families rebuild their
-// deterministic zone trees from `net`). The batch closures share the
-// router, and the stepper is the router's own kernel adapter.
+// One concrete GreedyRouter per metric over the table it is given; its
+// kernel shares ownership of any auxiliary structure it ranks over (the
+// grouping, or Can-Can's zone slots, derived from `net`). The batch
+// closures share the router, and the stepper is the router's own kernel
+// adapter.
 
 RingRouter ring_router(const OverlayNetwork& net, const LinkTable& links) {
   return RingRouter(net, links);
@@ -94,13 +95,10 @@ XorRouter xor_router(const OverlayNetwork& net, const LinkTable& links) {
   return XorRouter(net, links);
 }
 CanRouter can_router(const OverlayNetwork& net, const LinkTable& links) {
-  return CanRouter(net,
-                   std::make_shared<const ZoneTree>(net, net.ring().members()),
-                   links);
+  return CanRouter(net, links);
 }
-CanCanRouter cancan_router(const OverlayNetwork& net, const LinkTable&) {
-  // Rebuilt: deterministic, equal to build()'s table.
-  return CanCanRouter(std::make_shared<const CanCanNetwork>(net));
+CanCanRouter cancan_router(const OverlayNetwork& net, const LinkTable& links) {
+  return CanCanRouter(net, std::make_shared<const CanCanZones>(net), links);
 }
 GroupRouter group_router(const OverlayNetwork& net, const LinkTable& links) {
   return GroupRouter(net,
@@ -224,7 +222,7 @@ audit::AuditReport audit_can(const OverlayNetwork& net,
 audit::AuditReport audit_cancan(const OverlayNetwork& net,
                                 const LinkTable& links) {
   Battery b(net, links);
-  const CanCanNetwork cc(net);
+  const CanCanZones cc(net);
   const DomainTree& dom = net.domains();
   for (int d = 0; d < dom.domain_count(); ++d) {
     const auto& members = dom.domain(d).members;
@@ -245,7 +243,7 @@ audit::AuditReport audit_cancan(const OverlayNetwork& net,
     b.auditor.check_can_links(b.r, cc.tree(d), members, dom.domain(d).depth,
                               /*exact=*/false);
   }
-  b.auditor.check_expected(b.r, cc.links(), "cancan.links");
+  b.auditor.check_expected(b.r, build_cancan(net), "cancan.links");
   return std::move(b.r);
 }
 

@@ -48,11 +48,10 @@
 namespace canon::registry {
 
 /// A built family's router, wrapped for batch execution. Copyable; the
-/// closures share ownership of the concrete router, whose kernel shares
-/// whatever auxiliary structure it ranks over (ZoneTree, CanCanNetwork,
-/// GroupedOverlay), while
-/// `net` and `links` passed to make_router are borrowed and must outlive
-/// the FamilyRouter.
+/// closures share ownership of the concrete router, whose kernel routes
+/// over `links` and shares whatever auxiliary structure it ranks over
+/// (CanCanZones, GroupedOverlay), while `net` and `links` passed to
+/// make_router are borrowed and must outlive the FamilyRouter.
 struct FamilyRouter {
   using RunFn = std::function<QueryStats(
       const QueryEngine&, std::span<const Query>, std::vector<RouteProbe>*)>;
@@ -106,10 +105,10 @@ struct FamilyEntry {
   /// build_family(), which seeds the stream the way every figure does.
   LinkTable (*build)(const OverlayNetwork& net, Rng& rng);
 
-  /// Wraps the family's routers over an already-built table. The CAN
-  /// families reconstruct their deterministic zone trees from `net`
-  /// internally (Can-Can routes over its own rebuilt tables, which equal
-  /// any `links` produced by build()).
+  /// Wraps the family's routers over an already-built table: every
+  /// family routes over `links`. Can-Can and the proximity families also
+  /// derive the structure their kernel ranks over (zone slots, grouping)
+  /// from `net`; no family rebuilds a table.
   FamilyRouter (*make_router)(const OverlayNetwork& net,
                               const LinkTable& links);
 
@@ -120,10 +119,9 @@ struct FamilyEntry {
 
   /// The family router's stepper() (overlay/stepper.h) for the message
   /// simulator: candidate 0 is the hop the family's route() takes; later
-  /// candidates feed α-parallel speculation. The CAN families rebuild
-  /// their deterministic auxiliary structures from `net` and the returned
-  /// closure shares them; `net` and `links` themselves are borrowed and
-  /// must outlive the stepper.
+  /// candidates feed α-parallel speculation. Any auxiliary structure the
+  /// kernel derives from `net` is shared by the returned closure; `net`
+  /// and `links` themselves are borrowed and must outlive the stepper.
   Stepper (*make_stepper)(const OverlayNetwork& net, const LinkTable& links);
 };
 

@@ -229,9 +229,9 @@ TEST(AuditorMutation, CacophonyTruncatedSuccessors) {
 // only a zone that does not contain their own ID.
 TEST(AuditorMutation, CanSwappedZoneOwners) {
   const OverlayNetwork net = test_net(256, 1, 7);
-  const CanNetwork can = build_can(net);
+  const LinkTable links = build_can(net);
   auto zones = audit::StructureAuditor::extract_zones(
-      *can.tree, net.ring().members());
+      ZoneTree(net, net.ring().members()), net.ring().members());
 
   // Find two distinct single-zone owners whose zones differ.
   std::map<std::uint32_t, int> zone_count;
@@ -246,7 +246,7 @@ TEST(AuditorMutation, CanSwappedZoneOwners) {
   ASSERT_EQ(picks.size(), 2u);
   std::swap(zones[picks[0]].owner, zones[picks[1]].owner);
 
-  const audit::StructureAuditor auditor(net, can.links);
+  const audit::StructureAuditor auditor(net, links);
   audit::AuditReport report;
   auditor.check_zone_list(report, zones, 0);
   ASSERT_FALSE(report.ok());
@@ -266,13 +266,13 @@ TEST(AuditorMutation, CanSwappedZoneOwners) {
 // gap; the surviving zones still contain their owners.
 TEST(AuditorMutation, CanMissingZoneIsAGap) {
   const OverlayNetwork net = test_net(256, 1, 7);
-  const CanNetwork can = build_can(net);
+  const LinkTable links = build_can(net);
   auto zones = audit::StructureAuditor::extract_zones(
-      *can.tree, net.ring().members());
+      ZoneTree(net, net.ring().members()), net.ring().members());
   ASSERT_GE(zones.size(), net.size());
   zones.erase(zones.begin() + static_cast<std::ptrdiff_t>(zones.size() / 2));
 
-  const audit::StructureAuditor auditor(net, can.links);
+  const audit::StructureAuditor auditor(net, links);
   audit::AuditReport report;
   auditor.check_zone_list(report, zones, 0);
   ASSERT_FALSE(report.ok());

@@ -15,8 +15,11 @@
 #include "dht/nondet_chord.h"
 #include "dht/symphony.h"
 #include "link_oracles.h"
+#include "overlay/family_registry.h"
 #include "overlay/population.h"
+#include "overlay/query_engine.h"
 #include "overlay/routing.h"
+#include "telemetry/metrics.h"
 
 namespace canon {
 namespace {
@@ -81,8 +84,9 @@ TEST_P(FamilyLevelsTest, CanCanRoutesSucceed) {
   const int levels = GetParam();
   Rng rng(331 + levels);
   const auto net = make_population(deep_spec(600, levels), rng);
-  const auto cancan = std::make_shared<const CanCanNetwork>(net);
-  const CanCanRouter router(cancan);
+  const LinkTable links = build_cancan(net);
+  const auto zones = std::make_shared<const CanCanZones>(net);
+  const CanCanRouter router(net, zones, links);
   int ok = 0;
   const int kTrials = 300;
   for (int t = 0; t < kTrials; ++t) {
@@ -91,7 +95,7 @@ TEST_P(FamilyLevelsTest, CanCanRoutesSucceed) {
     const Route r = router.route(from, key);
     if (r.ok) {
       ++ok;
-      EXPECT_EQ(r.terminal(), cancan->responsible(key));
+      EXPECT_EQ(r.terminal(), zones->responsible(key));
     }
   }
   // The Canon merge filter for CAN is the loosest part of the paper;
@@ -109,8 +113,7 @@ TEST_P(FamilyLevelsTest, DegreesStayLogarithmic) {
   EXPECT_LE(build_nondet_crescendo(net, rng).mean_degree(), logn + 2);
   EXPECT_LE(build_kandy(net, BucketChoice::kClosest, rng).mean_degree(),
             logn + 2);
-  const CanCanNetwork cancan(net);
-  EXPECT_LE(cancan.links().mean_degree(), 3 * logn);
+  EXPECT_LE(build_cancan(net).mean_degree(), 3 * logn);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, FamilyLevelsTest,
@@ -255,7 +258,7 @@ TEST(BruteForceOracle, CanCanChildBucketEmptinessMatchesLinearScan) {
   // beyond the child zone or the child domain has no member across it
   // (its XOR bucket is empty); the oracle decides emptiness by scan.
   const auto expected = [](const OverlayNetwork& net,
-                           const CanCanNetwork& cancan, NodeIndex m) {
+                           const CanCanZones& cancan, NodeIndex m) {
     const auto chain = net.domains().domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
     const int bits = net.space().bits();
@@ -285,8 +288,8 @@ TEST(BruteForceOracle, CanCanChildBucketEmptinessMatchesLinearScan) {
   };
   for (const oracle::Case& c : oracle::cases({3})) {
     const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 16);
-    const CanCanNetwork cancan(net);
-    EXPECT_TRUE(oracle::rows_match(net, cancan.links(), [&](NodeIndex m) {
+    const CanCanZones cancan(net);
+    EXPECT_TRUE(oracle::rows_match(net, build_cancan(net), [&](NodeIndex m) {
       return expected(net, cancan, m);
     })) << c.name();
   }
@@ -326,14 +329,44 @@ TEST(RingLocality, HoldsForAllRingBasedFamilies) {
 TEST(CanCan, FlatEqualsCan) {
   Rng rng(357);
   const auto net = make_population(deep_spec(300, 1), rng);
-  const CanCanNetwork cancan(net);
-  const auto flat = build_can(net);
+  const LinkTable cancan = build_cancan(net);
+  const LinkTable flat = build_can(net);
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = cancan.links().neighbors(m);
-    const auto b = flat.links.neighbors(m);
+    const auto a = cancan.neighbors(m);
+    const auto b = flat.neighbors(m);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   }
+}
+
+TEST(CanCan, RouterRoutesOverTheGivenTableWithoutRebuilding) {
+  Rng rng(358);
+  const auto net = make_population(deep_spec(300, 3), rng);
+  const registry::FamilyEntry& entry = registry::family("cancan");
+  telemetry::MetricsRegistry metrics;
+  telemetry::MetricsRegistry* prev = telemetry::install_registry(&metrics);
+  const LinkTable table = registry::build_family(net, "cancan", 1);
+  const registry::FamilyRouter router = entry.make_router(net, table);
+  const Stepper stepper = entry.make_stepper(net, table);
+  telemetry::install_registry(prev);
+  // One build: neither the router nor the stepper builds a table.
+  const auto& histograms = metrics.histograms();
+  const auto it = histograms.find("build.cancan_ms");
+  ASSERT_NE(it, histograms.end());
+  EXPECT_EQ(it->second.count(), 1u);
+
+  const CanCanRouter direct(net, std::make_shared<const CanCanZones>(net),
+                            table);
+  EXPECT_EQ(&direct.kernel().links(), &table);
+  // Over a table with no links every lookup not starting at its key's
+  // owner is stuck: the router uses the table it is given.
+  const LinkTable empty =
+      LinkTable::build(net.ids(), [](NodeIndex, LinkRow&) {});
+  const QueryEngine engine(net);
+  const auto queries = uniform_workload(net, 200, Rng(9));
+  EXPECT_EQ(router.run(engine, queries).failures, 0u);
+  EXPECT_GT(entry.make_router(net, empty).run(engine, queries).failures,
+            150u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "link_oracles.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
+#include "zone_oracle.h"
 
 namespace canon {
 namespace {
@@ -345,21 +346,21 @@ TEST(ZoneTree, PartitionsTheSpace) {
   spec.node_count = 60;
   spec.id_bits = 10;
   const auto net = make_population(spec, rng);
-  const auto can = build_can(net);
+  const ZoneTree tree(net, net.ring().members());
   // Every point has exactly one owner, and each owner's zones sum to its
   // share of the space.
   std::map<std::uint32_t, std::uint64_t> zone_points;
-  for (NodeId p = 0; p < 1024; ++p) ++zone_points[can.tree->owner_of(p)];
+  for (NodeId p = 0; p < 1024; ++p) ++zone_points[tree.owner_of(p)];
   EXPECT_EQ(zone_points.size(), net.size());
   std::uint64_t total = 0;
   for (const auto& [owner, count] : zone_points) {
     std::uint64_t owned = 0;
-    for (const auto& z : can.tree->zones_of(owner)) {
+    for (const auto& z : tree.zones_of(owner)) {
       owned += std::uint64_t{1} << (10 - z.len);
     }
     EXPECT_EQ(count, owned);
     // The primary zone must contain the owner's own ID.
-    const auto z = can.tree->zone(owner);
+    const auto z = tree.zone(owner);
     const NodeId lo = z.prefix;
     const NodeId hi = z.prefix + (std::uint64_t{1} << (10 - z.len));
     EXPECT_GE(net.id(owner), lo);
@@ -375,10 +376,10 @@ TEST(ZoneTree, NeighborsAreSymmetric) {
   spec.node_count = 80;
   spec.id_bits = 12;
   const auto net = make_population(spec, rng);
-  const auto can = build_can(net);
+  const ZoneTree tree(net, net.ring().members());
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (const auto v : can.tree->neighbors(m)) {
-      const auto back = can.tree->neighbors(v);
+    for (const auto v : tree.neighbors(m)) {
+      const auto back = tree.neighbors(v);
       EXPECT_TRUE(std::find(back.begin(), back.end(), m) != back.end())
           << m << " -> " << v << " not symmetric";
     }
@@ -390,10 +391,10 @@ TEST(ZoneTree, DegreeIsLogarithmic) {
   PopulationSpec spec;
   spec.node_count = 1024;
   const auto net = make_population(spec, rng);
-  const auto can = build_can(net);
+  const LinkTable links = build_can(net);
   // Expected degree ~ zone depth ~ log2 n; allow generous slack.
-  EXPECT_LE(can.links.mean_degree(), 2.5 * std::log2(1024.0));
-  EXPECT_GE(can.links.mean_degree(), 0.5 * std::log2(1024.0));
+  EXPECT_LE(links.mean_degree(), 2.5 * std::log2(1024.0));
+  EXPECT_GE(links.mean_degree(), 0.5 * std::log2(1024.0));
 }
 
 TEST(Can, RoutingReachesZoneOwner) {
@@ -401,14 +402,14 @@ TEST(Can, RoutingReachesZoneOwner) {
   PopulationSpec spec;
   spec.node_count = 500;
   const auto net = make_population(spec, rng);
-  const auto can = build_can(net);
-  const CanRouter router(net, can.tree, can.links);
+  const LinkTable links = build_can(net);
+  const CanRouter router(net, links);
   for (int t = 0; t < 300; ++t) {
     const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
     const NodeId key = net.space().wrap(rng());
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.terminal(), can.tree->owner_of(key));
+    EXPECT_EQ(r.terminal(), router.kernel().tree().owner_of(key));
   }
 }
 
@@ -417,8 +418,8 @@ TEST(Can, HopsAreLogarithmic) {
   PopulationSpec spec;
   spec.node_count = 1024;
   const auto net = make_population(spec, rng);
-  const auto can = build_can(net);
-  const CanRouter router(net, can.tree, can.links);
+  const LinkTable links = build_can(net);
+  const CanRouter router(net, links);
   Summary hops;
   for (int t = 0; t < 500; ++t) {
     const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
@@ -438,7 +439,160 @@ TEST(ZoneTree, RejectsEmptyAndNonMember) {
   EXPECT_THROW(ZoneTree(net, {}), std::invalid_argument);
   std::vector<std::uint32_t> some = {0, 1};
   const ZoneTree tree(net, some);
+  EXPECT_TRUE(tree.contains(1));
+  EXPECT_FALSE(tree.contains(3));
   EXPECT_THROW(tree.zone(3), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// ZoneTree's closed form against the zone trie (tests/zone_oracle.h)
+
+/// Every ZoneTree query against the trie on one member list: each member's
+/// zones (values and order), faces (as sets), neighbors and prefix matches,
+/// and the owners of `keys`, of every member ID and of its one-bit flips.
+::testing::AssertionResult matches_trie(const OverlayNetwork& net,
+                                        std::span<const NodeIndex> members,
+                                        const std::vector<NodeId>& keys) {
+  const ZoneTree tree(net, members);
+  const oracle::ZoneTrie trie(net, members);
+  const int bits = net.space().bits();
+  const auto same = [](const std::vector<ZoneTree::Zone>& a,
+                       const std::vector<ZoneTree::Zone>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const ZoneTree::Zone& x, const ZoneTree::Zone& y) {
+                        return x.prefix == y.prefix && x.len == y.len;
+                      });
+  };
+  for (const NodeIndex m : members) {
+    const auto fail = [&](const char* what) {
+      return ::testing::AssertionFailure()
+             << what << " of node " << m << " (id " << net.id(m) << ", "
+             << members.size() << " members, " << bits << " bits)";
+    };
+    const ZoneTree::Zone z = tree.zone(m);
+    if (!same({z}, {trie.zone(m)})) return fail("zone");
+    if (!same(tree.zones_of(m), trie.zones_of(m))) return fail("zones_of");
+    for (int pos = 0; pos < z.len; ++pos) {
+      std::vector<NodeIndex> face;
+      tree.face_neighbors(m, pos, face);
+      if (std::set<NodeIndex>(face.begin(), face.end()) !=
+          trie.face_neighbors(m, pos)) {
+        return fail("face_neighbors");
+      }
+    }
+    if (tree.neighbors(m) != trie.neighbors(m)) return fail("neighbors");
+    std::vector<NodeId> probes = keys;
+    probes.push_back(net.id(m));
+    for (int b = 0; b < bits; ++b) probes.push_back(net.id(m) ^ NodeId{1} << b);
+    for (const NodeId key : probes) {
+      if (tree.match_len(m, key) != trie.match_len(m, key)) {
+        return fail("match_len") << " at key " << key;
+      }
+      if (tree.owner_of(key) != trie.owner_of(key)) {
+        return fail("owner_of") << " at key " << key;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// n distinct IDs in a `bits`-bit space, `levels` deep with fanout 3.
+/// `shape` 0 draws uniform IDs; 1 masks their low bits; 2 clusters them
+/// under one random prefix, so that empty siblings run deep.
+OverlayNetwork zone_population(int bits, std::size_t n, int levels, int shape,
+                               std::uint64_t seed) {
+  const IdSpace space(bits);
+  Rng rng(seed);
+  // Enough random bits for n distinct IDs (8n values).
+  const int keep = std::min(bits, floor_log2(n) + 3);
+  const NodeId low = (NodeId{1} << keep) - 1;
+  const NodeId base = space.wrap(rng());
+  std::set<NodeId> ids;
+  while (ids.size() < n) {
+    const NodeId r = space.wrap(rng());
+    if (shape == 0) ids.insert(r);
+    if (shape == 1) ids.insert(r & ~(space.mask() >> keep) & space.mask());
+    if (shape == 2) ids.insert((base & ~low) | (r & low));
+  }
+  std::vector<OverlayNode> nodes;
+  for (const NodeId id : ids) {
+    std::vector<std::uint16_t> path;
+    for (int l = 1; l < levels; ++l) {
+      path.push_back(static_cast<std::uint16_t>(rng.uniform(3)));
+    }
+    nodes.push_back({id, DomainPath(std::move(path)), -1});
+  }
+  return OverlayNetwork(space, std::move(nodes));
+}
+
+TEST(ZoneTreeOracle, FixedCaseMatchesTrie) {
+  // {1, 2, 3, 5} in 8 bits: all four share the prefix 00000, so node 5,
+  // the largest, owns the five empty 1-halves above it.
+  std::vector<OverlayNode> nodes;
+  for (const NodeId id : {1, 2, 3, 5}) nodes.push_back({id, {}, -1});
+  const OverlayNetwork net(IdSpace(8), std::move(nodes));
+  const ZoneTree tree(net, net.ring().members());
+  const NodeIndex five = net.index_of(5);
+  const std::vector<std::pair<NodeId, int>> want = {
+      {0x04, 6}, {0x80, 1}, {0x40, 2}, {0x20, 3}, {0x10, 4}, {0x08, 5}};
+  std::vector<std::pair<NodeId, int>> got;
+  for (const auto& z : tree.zones_of(five)) got.emplace_back(z.prefix, z.len);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(tree.zone(net.index_of(1)).len, 7);
+  EXPECT_EQ(tree.zone(net.index_of(2)).len, 8);
+  EXPECT_EQ(tree.owner_of(0xFF), five);
+  EXPECT_EQ(tree.owner_of(0x00), net.index_of(1));
+  EXPECT_EQ(tree.match_len(five, 0x40), 2);  // enters the 01 block
+  EXPECT_TRUE(matches_trie(net, net.ring().members(), {0x00, 0x7F, 0xFF}));
+
+  // Two 64-bit IDs one bit apart: 64-bit primary zones, and the smaller
+  // owns the empty 0-halves where its bits are 1.
+  std::vector<OverlayNode> pair;
+  for (const NodeId id : {NodeId{6}, NodeId{7}}) pair.push_back({id, {}, -1});
+  const OverlayNetwork wide(IdSpace(64), std::move(pair));
+  const ZoneTree wide_tree(wide, wide.ring().members());
+  EXPECT_EQ(wide_tree.zone(0).len, 64);
+  EXPECT_EQ(wide_tree.zones_of(0).size(), 3u);
+  EXPECT_EQ(wide_tree.zones_of(1).size(), 62u);
+  EXPECT_TRUE(matches_trie(wide, wide.ring().members(),
+                           {0, ~NodeId{0}, NodeId{1} << 63}));
+}
+
+TEST(ZoneTreeOracle, RandomizedDomainsMatchTrie) {
+  for (const int bits : {5, 8, 12, 32, 64}) {
+    for (const std::size_t n : {1u, 2u, 3u, 20u, 120u}) {
+      if (bits < 64 && n * 8 > (std::uint64_t{1} << bits)) continue;
+      for (const int levels : {1, 3}) {
+        for (const int shape : {0, 1, 2}) {
+          const std::uint64_t seed = n * 131 + bits * 7 + levels * 3 + shape;
+          const auto net = zone_population(bits, n, levels, shape, seed);
+          Rng rng(seed + 1);
+          std::vector<NodeId> keys;
+          for (int k = 0; k < 8; ++k) keys.push_back(net.space().wrap(rng()));
+          const DomainTree& dom = net.domains();
+          for (int d = 0; d < dom.domain_count(); ++d) {
+            const auto& members = dom.domain(d).members;
+            ASSERT_TRUE(matches_trie(net, members, keys))
+                << "bits=" << bits << " n=" << n << " levels=" << levels
+                << " shape=" << shape << " domain " << d;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ZoneTreeOracle, CanTableMatchesTrieRows) {
+  for (const int bits : {8, 32, 64}) {
+    for (const int shape : {0, 2}) {
+      const auto net = zone_population(bits, 60, 1, shape, bits + shape);
+      const oracle::ZoneTrie trie(net, net.ring().members());
+      EXPECT_TRUE(oracle::rows_match(net, build_can(net), [&](NodeIndex m) {
+        const auto row = trie.neighbors(m);
+        return std::set<NodeIndex>(row.begin(), row.end());
+      })) << "bits=" << bits << " shape=" << shape;
+    }
+  }
 }
 
 }  // namespace

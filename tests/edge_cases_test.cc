@@ -117,15 +117,15 @@ TEST(EdgeCases, ZoneTreeMultiZoneOwnership) {
   std::vector<OverlayNode> nodes;
   for (const NodeId id : {1, 2, 3, 5}) nodes.push_back({id, {}, -1});
   const OverlayNetwork net(IdSpace(8), std::move(nodes));
-  const auto can = build_can(net);
+  const ZoneTree tree(net, net.ring().members());
   std::size_t zones = 0;
   bool someone_owns_many = false;
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto owned = can.tree->zones_of(m);
+    const auto owned = tree.zones_of(m);
     zones += owned.size();
     someone_owns_many |= owned.size() > 1;
     // Primary zone always contains the owner's ID.
-    const auto z = can.tree->zone(m);
+    const auto z = tree.zone(m);
     const int shift = 8 - z.len;
     EXPECT_EQ(net.id(m) >> shift, z.prefix >> shift);
   }
@@ -133,7 +133,7 @@ TEST(EdgeCases, ZoneTreeMultiZoneOwnership) {
   // Zones partition the space: total size == 256.
   std::uint64_t covered = 0;
   for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (const auto& z : can.tree->zones_of(m)) {
+    for (const auto& z : tree.zones_of(m)) {
       covered += std::uint64_t{1} << (8 - z.len);
     }
   }

@@ -113,11 +113,9 @@ template <typename Fn>
 void with_router(std::string_view family, const OverlayNetwork& net,
                  const LinkTable& links, Fn&& fn) {
   if (family == "can") {
-    fn(CanRouter(net,
-                 std::make_shared<const ZoneTree>(net, net.ring().members()),
-                 links));
+    fn(CanRouter(net, links));
   } else if (family == "cancan") {
-    fn(CanCanRouter(std::make_shared<const CanCanNetwork>(net)));
+    fn(CanCanRouter(net, std::make_shared<const CanCanZones>(net), links));
   } else if (family == "chord_prox" || family == "crescendo_prox") {
     fn(GroupRouter(net,
                    std::make_shared<const GroupedOverlay>(

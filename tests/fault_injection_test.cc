@@ -200,7 +200,9 @@ TEST(FaultInjection, NestedKillSetsAreActuallyNested) {
       FaultPlan::fail_fraction(net.size(), 0.3, kSeed).materialize(net);
   EXPECT_GT(d30.dead_count(), d10.dead_count());
   for (std::uint32_t i = 0; i < net.size(); ++i) {
-    if (d10.dead(i)) EXPECT_TRUE(d30.dead(i)) << i;
+    if (d10.dead(i)) {
+      EXPECT_TRUE(d30.dead(i)) << i;
+    }
   }
 }
 

@@ -108,11 +108,11 @@ const std::vector<Family>& families() {
        }},
       {"can",
        [](const OverlayNetwork& net, std::uint64_t) {
-         return build_can(net).links;
+         return build_can(net);
        }},
       {"cancan",
        [](const OverlayNetwork& net, std::uint64_t) {
-         return CanCanNetwork(net).links();
+         return build_cancan(net);
        }},
       {"symphony",
        [](const OverlayNetwork& net, std::uint64_t seed) {

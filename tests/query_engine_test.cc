@@ -167,7 +167,9 @@ TEST(QueryEngine, CanCanRouterIsThreadInvariant) {
   // The staged Can-Can kernel runs through the shared batch driver like
   // every other family: deterministic under fan-out.
   const auto net = make_net();
-  const CanCanRouter router(std::make_shared<const CanCanNetwork>(net));
+  const LinkTable links = build_cancan(net);
+  const CanCanRouter router(net, std::make_shared<const CanCanZones>(net),
+                            links);
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 1500, Rng(5));
   expect_thread_invariant([&](std::vector<RouteProbe>* pq) {
