@@ -35,7 +35,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "overlay/population.h"
-#include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/mem_stats.h"
@@ -108,39 +107,25 @@ class BenchRun {
         argv_(argv),
         json_path_(flag_str(argc, argv, "json", "")),
         report_(bench_name, seed) {
-    known_ = {"seed", "json", "threads", "grain", "batch-width"};
+    known_ = {"seed", "json", "threads", "batch-width"};
     params_.emplace_back("seed", std::to_string(seed));
     if (json_enabled()) {
       prev_registry_ = telemetry::install_registry(&registry_);
     }
-    // Execution knobs (0 ⇒ hardware_concurrency / default grain). Figures
-    // are byte-identical at every --threads and --batch-width, and at
-    // every --grain up to float-summation order (see query_grain() in
-    // overlay/query_engine.h); check_json_schema.py strips all three from
-    // compared reports. Parsed into one RunOptions so a bench passes the
-    // same bag to engine.run()/run_resilient() that was applied here.
-    opts_.threads = static_cast<int>(flag_u64(argc, argv, "threads", 0));
-    opts_.grain =
-        static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0));
-    opts_.batch_width = static_cast<int>(flag_u64(
-        argc, argv, "batch-width",
-        static_cast<std::uint64_t>(kDefaultProbeBatchWidth)));
-    opts_.apply();
+    // Execution knobs (--threads=0 ⇒ hardware_concurrency,
+    // --batch-width=0 ⇒ the scalar probe loop). Figures are byte-identical
+    // at every value of both; check_json_schema.py strips them from
+    // compared reports.
+    set_parallel_threads(flag_int(argc, argv, "threads", 0));
+    set_probe_batch_width(
+        flag_int(argc, argv, "batch-width", kDefaultProbeBatchWidth));
     record("threads", std::to_string(parallel_threads()),
            telemetry::JsonValue(
                static_cast<std::int64_t>(parallel_threads())));
-    record("grain", std::to_string(query_grain()),
-           telemetry::JsonValue(
-               static_cast<std::uint64_t>(query_grain())));
     record("batch_width", std::to_string(probe_batch_width()),
            telemetry::JsonValue(
                static_cast<std::int64_t>(probe_batch_width())));
   }
-
-  /// The execution knobs parsed from the standard flags (already applied
-  /// process-wide by the constructor). Copy it to add a per-run fault
-  /// plan or trace sink before handing it to the engine.
-  const RunOptions& run_options() const { return opts_; }
 
   BenchRun(const BenchRun&) = delete;
   BenchRun& operator=(const BenchRun&) = delete;
@@ -237,7 +222,6 @@ class BenchRun {
 
   int argc_;
   char** argv_;
-  RunOptions opts_;
   std::string json_path_;
   telemetry::BenchReport report_;
   telemetry::MetricsRegistry registry_;

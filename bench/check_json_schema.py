@@ -615,9 +615,8 @@ SCALE_WALL_CLOCK_FIELDS = ("real_time", "build_s", "pop_s", "peak_rss_mb",
 
 def strip_timing(doc):
     """Removes the only report fields allowed to vary with --threads (or
-    with the batch-engine knobs --batch-width / --grain)."""
+    with the probe kernel's --batch-width)."""
     doc["params"].pop("threads", None)
-    doc["params"].pop("grain", None)
     doc["params"].pop("batch_width", None)
     doc["metrics"].pop("gauges", None)
     doc["metrics"].pop("histograms", None)

@@ -19,6 +19,8 @@ endfunction()
 
 expect_rejected("${FIG5}" --min-node=64 --min-node
   --min-nodes=64 --max-nodes=64 --trials=10)
+expect_rejected("${FIG5}" --grain=64 --grain
+  --min-nodes=64 --max-nodes=64 --trials=10)
 expect_rejected("${DOCTOR}" --all=maybe --all --nodes=64)
 expect_rejected("${SCALE}" --shard-nodes=8192 --shard-nodes
   --min-nodes=1024 --max-nodes=1024 --lookups=100 --physical-nodes=0)

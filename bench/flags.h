@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,19 @@ inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
   if (*end != '\0') reject_flag(name, v, "an unsigned integer");
   if (errno == ERANGE) reject_flag(name, v, "an integer below 2^64");
   return x;
+}
+
+/// flag_u64 for a value the program stores in an int (--threads,
+/// --batch-width): a value above INT_MAX also exits with code 2 instead
+/// of wrapping on the narrowing cast.
+inline int flag_int(int argc, char** argv, const char* name, int fallback) {
+  const std::uint64_t x =
+      flag_u64(argc, argv, name, static_cast<std::uint64_t>(fallback));
+  if (x > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    reject_flag(name, flag_raw(argc, argv, name),
+                "an integer at most 2147483647");
+  }
+  return static_cast<int>(x);
 }
 
 /// Parses "--name=value" from argv as a finite number; returns `fallback`

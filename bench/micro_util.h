@@ -19,7 +19,6 @@
 
 #include "bench/flags.h"
 #include "common/parallel.h"
-#include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/report.h"
 
@@ -44,15 +43,11 @@ inline int run_micro_benchmarks(int argc, char** argv,
   const std::uint64_t seed = flag_u64(argc, argv, "seed", 42);
   // --threads=N (0 ⇒ hardware_concurrency, 1 ⇒ exact serial path) for the
   // construction benchmarks; deterministic, only affects wall clock.
-  set_parallel_threads(
-      static_cast<int>(flag_u64(argc, argv, "threads", 0)));
-  // Batch-engine knobs (see bench_util.h): results are width/grain
-  // invariant, only the memory schedule moves.
-  set_query_grain(
-      static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0)));
-  set_probe_batch_width(static_cast<int>(flag_u64(
-      argc, argv, "batch-width",
-      static_cast<std::uint64_t>(kDefaultProbeBatchWidth))));
+  set_parallel_threads(flag_int(argc, argv, "threads", 0));
+  // The probe kernel's batch width: results are width invariant, only the
+  // memory schedule moves.
+  set_probe_batch_width(
+      flag_int(argc, argv, "batch-width", kDefaultProbeBatchWidth));
 
   // Hide our flags from google-benchmark's strict parser.
   std::vector<char*> args;
@@ -60,7 +55,6 @@ inline int run_micro_benchmarks(int argc, char** argv,
     if (std::strncmp(argv[i], "--json", 6) == 0 ||
         std::strncmp(argv[i], "--seed", 6) == 0 ||
         std::strncmp(argv[i], "--threads", 9) == 0 ||
-        std::strncmp(argv[i], "--grain", 7) == 0 ||
         std::strncmp(argv[i], "--batch-width", 13) == 0) {
       continue;
     }
@@ -86,9 +80,6 @@ inline int run_micro_benchmarks(int argc, char** argv,
     report.set_param("threads",
                      telemetry::JsonValue(
                          static_cast<std::int64_t>(parallel_threads())));
-    report.set_param("grain",
-                     telemetry::JsonValue(
-                         static_cast<std::uint64_t>(query_grain())));
     report.set_param("batch_width",
                      telemetry::JsonValue(
                          static_cast<std::int64_t>(probe_batch_width())));

@@ -84,8 +84,8 @@ LinkTable build_crescendo_prox_hook(const OverlayNetwork& net, Rng& rng) {
 //
 // One concrete GreedyRouter per metric over the table it is given; its
 // kernel shares ownership of any auxiliary structure it ranks over (the
-// grouping, or Can-Can's zone slots, derived from `net`). The batch
-// closures share the router, and the stepper is the router's own kernel
+// grouping, or Can-Can's zone slots, derived from `net`). FamilyRouter
+// copies share the router, and the stepper is the router's own kernel
 // adapter.
 
 RingRouter ring_router(const OverlayNetwork& net, const LinkTable& links) {
@@ -109,25 +109,7 @@ GroupRouter group_router(const OverlayNetwork& net, const LinkTable& links) {
 
 template <auto Make>
 FamilyRouter make_router(const OverlayNetwork& net, const LinkTable& links) {
-  const auto router = std::make_shared<const decltype(Make(net, links))>(
-      Make(net, links));
-  FamilyRouter r;
-  r.run_fn = [router](const QueryEngine& engine, std::span<const Query> q,
-                      std::vector<RouteProbe>* per_query) {
-    return engine.run(q, *router, per_query);
-  };
-  r.resilient_fn = [router](const QueryEngine& engine,
-                            std::span<const Query> q, const FaultPlan& plan,
-                            std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient(q, *router, plan, per_query);
-  };
-  r.resilient_with_fn = [router](const QueryEngine& engine,
-                                 std::span<const Query> q,
-                                 const FailureSet& dead, const FaultPlan& plan,
-                                 std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient_with(q, *router, dead, plan, per_query);
-  };
-  return r;
+  return {std::make_shared<const FamilyRouter::AnyRouter>(Make(net, links))};
 }
 
 template <auto Make>
@@ -308,6 +290,35 @@ constexpr std::array<std::string_view, kFamilyCount> make_names() {
 constexpr std::array<std::string_view, kFamilyCount> kNames = make_names();
 
 }  // namespace
+
+QueryStats FamilyRouter::run(const QueryEngine& engine,
+                             std::span<const Query> queries,
+                             std::vector<RouteProbe>* per_query) const {
+  return std::visit(
+      [&](const auto& r) { return engine.run(queries, r, per_query); },
+      *router);
+}
+
+ResilientStats FamilyRouter::run_resilient(
+    const QueryEngine& engine, std::span<const Query> queries,
+    const FaultPlan& plan, std::vector<RouteProbe>* per_query) const {
+  return std::visit(
+      [&](const auto& r) {
+        return engine.run_resilient(queries, r, plan, per_query);
+      },
+      *router);
+}
+
+ResilientStats FamilyRouter::run_resilient_with(
+    const QueryEngine& engine, std::span<const Query> queries,
+    const FailureSet& dead, const FaultPlan& plan,
+    std::vector<RouteProbe>* per_query) const {
+  return std::visit(
+      [&](const auto& r) {
+        return engine.run_resilient_with(queries, r, dead, plan, per_query);
+      },
+      *router);
+}
 
 std::span<const FamilyEntry> families() { return kFamilies; }
 

@@ -12,17 +12,18 @@
 //                           synthetic latency oracle and default
 //                           ProximityConfig)
 //   make_router(net, links) the family's GreedyRouter (overlay/routing.h)
-//                           wrapped for QueryEngine batches — plain and
+//                           for QueryEngine batches — plain and
 //                           failure-aware
 //   audit(net, links)       the StructureAuditor battery composition the
 //                           construction guarantees
 //   make_stepper(net, links) the same router's kernel as the message
 //                           simulator's Stepper
 //
-// The FamilyRouter returned by make_router type-erases at *batch*
-// granularity only: one std::function call runs a whole workload, inside
-// which the concrete hop kernel routes every query with zero virtual
-// dispatch — the hot-path contract of overlay/routing.h is untouched.
+// The FamilyRouter returned by make_router holds the concrete router in a
+// std::variant and dispatches once per *batch*: one std::visit runs a
+// whole workload, inside which the concrete hop kernel routes every query
+// with zero virtual dispatch — the hot-path contract of overlay/routing.h
+// is untouched.
 //
 // This header pulls in every family, so it lives in its own library
 // (canon_registry, on top of canon_core/canon_dht/canon_audit) even though
@@ -31,57 +32,50 @@
 #define CANON_OVERLAY_FAMILY_REGISTRY_H
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "audit/auditor.h"
+#include "canon/cancan.h"
+#include "canon/proximity.h"
 #include "common/rng.h"
+#include "dht/can.h"
 #include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
 #include "overlay/query_engine.h"
+#include "overlay/routing.h"
 #include "overlay/stepper.h"
 
 namespace canon::registry {
 
-/// A built family's router, wrapped for batch execution. Copyable; the
-/// closures share ownership of the concrete router, whose kernel routes
-/// over `links` and shares whatever auxiliary structure it ranks over
-/// (CanCanZones, GroupedOverlay), while `net` and `links` passed to
-/// make_router are borrowed and must outlive the FamilyRouter.
+/// A built family's router, for batch execution. Copyable; copies share
+/// the concrete router, whose kernel routes over `links` and shares
+/// whatever auxiliary structure it ranks over (CanCanZones,
+/// GroupedOverlay), while `net` and `links` passed to make_router are
+/// borrowed and must outlive the FamilyRouter.
 struct FamilyRouter {
-  using RunFn = std::function<QueryStats(
-      const QueryEngine&, std::span<const Query>, std::vector<RouteProbe>*)>;
-  using RunResilientFn = std::function<ResilientStats(
-      const QueryEngine&, std::span<const Query>, const FaultPlan&,
-      std::vector<RouteProbe>*)>;
-  using RunResilientWithFn = std::function<ResilientStats(
-      const QueryEngine&, std::span<const Query>, const FailureSet&,
-      const FaultPlan&, std::vector<RouteProbe>*)>;
+  using AnyRouter = std::variant<RingRouter, XorRouter, CanRouter,
+                                 CanCanRouter, GroupRouter>;
 
-  RunFn run_fn;
-  RunResilientFn resilient_fn;
-  RunResilientWithFn resilient_with_fn;
+  std::shared_ptr<const AnyRouter> router;
 
   /// Plain batch, exactly what engine.run(queries, <concrete router>)
   /// would produce.
   QueryStats run(const QueryEngine& engine, std::span<const Query> queries,
-                 std::vector<RouteProbe>* per_query = nullptr) const {
-    return run_fn(engine, queries, per_query);
-  }
+                 std::vector<RouteProbe>* per_query = nullptr) const;
 
   /// Failure-aware batch through the family's failure-aware walk; with an
-  /// empty plan the stats match run() field-for-field.
+  /// empty plan it is run().
   ResilientStats run_resilient(const QueryEngine& engine,
                                std::span<const Query> queries,
                                const FaultPlan& plan,
                                std::vector<RouteProbe>* per_query =
-                                   nullptr) const {
-    return resilient_fn(engine, queries, plan, per_query);
-  }
+                                   nullptr) const;
 
   /// Same over an already-materialized FailureSet — for callers that also
   /// audit or journal the dead set themselves.
@@ -90,9 +84,7 @@ struct FamilyRouter {
                                     const FailureSet& dead,
                                     const FaultPlan& plan,
                                     std::vector<RouteProbe>* per_query =
-                                        nullptr) const {
-    return resilient_with_fn(engine, queries, dead, plan, per_query);
-  }
+                                        nullptr) const;
 };
 
 /// One row of the registry. Plain function pointers: entries are a static

@@ -1,44 +1,17 @@
 #include "overlay/query_engine.h"
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/parallel.h"
 #include "common/zipf.h"
-#include "telemetry/mem_stats.h"
 
 namespace canon {
-
-namespace {
-
-// Runtime shard size (see query_grain() in the header). Relaxed atomics:
-// set at startup or between batches, never mid-batch.
-std::atomic<std::size_t> g_query_grain{kQueryGrain};
-
-}  // namespace
-
-std::size_t query_grain() {
-  return g_query_grain.load(std::memory_order_relaxed);
-}
-
-void set_query_grain(std::size_t grain) {
-  g_query_grain.store(grain == 0 ? kQueryGrain : grain,
-                      std::memory_order_relaxed);
-}
-
-void RunOptions::apply() const {
-  set_parallel_threads(threads);
-  set_query_grain(grain);
-  set_probe_batch_width(batch_width);
-}
 
 std::vector<Query> generate_workload(
     std::size_t count, const Rng& base,
     const std::function<Query(Rng&, std::size_t)>& make) {
   std::vector<Query> out(count);
-  // Query i is a pure function of base.fork(i): any grain partitions the
-  // same per-index work, so the workload is grain- and thread-invariant.
-  parallel_for(count, query_grain(),
+  // Query i is a pure function of base.fork(i), so the workload is
+  // thread-invariant.
+  parallel_for(count, kQueryGrain,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t i = begin; i < end; ++i) {
                    Rng q = base.fork(i);
@@ -109,6 +82,19 @@ double ResilientStats::availability() const {
              : static_cast<double>(base.ok()) / static_cast<double>(total);
 }
 
+void ResilientStats::add(const ResilientProbe& rp) {
+  ++base.queries;
+  base.total_hops += static_cast<std::uint64_t>(rp.hops);
+  if (rp.ok) {
+    base.hops.add(rp.hops);
+  } else {
+    ++base.failures;
+  }
+  if (rp.hop_guard) ++base.hop_guard_exits;
+  retries += static_cast<std::uint64_t>(rp.retries);
+  fallback_hops += static_cast<std::uint64_t>(rp.fallback_hops);
+}
+
 void ResilientStats::merge(const ResilientStats& other) {
   base.merge(other.base);
   skipped_dead_source += other.skipped_dead_source;
@@ -123,104 +109,11 @@ QueryEngine::QueryEngine(const OverlayNetwork& net)
       hops_counter_(telemetry::maybe_counter("query_engine.hops")),
       failures_counter_(telemetry::maybe_counter("query_engine.failures")) {}
 
-QueryStats QueryEngine::run_batch(std::span<const Query> queries,
-                                  const RouteIntoFn& route_into,
-                                  const ProbeFn& probe,
-                                  std::vector<RouteProbe>* per_query,
-                                  const ProbeBatchFn& probe_batch) const {
-  const std::size_t n = queries.size();
-  const std::size_t grain = query_grain();
-  const std::size_t shards = (n + grain - 1) / grain;
-  if (per_query) per_query->assign(n, RouteProbe{});
-
-  // Probe mode: terminal-only routing, no path materialized anywhere.
-  // Anything that must see the hop-by-hop path disables it.
-  const bool use_probe =
-      !cost_ && !level_tracking_ && sink_ == nullptr && load_ == nullptr;
-
-  std::vector<QueryStats> per_shard(shards);
-  std::vector<telemetry::LoadAccountant::Shard> load_shards(load_ ? shards
-                                                                  : 0);
-  // Per-shard scratch footprint, recorded by the worker that ran the
-  // shard (the shard's routes alone determine the final capacity) and
-  // charged to the memory accountant on the calling thread after the
-  // barrier, in fixed shard order.
-  std::vector<std::uint64_t> scratch_bytes(
-      telemetry::mem_accountant() ? shards : 0);
-  const auto run_shard = [&](std::size_t s) {
-    QueryStats& stats = per_shard[s];
-    telemetry::LoadAccountant::Shard* load_shard =
-        load_ ? &load_shards[s] : nullptr;
-    Route scratch;  // one buffer per shard, capacity reused across queries
-    const std::size_t begin = s * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    // The interleaved kernel routes the whole shard up front; the stats
-    // loop below then drains its results in query order, so every
-    // accumulation (and with it every figure) is identical to the
-    // per-query probe path.
-    std::vector<RouteProbe> batch_out;
-    const bool use_batch = use_probe && probe_batch != nullptr;
-    if (use_batch) {
-      batch_out.resize(end - begin);
-      probe_batch(queries.subspan(begin, end - begin), batch_out);
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const Query& q = queries[i];
-      RouteProbe p;
-      if (use_batch) {
-        p = batch_out[i - begin];
-      } else if (use_probe) {
-        p = probe(q.from, q.key);
-      } else {
-        route_into(q.from, q.key, scratch);
-        p = RouteProbe{scratch.terminal(), scratch.hops(), scratch.ok,
-                       scratch.hop_guard};
-        observe_route(q, scratch, stats, load_shard);
-      }
-      ++stats.queries;
-      stats.total_hops += static_cast<std::uint64_t>(p.hops);
-      if (p.ok) {
-        stats.hops.add(p.hops);
-      } else {
-        ++stats.failures;
-      }
-      if (p.hop_guard) ++stats.hop_guard_exits;
-      if (per_query) (*per_query)[i] = p;
-    }
-    if (!scratch_bytes.empty()) {
-      scratch_bytes[s] = telemetry::vector_bytes(scratch.path) +
-                         telemetry::vector_bytes(batch_out);
-    }
-  };
-
-  if (sink_) {
-    // A sink observes one global event stream: keep workload order.
-    for (std::size_t s = 0; s < shards; ++s) run_shard(s);
-  } else {
-    // grain 1: shard s of the index range IS query-shard s, so the
-    // partition (and with it every accumulation order below) is the same
-    // at every thread count.
-    parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) run_shard(s);
-    });
-  }
-
-  QueryStats out;
-  for (const QueryStats& s : per_shard) out.merge(s);
-  if (load_) {
-    for (const auto& s : load_shards) load_->merge(s);
-  }
-  if (!scratch_bytes.empty()) {
-    // Charge every shard's scratch together, then release: the tag's peak
-    // records the concurrency-equivalent footprint (all shards resident at
-    // once), which is what the figure would be at maximum parallelism —
-    // and is a pure function of the shard partition, so byte-identical at
-    // any --threads.
-    telemetry::MemScope scope("query.scratch");
-    for (const std::uint64_t bytes : scratch_bytes) scope.add(bytes);
-  }
-  flush_batch_counters(out);
-  return out;
+QueryStats QueryEngine::run_lookahead(
+    std::span<const Query> queries, const RingRouter& router,
+    std::vector<RouteProbe>* per_query) const {
+  return drive(queries, Lookahead{router}, nullptr, FaultPlan{}, per_query)
+      .base;
 }
 
 void QueryEngine::observe_route(

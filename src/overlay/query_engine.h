@@ -10,11 +10,17 @@
 //   2. Routing fans out over fixed shards of kQueryGrain queries via
 //      parallel_for on a shared *read-only* router, using the
 //      allocation-free hot paths (route_into reusing one scratch Route per
-//      shard, or probe() when nobody needs paths).
-//   3. Results accumulate into per-shard QueryStats merged in fixed shard
+//      shard, or the probe_batch kernel when nobody needs paths).
+//   3. Results accumulate into per-shard stats merged in fixed shard
 //      order 0..S-1 after the barrier — float summation order is therefore
 //      identical at every thread count, making every derived figure
 //      byte-identical serial vs. parallel.
+//
+// Every entry point (run, run_lookahead, run_resilient,
+// run_resilient_with) runs through one private function, drive(). A batch
+// in which no node is dead and no message drops takes the plain walk, so
+// run_resilient with an empty FaultPlan is run() by construction; only a
+// faulty batch takes the router's failure-aware walk.
 //
 // Telemetry contract: the hot paths touch no telemetry (see
 // overlay/routing.h). The engine tallies hops/failures into per-shard
@@ -25,12 +31,12 @@
 #ifndef CANON_OVERLAY_QUERY_ENGINE_H
 #define CANON_OVERLAY_QUERY_ENGINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
-
-#include <algorithm>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -40,6 +46,7 @@
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
 #include "telemetry/load_stats.h"
+#include "telemetry/mem_stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -95,7 +102,7 @@ struct QueryStats {
 /// Outcome of one resilient batch: the plain QueryStats over attempted
 /// queries (dead sources are skipped, not failed — they never entered the
 /// network) plus the recovery-work tallies. With an empty FaultPlan,
-/// `base` is field-identical to what run() returns on the same workload.
+/// `base` is what run() returns on the same workload.
 struct ResilientStats {
   QueryStats base;  ///< attempted queries only
   std::uint64_t skipped_dead_source = 0;
@@ -113,51 +120,18 @@ struct ResilientStats {
   /// availability even though it never issued the query.
   double availability() const;
 
+  /// Tallies one attempted query.
+  void add(const ResilientProbe& rp);
+
   /// Folds `other` in; shard merging calls this in fixed shard order.
   void merge(const ResilientStats& other);
 };
 
 /// Queries per shard: one lookup costs ~1µs at 64K nodes, so 256 amortize
 /// the shard claim while a 4000-trial cell still yields ~16 shards. The
-/// compile-time default behind the runtime knob below.
+/// shard partition is a pure function of the workload size, never of the
+/// thread count.
 inline constexpr std::size_t kQueryGrain = 256;
-
-/// Process-wide queries-per-shard knob (the benches' --grain flag).
-/// Returns kQueryGrain until set; set_query_grain(0) resets to the
-/// default, other values clamp to >= 1. The shard partition is a pure
-/// function of (workload size, grain) — never of the thread count — so
-/// any fixed grain yields byte-identical figures at every --threads;
-/// different grains may legitimately differ in float-summation order.
-std::size_t query_grain();
-void set_query_grain(std::size_t grain);
-
-/// Everything one batch run depends on besides (workload, router), in one
-/// bag: the three execution knobs every bench used to push through three
-/// process-wide setters (--threads / --grain / --batch-width), plus the
-/// per-run fault plan and trace sink that previously rode as extra
-/// parameters and engine setters. bench::BenchRun builds one from the
-/// standard flags (run_options()); engine overloads taking a RunOptions
-/// apply the knobs and install the sinks for that call only.
-struct RunOptions {
-  /// Worker threads (set_parallel_threads semantics: 0 = hardware
-  /// concurrency, 1 = the exact serial path).
-  int threads = 0;
-  /// Queries per shard (set_query_grain semantics: 0 = kQueryGrain).
-  std::size_t grain = 0;
-  /// Interleaved probe-kernel width (set_probe_batch_width semantics:
-  /// 0 = scalar path).
-  int batch_width = kDefaultProbeBatchWidth;
-  /// Crash/drop schedule for resilient runs; null = fault-free (a
-  /// RunOptions-taking run_resilient then matches run() field-for-field).
-  /// Borrowed.
-  const FaultPlan* fault_plan = nullptr;
-  /// Trace sink installed for the duration of the call (forces the batch
-  /// onto one thread, like QueryEngine::set_trace). Borrowed.
-  telemetry::RouteTraceSink* trace = nullptr;
-
-  /// Installs the three process-wide execution knobs.
-  void apply() const;
-};
 
 /// See the file comment. One engine per overlay; routers are passed per
 /// run() call and only read.
@@ -192,17 +166,6 @@ class QueryEngine {
   /// (accounting needs the hop-by-hop path). nullptr detaches.
   void set_load(telemetry::LoadAccountant* load) { load_ = load; }
 
-  /// Routes one query into the caller's buffer; must be safe to call
-  /// concurrently on shared state (the hot-path contract).
-  using RouteIntoFn =
-      std::function<void(NodeIndex, NodeId, Route&)>;
-  /// Terminal-only variant.
-  using ProbeFn = std::function<RouteProbe(NodeIndex, NodeId)>;
-  /// Whole-shard terminal-only variant: the router's interleaved batch
-  /// kernel (probe_batch), one result per query.
-  using ProbeBatchFn =
-      std::function<void(std::span<const Query>, std::span<RouteProbe>)>;
-
   /// Runs the batch through a GreedyRouter (overlay/routing.h). When
   /// `per_query` is given it receives one RouteProbe per query, in
   /// workload order. Probe mode routes whole shards through the router's
@@ -210,152 +173,180 @@ class QueryEngine {
   template <typename Router>
   QueryStats run(std::span<const Query> queries, const Router& router,
                  std::vector<RouteProbe>* per_query = nullptr) const {
-    return run_batch(
-        queries,
-        [&router](NodeIndex from, NodeId key, Route& out) {
-          router.route_into(from, key, out);
-        },
-        [&router](NodeIndex from, NodeId key) {
-          return router.probe(from, key);
-        },
-        per_query,
-        [&router](std::span<const Query> q, std::span<RouteProbe> o) {
-          router.probe_batch(q, o);
-        });
-  }
-
-  /// run() under a RunOptions bag: applies the execution knobs, installs
-  /// opts.trace for the duration of the call (restoring the previously
-  /// attached sink after), and runs the plain batch. opts.fault_plan is
-  /// ignored here — use the run_resilient overload for faulty runs.
-  template <typename Router>
-  QueryStats run(std::span<const Query> queries, const Router& router,
-                 const RunOptions& opts,
-                 std::vector<RouteProbe>* per_query = nullptr) {
-    opts.apply();
-    const SinkGuard guard(this, opts.trace);
-    return run(queries, router, per_query);
-  }
-
-  /// run_resilient() under a RunOptions bag; a null opts.fault_plan runs
-  /// fault-free (empty plan).
-  template <typename RRouter>
-  ResilientStats run_resilient(std::span<const Query> queries,
-                               const RRouter& router, const RunOptions& opts,
-                               std::vector<RouteProbe>* per_query = nullptr) {
-    opts.apply();
-    const SinkGuard guard(this, opts.trace);
-    static const FaultPlan kNoFaults;
-    return run_resilient(queries, router,
-                         opts.fault_plan ? *opts.fault_plan : kNoFaults,
-                         per_query);
+    return drive(queries, router, nullptr, FaultPlan{}, per_query).base;
   }
 
   /// Same, through RingRouter's lookahead variant.
   QueryStats run_lookahead(std::span<const Query> queries,
                            const RingRouter& router,
-                           std::vector<RouteProbe>* per_query = nullptr) const {
-    return run_batch(
-        queries,
-        [&router](NodeIndex from, NodeId key, Route& out) {
-          router.route_lookahead_into(from, key, out);
-        },
-        [&router](NodeIndex from, NodeId key) {
-          return router.probe_lookahead(from, key);
-        },
-        per_query);
-  }
-
-  /// The generic core. Probe mode (no path recorded at all) is used iff
-  /// nothing needs paths: no cost fn, no level tracking, no sink, no load
-  /// accountant. In probe mode a non-null `probe_batch` handles whole
-  /// shards at once (the interleaved kernels); it must write
-  /// out[i] == probe(queries[i].from, queries[i].key) for every i.
-  QueryStats run_batch(std::span<const Query> queries,
-                       const RouteIntoFn& route_into, const ProbeFn& probe,
-                       std::vector<RouteProbe>* per_query = nullptr,
-                       const ProbeBatchFn& probe_batch = {}) const;
+                           std::vector<RouteProbe>* per_query = nullptr) const;
 
   /// The resilient batch mode: materializes `plan` once (journaling its
-  /// crash/revive events when a journal is attached) and runs the batch
-  /// through a GreedyRouter's failure-aware walk. Dead-source queries
-  /// are skipped (per_query gets {from, 0, false}); each attempted query i
-  /// derives its drop stream from plan.drop_seed() forked by i, so
+  /// crash/revive events when a journal is attached) and runs the batch.
+  /// Dead-source queries are skipped (per_query gets {from, 0, false});
+  /// the rest walk the GreedyRouter's failure-aware path, each attempted
+  /// query i drawing its drops from plan.drop_seed() forked by i, so
   /// results — like the plain batch's — are byte-identical at every
-  /// thread count. The
-  /// query_engine.resilient_* counters are flushed only for a non-empty
-  /// plan, keeping empty-plan reports byte-identical to run()'s.
-  template <typename RRouter>
+  /// thread count. A plan that kills nobody and drops nothing is the plain
+  /// batch (see drive()). The query_engine.resilient_* counters are
+  /// flushed only for a non-empty plan, keeping empty-plan reports
+  /// byte-identical to run()'s.
+  template <typename Router>
   ResilientStats run_resilient(std::span<const Query> queries,
-                               const RRouter& router, const FaultPlan& plan,
+                               const Router& router, const FaultPlan& plan,
                                std::vector<RouteProbe>* per_query =
                                    nullptr) const {
     const FailureSet dead = plan.materialize(*net_, journal_);
-    return run_resilient_with(queries, router, dead, plan, per_query);
+    return drive(queries, router, &dead, plan, per_query);
   }
 
   /// Same, over an already-materialized FailureSet (callers that audit or
   /// journal the dead set themselves).
-  template <typename RRouter>
+  template <typename Router>
   ResilientStats run_resilient_with(std::span<const Query> queries,
-                                    const RRouter& router,
+                                    const Router& router,
                                     const FailureSet& dead,
                                     const FaultPlan& plan,
                                     std::vector<RouteProbe>* per_query =
                                         nullptr) const {
+    return drive(queries, router, &dead, plan, per_query);
+  }
+
+ private:
+  /// RingRouter's lookahead walk under the plain names drive() calls. It
+  /// has no batch kernel and no failure-aware walk.
+  struct Lookahead {
+    const RingRouter& router;
+    RouteProbe probe(NodeIndex from, NodeId key) const {
+      return router.probe_lookahead(from, key);
+    }
+    void route_into(NodeIndex from, NodeId key, Route& out) const {
+      router.route_lookahead_into(from, key, out);
+    }
+  };
+
+  template <typename Router>
+  static constexpr bool kHasBatchKernel =
+      requires(std::span<const Query> q, std::span<RouteProbe> out) {
+        std::declval<const Router&>().probe_batch(q, out);
+      };
+
+  template <typename Router>
+  static constexpr bool kHasFaultWalk =
+      requires(const FailureSet& dead, DropRoller& drops,
+               typename Router::Scratch& scratch) {
+        std::declval<const Router&>().probe(NodeIndex{}, NodeId{}, dead,
+                                            drops, scratch);
+      };
+
+  /// The one shard loop behind every entry point. A batch is faulty iff
+  /// `dead` is given and either holds a dead node or `plan` drops
+  /// messages; only then does it skip dead sources and take the
+  /// failure-aware walk. Otherwise it is the plain batch, whatever entry
+  /// point it came from. Probe mode (no path recorded at all) is used iff
+  /// nothing needs paths: no cost fn, no level tracking, no sink, no load
+  /// accountant; a plain probe-mode shard runs through the router's
+  /// interleaved batch kernel, which writes exactly probe() per query.
+  template <typename Router>
+  ResilientStats drive(std::span<const Query> queries, const Router& router,
+                       const FailureSet* dead, const FaultPlan& plan,
+                       std::vector<RouteProbe>* per_query) const {
     const std::size_t n = queries.size();
-    const std::size_t grain = query_grain();
-    const std::size_t shards = (n + grain - 1) / grain;
+    const std::size_t shards = (n + kQueryGrain - 1) / kQueryGrain;
     if (per_query) per_query->assign(n, RouteProbe{});
     const bool use_probe =
         !cost_ && !level_tracking_ && sink_ == nullptr && load_ == nullptr;
+    const bool faulty =
+        dead != nullptr && (dead->any() || plan.has_drops());
     const Rng drop_base(plan.drop_seed());
-    const double drop_p = plan.drop_probability();
 
     std::vector<ResilientStats> per_shard(shards);
     std::vector<telemetry::LoadAccountant::Shard> load_shards(
         load_ ? shards : 0);
+    // Per-shard scratch footprint, recorded by the worker that ran the
+    // shard (the shard's routes alone determine the final capacity) and
+    // charged to the memory accountant on the calling thread after the
+    // barrier, in fixed shard order.
+    std::vector<std::uint64_t> scratch_bytes(
+        telemetry::mem_accountant() ? shards : 0);
     const auto run_shard = [&](std::size_t s) {
       ResilientStats& stats = per_shard[s];
       telemetry::LoadAccountant::Shard* load_shard =
           load_ ? &load_shards[s] : nullptr;
-      Route route_scratch;  // per-shard buffers, capacity reused
-      typename RRouter::Scratch scratch;
-      const std::size_t begin = s * grain;
-      const std::size_t end = std::min(n, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) {
-        const Query& q = queries[i];
-        if (dead.dead(q.from)) {
-          ++stats.skipped_dead_source;
-          if (per_query) (*per_query)[i] = RouteProbe{q.from, 0, false};
-          continue;
-        }
-        DropRoller drops(drop_p, drop_base.fork(i));
-        ResilientProbe rp;
-        if (use_probe) {
-          rp = router.probe(q.from, q.key, dead, drops, scratch);
-        } else {
-          rp = router.route_into(q.from, q.key, dead, drops, scratch,
-                                 route_scratch);
-          observe_route(q, route_scratch, stats.base, load_shard);
-        }
-        ++stats.base.queries;
-        stats.base.total_hops += static_cast<std::uint64_t>(rp.hops);
-        if (rp.ok) {
-          stats.base.hops.add(rp.hops);
-        } else {
-          ++stats.base.failures;
-        }
-        if (rp.hop_guard) ++stats.base.hop_guard_exits;
-        stats.retries += static_cast<std::uint64_t>(rp.retries);
-        stats.fallback_hops += static_cast<std::uint64_t>(rp.fallback_hops);
+      Route route;  // one buffer per shard, capacity reused across queries
+      std::vector<RouteProbe> batch_out;
+      const std::size_t begin = s * kQueryGrain;
+      const std::size_t end = std::min(n, begin + kQueryGrain);
+      const auto record = [&](std::size_t i, const ResilientProbe& rp) {
+        stats.add(rp);
         if (per_query) (*per_query)[i] = rp.to_probe();
+      };
+      if (faulty) {
+        if constexpr (kHasFaultWalk<Router>) {
+          typename Router::Scratch scratch;
+          for (std::size_t i = begin; i < end; ++i) {
+            const Query& q = queries[i];
+            if (dead->dead(q.from)) {
+              ++stats.skipped_dead_source;
+              if (per_query) (*per_query)[i] = RouteProbe{q.from, 0, false};
+              continue;
+            }
+            DropRoller drops(plan.drop_probability(), drop_base.fork(i));
+            ResilientProbe rp;
+            if (use_probe) {
+              rp = router.probe(q.from, q.key, *dead, drops, scratch);
+            } else {
+              rp = router.route_into(q.from, q.key, *dead, drops, scratch,
+                                     route);
+              observe_route(q, route, stats.base, load_shard);
+            }
+            record(i, rp);
+          }
+        }
+      } else {
+        // The interleaved kernel routes the whole shard up front; the loop
+        // below then drains its results in query order, so every
+        // accumulation (and with it every figure) is identical to the
+        // per-query probe path.
+        bool use_batch = false;
+        if constexpr (kHasBatchKernel<Router>) {
+          use_batch = use_probe;
+          if (use_batch) {
+            batch_out.resize(end - begin);
+            router.probe_batch(queries.subspan(begin, end - begin),
+                               batch_out);
+          }
+        }
+        for (std::size_t i = begin; i < end; ++i) {
+          const Query& q = queries[i];
+          RouteProbe p;
+          if (use_batch) {
+            p = batch_out[i - begin];
+          } else if (use_probe) {
+            p = router.probe(q.from, q.key);
+          } else {
+            router.route_into(q.from, q.key, route);
+            p = RouteProbe{route.terminal(), route.hops(), route.ok,
+                           route.hop_guard};
+            observe_route(q, route, stats.base, load_shard);
+          }
+          record(i, ResilientProbe{p.terminal, p.hops, p.ok, 0, 0,
+                                   p.hop_guard});
+        }
+      }
+      if (!scratch_bytes.empty()) {
+        scratch_bytes[s] = telemetry::vector_bytes(route.path) +
+                           telemetry::vector_bytes(batch_out);
       }
     };
 
     if (sink_) {
+      // A sink observes one global event stream: keep workload order.
       for (std::size_t s = 0; s < shards; ++s) run_shard(s);
     } else {
+      // grain 1: shard s of the index range IS query-shard s, so the
+      // partition (and with it every accumulation order below) is the same
+      // at every thread count.
       parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) run_shard(s);
       });
@@ -366,31 +357,22 @@ class QueryEngine {
     if (load_) {
       for (const auto& s : load_shards) load_->merge(s);
     }
+    if (!scratch_bytes.empty()) {
+      // Charge every shard's scratch together, then release: the tag's
+      // peak records the concurrency-equivalent footprint (all shards
+      // resident at once), a pure function of the shard partition and so
+      // byte-identical at any --threads.
+      telemetry::MemScope scope("query.scratch");
+      for (const std::uint64_t bytes : scratch_bytes) scope.add(bytes);
+    }
     flush_batch_counters(out.base);
     if (!plan.empty()) flush_resilient_counters(out);
     return out;
   }
 
- private:
-  /// Installs a RunOptions trace sink for one call, restoring the
-  /// previously attached sink on scope exit (a null options trace leaves
-  /// the attached sink in place).
-  struct SinkGuard {
-    QueryEngine* engine;
-    telemetry::RouteTraceSink* prev;
-    SinkGuard(QueryEngine* e, telemetry::RouteTraceSink* trace)
-        : engine(e), prev(e->sink_) {
-      if (trace) e->sink_ = trace;
-    }
-    ~SinkGuard() { engine->sink_ = prev; }
-    SinkGuard(const SinkGuard&) = delete;
-    SinkGuard& operator=(const SinkGuard&) = delete;
-  };
-
   /// The path-dependent tallies of full (non-probe) mode: level tracking,
   /// path cost, trace replay, load accounting (into `load_shard` when a
-  /// LoadAccountant is attached). Shared by run_batch and
-  /// run_resilient_with.
+  /// LoadAccountant is attached).
   void observe_route(const Query& q, const Route& route, QueryStats& stats,
                      telemetry::LoadAccountant::Shard* load_shard) const;
 

@@ -1,7 +1,7 @@
 // Route tracing: per-hop event capture for any lookup in the stack.
 //
-// Every GreedyRouter, iterative_lookup and MessageSimulator accept an
-// optional RouteTraceSink. When one is attached, every routed lookup emits
+// Every GreedyRouter and MessageSimulator accept an optional
+// RouteTraceSink. When one is attached, every routed lookup emits
 // begin_lookup / on_hop* / end_lookup events carrying the chosen link, how
 // many candidates were evaluated at the hop, the hierarchy level the hop
 // happened at (the depth of the lowest common domain of its endpoints, as

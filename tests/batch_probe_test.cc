@@ -174,8 +174,8 @@ TEST(BatchProbe, AllFamiliesMatchScalarAtEveryWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// The width knob composes with the engine's shard fan-out and the grain
-// knob: threads x widths all bit-identical to the serial scalar run.
+// The width knob composes with the engine's shard fan-out: threads x
+// widths all bit-identical to the serial scalar run.
 
 TEST(BatchProbe, ThreadAndWidthInvariantThroughEngine) {
   ThreadGuard threads_guard;

@@ -1,7 +1,8 @@
 // The resilience-engine contracts, pinned per family through the registry:
 //
 //   1. Zero cost when healthy: run_resilient with an empty FaultPlan is
-//      field- and per-query-identical to the plain batch engine.
+//      field- and per-query-identical to the plain batch engine, and
+//      leaves the same load ledger, traces and query.scratch charge.
 //   2. Graceful degradation: success rates are monotone non-increasing in
 //      the kill fraction (fail_fraction's kill sets are nested).
 //   3. Thread invariance: resilient batches — faults, drops and all — are
@@ -23,6 +24,9 @@
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
 #include "telemetry/journal.h"
+#include "telemetry/load_stats.h"
+#include "telemetry/mem_stats.h"
+#include "telemetry/trace.h"
 
 namespace canon {
 namespace {
@@ -43,33 +47,127 @@ OverlayNetwork make_net(std::size_t n = 256) {
   return make_population(spec, rng);
 }
 
+void expect_same_summary(const Summary& plain, const Summary& res,
+                         std::string_view family) {
+  EXPECT_EQ(res.count(), plain.count()) << family;
+  EXPECT_EQ(res.sum(), plain.sum()) << family;
+  if (plain.count() > 0 && res.count() > 0) {
+    EXPECT_EQ(res.mean(), plain.mean()) << family;
+    EXPECT_EQ(res.min(), plain.min()) << family;
+    EXPECT_EQ(res.max(), plain.max()) << family;
+    EXPECT_EQ(res.variance(), plain.variance()) << family;
+  }
+}
+
 void expect_same_base(const QueryStats& plain, const ResilientStats& res,
                       std::string_view family) {
   EXPECT_EQ(res.base.queries, plain.queries) << family;
   EXPECT_EQ(res.base.failures, plain.failures) << family;
+  EXPECT_EQ(res.base.hop_guard_exits, plain.hop_guard_exits) << family;
   EXPECT_EQ(res.base.total_hops, plain.total_hops) << family;
-  EXPECT_EQ(res.base.hops.count(), plain.hops.count()) << family;
-  EXPECT_EQ(res.base.hops.mean(), plain.hops.mean()) << family;
+  EXPECT_EQ(res.base.hops_by_level, plain.hops_by_level) << family;
+  expect_same_summary(plain.hops, res.base.hops, family);
+  expect_same_summary(plain.cost, res.base.cost, family);
   EXPECT_EQ(res.skipped_dead_source, 0u) << family;
   EXPECT_EQ(res.retries, 0u) << family;
   EXPECT_EQ(res.fallback_hops, 0u) << family;
 }
 
+/// A recorded trace as comparable text: one line per lookup, every hop.
+std::string trace_text(const telemetry::RecordingTraceSink& sink) {
+  std::ostringstream out;
+  for (const auto& t : sink.lookups()) {
+    out << t.from << ' ' << t.key << ' ' << t.done << t.ok << ' '
+        << t.terminal << ':';
+    for (const telemetry::HopRecord& h : t.hops) {
+      out << ' ' << h.lookup << '/' << h.from << '>' << h.to << '#'
+          << h.hop_index << '@' << h.level << '+' << h.candidates;
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// Engine set-ups of the empty-plan test: probe mode; full mode with a
+/// load accountant, level tracking and a path cost; full mode with a
+/// trace sink.
+enum class EngineSetup { kProbe, kFull, kTraced };
+
+/// What a batch leaves behind besides its stats.
+struct Observed {
+  std::vector<RouteProbe> per_query;
+  std::string load;   ///< LoadAccountant::to_json() (kFull)
+  std::string trace;  ///< trace_text() (kTraced)
+  telemetry::MemoryAccountant::TagStats scratch;  ///< query.scratch tag
+};
+
+/// Installs a fresh memory accountant for one scope.
+struct MemLedger {
+  telemetry::MemoryAccountant acct;
+  MemLedger() { telemetry::install_mem_accountant(&acct); }
+  ~MemLedger() { telemetry::install_mem_accountant(nullptr); }
+  MemLedger(const MemLedger&) = delete;
+  MemLedger& operator=(const MemLedger&) = delete;
+};
+
+/// Runs `batch(engine, &seen.per_query)` on a fresh engine set up for
+/// `setup`, under a fresh memory accountant, and fills `seen`.
+template <typename Batch>
+auto observe(const OverlayNetwork& net, EngineSetup setup, Observed& seen,
+             Batch&& batch) {
+  QueryEngine engine(net);
+  telemetry::LoadAccountant load(net.domains(), net.ids());
+  telemetry::RecordingTraceSink sink;
+  if (setup == EngineSetup::kFull) {
+    engine.set_load(&load);
+    engine.set_level_tracking(true);
+    engine.set_cost([](std::uint32_t a, std::uint32_t b) {
+      return static_cast<double>((a * 31 + b * 17) % 97 + 1);
+    });
+  } else if (setup == EngineSetup::kTraced) {
+    engine.set_trace(&sink);
+  }
+  const MemLedger ledger;
+  const auto stats = batch(engine, &seen.per_query);
+  if (setup == EngineSetup::kFull) seen.load = load.to_json().dump();
+  seen.trace = trace_text(sink);
+  const auto tag = ledger.acct.tags().find("query.scratch");
+  if (tag != ledger.acct.tags().end()) seen.scratch = tag->second;
+  return stats;
+}
+
 TEST(FaultInjection, EmptyPlanMatchesPlainEngineEveryFamily) {
   const auto net = make_net();
-  const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 400, Rng(kSeed).fork(7));
   const FaultPlan empty;
   for (const auto& entry : registry::families()) {
     const LinkTable links = registry::build_family(net, entry.name, kSeed);
     const auto router = entry.make_router(net, links);
-    std::vector<RouteProbe> plain_probes;
-    std::vector<RouteProbe> res_probes;
-    const QueryStats plain = router.run(engine, queries, &plain_probes);
-    const ResilientStats res =
-        router.run_resilient(engine, queries, empty, &res_probes);
-    expect_same_base(plain, res, entry.name);
-    EXPECT_EQ(res_probes, plain_probes) << entry.name;
+    for (const EngineSetup setup :
+         {EngineSetup::kProbe, EngineSetup::kFull, EngineSetup::kTraced}) {
+      SCOPED_TRACE(static_cast<int>(setup));
+      Observed plain_seen;
+      Observed res_seen;
+      const QueryStats plain = observe(
+          net, setup, plain_seen,
+          [&](const QueryEngine& e, std::vector<RouteProbe>* pq) {
+            return router.run(e, queries, pq);
+          });
+      const ResilientStats res = observe(
+          net, setup, res_seen,
+          [&](const QueryEngine& e, std::vector<RouteProbe>* pq) {
+            return router.run_resilient(e, queries, empty, pq);
+          });
+      expect_same_base(plain, res, entry.name);
+      EXPECT_EQ(res_seen.per_query, plain_seen.per_query) << entry.name;
+      EXPECT_EQ(res_seen.load, plain_seen.load) << entry.name;
+      EXPECT_EQ(res_seen.trace, plain_seen.trace) << entry.name;
+      EXPECT_GT(plain_seen.scratch.charges, 0u) << entry.name;
+      EXPECT_EQ(res_seen.scratch.charges, plain_seen.scratch.charges)
+          << entry.name;
+      EXPECT_EQ(res_seen.scratch.peak, plain_seen.scratch.peak)
+          << entry.name;
+    }
   }
 }
 

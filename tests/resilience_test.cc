@@ -1,14 +1,10 @@
-// Tests for failure-aware routing (leaf-set fallback) and Kademlia's
-// iterative lookup.
+// Tests for failure-aware routing (leaf-set fallback) and Kademlia bucket
+// replication.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "canon/crescendo.h"
-#include "canon/kandy.h"
 #include "common/rng.h"
 #include "dht/chord.h"
-#include "dht/iterative_lookup.h"
 #include "dht/kademlia.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
@@ -109,58 +105,6 @@ TEST(ResilientRouting, RejectsDeadSource) {
   const RingRouter router(net, links);
   EXPECT_THROW(router.route(0, 1, failures), std::invalid_argument);
 }
-
-TEST(IterativeLookup, FindsClosestOnKademlia) {
-  Rng rng(905);
-  const auto net = make_population(spec_of(500, 1), rng);
-  const auto links = build_kademlia(net, BucketChoice::kClosest, rng);
-  for (int t = 0; t < 200; ++t) {
-    const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-    const NodeId key = net.space().wrap(rng());
-    const auto result = iterative_lookup(net, links, from, key);
-    EXPECT_TRUE(result.ok);
-    EXPECT_GT(result.messages, 0);
-  }
-}
-
-TEST(IterativeLookup, FindsClosestOnKandyAllLevels) {
-  for (const int levels : {2, 3, 5}) {
-    Rng rng(906 + levels);
-    const auto net = make_population(spec_of(500, levels), rng);
-    const auto links = build_kandy(net, BucketChoice::kRandom, rng);
-    for (int t = 0; t < 100; ++t) {
-      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-      const NodeId key = net.space().wrap(rng());
-      const auto result = iterative_lookup(net, links, from, key);
-      EXPECT_TRUE(result.ok) << "levels " << levels;
-    }
-  }
-}
-
-TEST(IterativeLookup, MessageCountIsLogarithmic) {
-  Rng rng(907);
-  const auto net = make_population(spec_of(2048, 1), rng);
-  const auto links = build_kademlia(net, BucketChoice::kClosest, rng);
-  Summary messages;
-  for (int t = 0; t < 200; ++t) {
-    const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-    const NodeId key = net.space().wrap(rng());
-    messages.add(iterative_lookup(net, links, from, key).messages);
-  }
-  // alpha * O(log n) messages; generous bound.
-  EXPECT_LE(messages.mean(), 4 * std::log2(2048.0));
-}
-
-TEST(IterativeLookup, ValidatesConfig) {
-  Rng rng(908);
-  const auto net = make_population(spec_of(20, 1), rng);
-  const auto links = build_kademlia(net, BucketChoice::kClosest, rng);
-  IterativeLookupConfig bad;
-  bad.alpha = 0;
-  EXPECT_THROW(iterative_lookup(net, links, 0, 1, bad),
-               std::invalid_argument);
-}
-
 
 TEST(KademliaReplication, ExtraBucketEntriesIncreaseDegree) {
   Rng rng(909);
