@@ -42,7 +42,7 @@ double worst_domain_ratio(const Grown& g, const IdSpace& space) {
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_balance");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t min_n = run.u64("min-nodes", 1024);
+  const std::uint64_t min_n = run.u64("min-nodes", 1024, 2);
   const std::uint64_t max_n = run.u64("max-nodes", 16384);
   run.header("Ablation A2: partition balance",
                 "global and worst-domain max/min partition ratio; random vs "

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   }
   rows.push_back(canon_row("Nondet Crescendo", "nondet_crescendo"));
   {
-    const auto links = build_kademlia(flat, BucketChoice::kClosest, rng);
+    const auto links = build_kademlia(flat);
     const XorRouter r(flat, links);
     rows.push_back(measure("Kademlia (flat)", links.mean_degree(), r, flat,
                            trials, rng));
@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
   {
     // The literal-merge variant is not a registry family of its own; build
     // it directly and route through the kandy entry's XOR wrapper.
-    const auto links =
-        build_kandy(net, BucketChoice::kClosest, rng, MergePolicy::kLiteral);
+    const auto links = build_kandy(net, MergePolicy::kLiteral);
     rows.push_back(measure_family("Kandy (literal merge)", "kandy", net,
                                   links, trials, rng));
   }

@@ -19,7 +19,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_lookahead");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t min_n = run.u64("min-nodes", 1024);
+  const std::uint64_t min_n = run.u64("min-nodes", 1024, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 32768);
   const std::uint64_t trials = run.u64("trials", 2000);
   run.header("Ablation A1: greedy-with-lookahead routing",

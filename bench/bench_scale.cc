@@ -41,8 +41,10 @@
 // --threads; only wall clocks and measured RSS move (check_json_schema.py
 // --threads-invariant strips exactly those).
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <mutex>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "canon/crescendo.h"
@@ -51,7 +53,6 @@
 #include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/mem_stats.h"
-#include "telemetry/timeseries.h"
 #include "topology/physical_network.h"
 
 using namespace canon;
@@ -64,27 +65,46 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Wall-clock RSS timeline over the whole bench run: thread-safe sampler
-/// feeding the TimeSeriesRecorder's rss channel (the recorder itself is
-/// single-threaded, so samples from build workers funnel through a mutex).
+/// Wall-clock RSS timeline over the whole bench run: one {t_ms, rss_mb}
+/// row per 100 ms window that has a sample, holding the window's last
+/// sample. Build workers sample concurrently, so samples funnel through a
+/// mutex and are stamped under it, which keeps the rows in time order.
 class RssTimeline {
  public:
   void sample() {
-    const double at_ms = seconds_since(epoch_) * 1e3;
     const double mb = bench::current_rss_mb();
     std::lock_guard<std::mutex> lock(mu_);
-    series_.rss_mb(at_ms, mb);
+    const auto window =
+        static_cast<std::uint64_t>(seconds_since(epoch_) * 1e3 / kWindowMs);
+    if (rows_.empty() || rows_.back().window != window) {
+      rows_.push_back({window, mb});
+    } else {
+      rows_.back().rss_mb = mb;
+    }
   }
   telemetry::JsonValue to_json() {
     std::lock_guard<std::mutex> lock(mu_);
-    return series_.to_json();
+    telemetry::JsonValue out = telemetry::JsonValue::array();
+    for (const Row& r : rows_) {
+      telemetry::JsonValue row = telemetry::JsonValue::object();
+      row.set("t_ms",
+              telemetry::JsonValue(static_cast<double>(r.window) * kWindowMs));
+      row.set("rss_mb", telemetry::JsonValue(r.rss_mb));
+      out.push_back(std::move(row));
+    }
+    return out;
   }
 
  private:
+  static constexpr double kWindowMs = 100.0;
+  struct Row {
+    std::uint64_t window;
+    double rss_mb;
+  };
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   std::mutex mu_;
-  telemetry::TimeSeriesRecorder series_{100.0};  // 100 ms windows
+  std::vector<Row> rows_;
 };
 
 /// One row's ledger + measured-RSS report under metrics.memory, plus the
@@ -157,7 +177,7 @@ bool run_query_phase(const QueryEngine& engine, const RingRouter& router,
 
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "bench_scale");
-  const std::uint64_t min_n = run.u64("min-nodes", std::uint64_t{1} << 18);
+  const std::uint64_t min_n = run.u64("min-nodes", std::uint64_t{1} << 18, 1);
   const std::uint64_t max_n = run.u64("max-nodes", std::uint64_t{1} << 20);
   const std::uint64_t lookups = run.u64("lookups", 100000);
   const int levels = static_cast<int>(run.u64("levels", 3));

@@ -143,6 +143,17 @@ class BenchRun {
     record(name, std::to_string(v), telemetry::JsonValue(v));
     return v;
   }
+  /// u64 with a lower bound: a value below `min` exits with code 2
+  /// (reject_flag), naming the flag and its minimum.
+  std::uint64_t u64(const char* name, std::uint64_t fallback,
+                    std::uint64_t min) {
+    const std::uint64_t v = u64(name, fallback);
+    if (v < min) {
+      const std::string expected = "an integer >= " + std::to_string(min);
+      reject_flag(name, flag_raw(argc_, argv_, name), expected.c_str());
+    }
+    return v;
+  }
   double f64(const char* name, double fallback) {
     known_.emplace_back(name);
     const double v = flag_double(argc_, argv_, name, fallback);

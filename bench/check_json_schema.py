@@ -75,7 +75,8 @@ Modes:
     the metrics.memory ledgers (per-tag current <= peak, charges >= 1,
     tag currents summing to the attributed total, the expected subsystem
     tag set per row), the measured-RSS phase samples, the RSS timeline
-    (windows ordered, rss_mb populated), and the mem/<row>/<tag> series
+    (one {t_ms, rss_mb} row per sampled 100 ms window, in time order,
+    every rss_mb positive), and the mem/<row>/<tag> series
     rows agreeing byte-for-byte with the ledgers (these rows are what
     CI's compare_bench --metric=peak_bytes gates).
 """

@@ -16,7 +16,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig3_links");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t min_n = run.u64("min-nodes", 1024);
+  const std::uint64_t min_n = run.u64("min-nodes", 1024, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
   run.header("Figure 3: average links per node",
              "avg #edges/node vs n, levels 1-5, fanout 10, Zipf(1.25)");

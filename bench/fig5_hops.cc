@@ -31,7 +31,7 @@ using namespace canon;
 
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig5_hops");
-  const std::uint64_t min_n = run.u64("min-nodes", 1024);
+  const std::uint64_t min_n = run.u64("min-nodes", 1024, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
   const std::uint64_t trials = run.u64("trials", 4000);
   const bool faulty = run.present("crash-rate");

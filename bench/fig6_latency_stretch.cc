@@ -28,7 +28,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig6_latency_stretch");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t min_n = run.u64("min-nodes", 2048);
+  const std::uint64_t min_n = run.u64("min-nodes", 2048, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
   const std::uint64_t trials = run.u64("trials", 2000);
   run.header(
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     Rng rng(seed + n);
     const auto net = make_physical_population(n, phys, 32, rng);
     const HopCost cost = host_hop_cost(net, phys);
-    const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
+    const auto groups = std::make_shared<const GroupedOverlay>(net);
     const ProximityConfig cfg;
 
     QueryEngine engine(net);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   Rng rng(seed + 1);
   const auto net = make_physical_population(n, phys, 32, rng);
   const HopCost cost = host_hop_cost(net, phys);
-  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net);
   const ProximityConfig cfg;
 
   const auto crescendo = build_crescendo(net);

@@ -43,10 +43,8 @@ BENCHMARK(BM_BuildCrescendo)->Arg(1024)->Arg(8192)->Arg(32768)->Arg(65536);
 void BM_BuildKandy(benchmark::State& state) {
   const auto net = bench::bench_population(
       static_cast<std::size_t>(state.range(0)), 4);
-  Rng rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        build_kandy(net, BucketChoice::kClosest, rng));
+    benchmark::DoNotOptimize(build_kandy(net));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

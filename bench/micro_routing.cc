@@ -101,7 +101,7 @@ void BM_RouteKandy(benchmark::State& state) {
   const auto net = bench::bench_population(
       static_cast<std::size_t>(state.range(0)), 4);
   Rng rng(13);
-  const auto links = build_kandy(net, BucketChoice::kClosest, rng);
+  const auto links = build_kandy(net);
   const XorRouter router(net, links);
   const auto queries = uniform_workload(net, kWorkload, rng);
   std::size_t i = 0;

@@ -14,10 +14,6 @@
 
 namespace canon {
 
-/// Adds all of node `m`'s Cacophony links.
-void add_cacophony_links(const OverlayNetwork& net, std::uint32_t m, Rng& rng,
-                         LinkRow& out);
-
 /// Builds the complete Cacophony network. With a flat population this is
 /// exactly Symphony.
 LinkTable build_cacophony(const OverlayNetwork& net, Rng& rng);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "canon/merge.h"
 #include "dht/kademlia.h"
 #include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
@@ -36,36 +37,36 @@ std::uint32_t CanCanZones::responsible(NodeId key) const {
 LinkTable build_cancan(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.cancan_ms");
   const CanCanZones zones(net);
-  const DomainTree& dom = net.domains();
   const int bits = net.space().bits();
   return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    const int leaf = dom.node_depth(m);
-    // Leaf domain: every CAN edge.
-    const CanCanZones::Slot& leaf_slot = zones.slot(m, leaf);
-    zones.tree(leaf_slot.domain).append_neighbors(leaf_slot.pos, row);
-    // Higher levels: a face edge survives the merge only if it is shorter
-    // than the shortest lower-level link *for that face* (the per-bucket
-    // reading of condition (b), as in Kandy). On the virtual hypercube a
-    // face at prefix position `pos` spans 2^(N-1-pos); the lower zone
-    // covers exactly the faces at positions < len(lower zone), so deeper
-    // faces are always kept, and a shallower face survives only when the
-    // lower domain has no member at all across it (its ID bucket is empty).
-    for (int level = leaf - 1; level >= 0; --level) {
-      const CanCanZones::Slot& lower = zones.slot(m, level + 1);
+    for_each_merge_level(net, m, [&](int level, const RingView&,
+                                     const RingView* child) {
       const CanCanZones::Slot& here = zones.slot(m, level);
-      const RingView child_ring = net.domain_ring(lower.domain);
-      const int lower_len = ZoneTree::primary_len(lower.lcps);
-      const int len = ZoneTree::primary_len(here.lcps);
       const ZoneTree& t = zones.tree(here.domain);
+      if (child == nullptr) {
+        // Leaf domain: every CAN edge.
+        t.append_neighbors(here.pos, row);
+        return;
+      }
+      // Higher levels: a face edge survives the merge only if it is
+      // shorter than the shortest lower-level link *for that face* (the
+      // per-bucket reading of condition (b), as in Kandy). On the virtual
+      // hypercube a face at prefix position `pos` spans 2^(N-1-pos); the
+      // lower zone covers exactly the faces at positions < len(lower
+      // zone), so deeper faces are always kept, and a shallower face
+      // survives only when the child domain has no member at all across
+      // it (its ID bucket is empty).
+      const int lower_len =
+          ZoneTree::primary_len(zones.slot(m, level + 1).lcps);
+      const int len = ZoneTree::primary_len(here.lcps);
       for (int pos = 0; pos < len; ++pos) {
-        // Keep only if the child domain is empty across this face.
         if (pos < lower_len &&
-            bucket_count(net, child_ring, net.id(m), bits - 1 - pos) != 0) {
+            bucket_count(net, *child, net.id(m), bits - 1 - pos) != 0) {
           continue;
         }
         t.append_face_owners(here.pos, pos, row);
       }
-    }
+    });
   });
 }
 

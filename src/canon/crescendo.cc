@@ -1,5 +1,6 @@
 #include "canon/crescendo.h"
 
+#include "canon/merge.h"
 #include "dht/chord.h"
 #include "telemetry/scoped_timer.h"
 
@@ -7,20 +8,12 @@ namespace canon {
 
 void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
                          LinkRow& out) {
-  const auto& chain = net.domains().domain_chain(m);
-  const int leaf = static_cast<int>(chain.size()) - 1;
-  // Leaf domain: plain Chord among the members.
-  add_chord_fingers(net, net.domain_ring(chain[static_cast<std::size_t>(leaf)]),
-                    m, kNoLimit, out);
-  // Merge levels, bottom-up: links must beat the child-ring successor.
-  for (int level = leaf - 1; level >= 0; --level) {
-    const std::uint64_t limit =
-        net.domain_ring(chain[static_cast<std::size_t>(level + 1)])
-            .successor_distance(net.id(m));
-    add_chord_fingers(net,
-                      net.domain_ring(chain[static_cast<std::size_t>(level)]),
-                      m, limit, out);
-  }
+  // Chord fingers in every domain, each capped by condition (b).
+  for_each_merge_level(net, m,
+                       [&](int, const RingView& ring, const RingView* child) {
+                         add_chord_fingers(net, ring, m,
+                                           merge_limit(net, m, child), out);
+                       });
 }
 
 LinkTable build_crescendo(const OverlayNetwork& net,

@@ -11,10 +11,6 @@
 
 namespace canon {
 
-/// Adds all of node `m`'s nondeterministic-Crescendo links.
-void add_nondet_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
-                                Rng& rng, LinkRow& out);
-
 /// Builds the complete network. Flat populations yield plain
 /// nondeterministic Chord.
 LinkTable build_nondet_crescendo(const OverlayNetwork& net, Rng& rng);

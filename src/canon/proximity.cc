@@ -5,23 +5,18 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "canon/merge.h"
 #include "dht/chord.h"
 #include "overlay/greedy_walk.h"
 
 namespace canon {
 
-GroupedOverlay::GroupedOverlay(const OverlayNetwork& net,
-                               int target_group_size)
-    : net_(&net) {
-  if (target_group_size < 1) {
-    throw std::invalid_argument("GroupedOverlay: bad target group size");
-  }
+GroupedOverlay::GroupedOverlay(const OverlayNetwork& net) : net_(&net) {
   const int bits = net.space().bits();
   const std::size_t n = net.size();
   if (n == 0) throw std::invalid_argument("GroupedOverlay: empty network");
   prefix_bits_ = std::min(
-      bits, ceil_log2(std::max<std::uint64_t>(
-                1, n / static_cast<std::size_t>(target_group_size))));
+      bits, ceil_log2(std::max<std::uint64_t>(1, n / kTargetGroupSize)));
   shift_ = bits - prefix_bits_;
 
   // Nodes are ID-sorted, so groups are contiguous runs of equal gid.
@@ -105,9 +100,8 @@ std::uint32_t pick_nearest(const std::vector<std::uint32_t>& members,
 /// non-empty group at group distance >= 2^k, capped (strictly) at
 /// `group_limit` group-distance (condition (b) at group granularity; pass
 /// kNoLimit for flat Chord Prox). Endpoints are latency-sampled.
-void add_group_links(const OverlayNetwork& /*net*/,
-                     const GroupedOverlay& groups,
-                     std::uint32_t m, std::uint64_t group_limit,
+void add_group_links(const GroupedOverlay& groups, std::uint32_t m,
+                     std::uint64_t group_limit,
                      const HopCost& latency, const ProximityConfig& cfg,
                      Rng& rng, LinkRow& out) {
   const int T = groups.prefix_bits();
@@ -140,13 +134,10 @@ LinkTable build_chord_prox(const OverlayNetwork& net,
                            const HopCost& latency, const ProximityConfig& cfg,
                            Rng& rng) {
   telemetry::ScopedTimer timer("build.chord_prox_ms");
-  // Per-node forked RNG streams (see build_symphony): deterministic at any
-  // thread count.
-  const Rng base = rng;
-  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    Rng node_rng = base.fork(m);
+  return build_forked(net.ids(), rng, [&](NodeIndex m, Rng& node_rng,
+                                          LinkRow& row) {
     add_clique_links(groups, m, row);
-    add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, row);
+    add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, row);
   });
 }
 
@@ -155,48 +146,31 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                const HopCost& latency,
                                const ProximityConfig& cfg, Rng& rng) {
   telemetry::ScopedTimer timer("build.crescendo_prox_ms");
-  const DomainTree& dom = net.domains();
-  const auto add_node_links = [&](std::uint32_t m, Rng& node_rng,
-                                  LinkRow& out) {
-    add_clique_links(groups, m, out);
-    const auto& chain = dom.domain_chain(m);
-    const int leaf = static_cast<int>(chain.size()) - 1;
-    if (leaf == 0) {
-      // Flat population: the whole structure is group-based.
-      add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, out);
-      return;
-    }
-    // Normal Crescendo inside the leaf and at every merge except the root.
-    add_chord_fingers(net,
-                      net.domain_ring(chain[static_cast<std::size_t>(leaf)]),
-                      m, kNoLimit, out);
-    for (int level = leaf - 1; level >= 1; --level) {
-      const std::uint64_t limit =
-          net.domain_ring(chain[static_cast<std::size_t>(level + 1)])
-              .successor_distance(net.id(m));
-      add_chord_fingers(
-          net, net.domain_ring(chain[static_cast<std::size_t>(level)]), m,
-          limit, out);
-    }
-    // Top-level merge: group-based, with condition (b) at group
-    // granularity — only groups strictly closer than the group of the
-    // child-ring successor.
-    const RingView child = net.domain_ring(chain[1]);
-    const std::uint32_t succ = child.first_at_distance(net.id(m), 1);
-    std::uint64_t group_limit = kNoLimit;
-    if (succ != RingView::kNone && succ != m) {
-      group_limit = groups.group_distance(groups.gid_of_node(m),
-                                          groups.gid_of_node(succ));
-      if (group_limit == 0) return;  // child successor shares the group
-    }
-    add_group_links(net, groups, m, group_limit, latency, cfg, node_rng, out);
-  };
-  // Per-node forked RNG streams (see build_symphony): deterministic at any
-  // thread count.
-  const Rng base = rng;
-  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    Rng node_rng = base.fork(m);
-    add_node_links(m, node_rng, row);
+  return build_forked(net.ids(), rng, [&](NodeIndex m, Rng& node_rng,
+                                          LinkRow& row) {
+    add_clique_links(groups, m, row);
+    for_each_merge_level(net, m, [&](int level, const RingView& ring,
+                                     const RingView* child) {
+      if (level > 0) {
+        // Normal Crescendo inside the leaf and at every merge below the
+        // root.
+        add_chord_fingers(net, ring, m, merge_limit(net, m, child), row);
+        return;
+      }
+      // The root: group-based (the whole structure, when the population
+      // is flat), with condition (b) at group granularity — only groups
+      // strictly closer than the group of the child-ring successor.
+      std::uint64_t group_limit = kNoLimit;
+      if (child != nullptr) {
+        const std::uint32_t succ = child->first_at_distance(net.id(m), 1);
+        if (succ != RingView::kNone && succ != m) {
+          group_limit = groups.group_distance(groups.gid_of_node(m),
+                                              groups.gid_of_node(succ));
+          if (group_limit == 0) return;  // child successor shares the group
+        }
+      }
+      add_group_links(groups, m, group_limit, latency, cfg, node_rng, row);
+    });
   });
 }
 

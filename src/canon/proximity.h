@@ -6,7 +6,7 @@
 // (the paper cites s = 32 as sufficient). Nodes within a group form a
 // separate dense network (here: a clique), "necessary even otherwise for
 // replication and fault tolerance". T is chosen so groups have a constant
-// expected size.
+// expected size, kTargetGroupSize.
 //
 // Chord (Prox.) applies the group construction globally; Crescendo (Prox.)
 // builds normal Crescendo rings below the root and applies the group
@@ -27,14 +27,16 @@
 namespace canon {
 
 struct ProximityConfig {
-  int target_group_size = 16;  ///< expected nodes per group
-  int sample_size = 32;        ///< latency samples per group link (s)
+  int sample_size = 32;  ///< latency samples per group link (s)
 };
+
+/// Expected nodes per group: T = ceil(log2(n / kTargetGroupSize)).
+inline constexpr std::size_t kTargetGroupSize = 16;
 
 /// The grouping of an overlay's nodes by their top-T ID bits.
 class GroupedOverlay {
  public:
-  GroupedOverlay(const OverlayNetwork& net, int target_group_size);
+  explicit GroupedOverlay(const OverlayNetwork& net);
 
   struct Group {
     NodeId gid = 0;

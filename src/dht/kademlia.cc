@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "dht/xor_util.h"
 
@@ -28,48 +27,25 @@ void for_each_bucket_range(const IdSpace& space, NodeId m_id, int k,
   for_each_xor_ball_range(space.wrap(m_id ^ lo), hi - lo, space, visit);
 }
 
-/// Picks a member from the bucket {x : xor(m, x) in [2^k, hi)}.
-std::uint32_t pick_in_bucket(const OverlayNetwork& net, const RingView& ring,
-                             NodeId m_id, int k, std::uint64_t hi,
-                             BucketChoice choice, Rng* rng) {
+/// The XOR-closest member of the bucket {x : xor(m, x) in [2^k, hi)}, or
+/// RingView::kNone if it holds none.
+std::uint32_t closest_in_bucket(const OverlayNetwork& net,
+                                const RingView& ring, NodeId m_id, int k,
+                                std::uint64_t hi) {
   const IdSpace& space = net.space();
-  if (choice == BucketChoice::kClosest) {
-    std::uint32_t best = RingView::kNone;
-    std::uint64_t best_d = kNoLimit;
-    for_each_bucket_range(space, m_id, k, hi, [&](const IdRange& r) {
-      const std::uint32_t c = xor_closest_in_range(net, ring, r.lo, r.size,
-                                                   m_id);
-      if (c == RingView::kNone) return;
-      const std::uint64_t d = space.xor_distance(m_id, net.id(c));
-      if (d < best_d) {
-        best_d = d;
-        best = c;
-      }
-    });
-    return best;
-  }
-
-  // Uniform choice across the union of ranges (ranges are disjoint).
-  std::size_t total = 0;
+  std::uint32_t best = RingView::kNone;
+  std::uint64_t best_d = kNoLimit;
   for_each_bucket_range(space, m_id, k, hi, [&](const IdRange& r) {
-    total += ring.count_in(r.lo, r.size);
-  });
-  if (total == 0) return RingView::kNone;
-  if (rng == nullptr) {
-    throw std::logic_error("pick_in_bucket: kRandom requires an Rng");
-  }
-  std::size_t pick = rng->uniform(total);
-  std::uint32_t picked = RingView::kNone;
-  for_each_bucket_range(space, m_id, k, hi, [&](const IdRange& r) {
-    if (picked != RingView::kNone) return;
-    const std::size_t c = ring.count_in(r.lo, r.size);
-    if (pick < c) {
-      picked = ring.select_in(r.lo, r.size, pick);
-    } else {
-      pick -= c;
+    const std::uint32_t c = xor_closest_in_range(net, ring, r.lo, r.size,
+                                                 m_id);
+    if (c == RingView::kNone) return;
+    const std::uint64_t d = space.xor_distance(m_id, net.id(c));
+    if (d < best_d) {
+      best_d = d;
+      best = c;
     }
   });
-  return picked;
+  return best;
 }
 
 /// The lowest non-empty bucket of `ring` around `m_id`, or the space's bit
@@ -97,8 +73,7 @@ std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       const RingView& ring, NodeId m_id,
                                       int k) {
   const std::uint32_t c =
-      pick_in_bucket(net, ring, m_id, k, bucket_top(net.space(), k),
-                     BucketChoice::kClosest, nullptr);
+      closest_in_bucket(net, ring, m_id, k, bucket_top(net.space(), k));
   if (c == RingView::kNone) return kNoLimit;
   return net.space().xor_distance(m_id, net.id(c));
 }
@@ -123,11 +98,7 @@ std::uint64_t closest_xor_distance(const OverlayNetwork& net,
 
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, ChildBuckets& child,
-                        BucketChoice choice, MergePolicy policy, Rng& rng,
-                        LinkRow& out, int replication) {
-  if (replication < 1) {
-    throw std::invalid_argument("add_kademlia_links: replication < 1");
-  }
+                        MergePolicy policy, LinkRow& out) {
   const IdSpace& space = net.space();
   const NodeId m_id = net.id(m);
   // Buckets below the lowest non-empty one hold no member and draw nothing.
@@ -141,45 +112,26 @@ void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
       // child-ring node within this bucket.
       hi = std::min(hi, child.closest[static_cast<std::size_t>(k)]);
     }
-    const std::uint32_t v =
-        pick_in_bucket(net, ring, m_id, k, hi, choice, &rng);
+    const std::uint32_t v = closest_in_bucket(net, ring, m_id, k, hi);
     if (v == RingView::kNone) continue;
     out.push_back(v);
-    // Extra bucket entries for resilience (LinkTable::build collapses
-    // repeats, so small buckets simply fill up).
-    for (int extra = 1; extra < replication; ++extra) {
-      const std::uint32_t w =
-          pick_in_bucket(net, ring, m_id, k, hi, BucketChoice::kRandom, &rng);
-      if (w != RingView::kNone && w != m) out.push_back(w);
-    }
     // Leave `ring`'s bucket state for the level above: this bucket is
     // filled, and under the literal rule its closest member now beats the
     // child's.
     child.filled |= bit;
     if (policy == MergePolicy::kLiteral) {
-      const std::uint32_t c =
-          choice == BucketChoice::kClosest
-              ? v
-              : pick_in_bucket(net, ring, m_id, k, hi, BucketChoice::kClosest,
-                               nullptr);
       child.closest[static_cast<std::size_t>(k)] =
-          space.xor_distance(m_id, net.id(c));
+          space.xor_distance(m_id, net.id(v));
     }
   }
 }
 
-LinkTable build_kademlia(const OverlayNetwork& net, BucketChoice choice,
-                         Rng& rng, int replication) {
+LinkTable build_kademlia(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.kademlia_ms");
   const RingView ring = net.ring();
-  // Per-node forked RNG streams (see build_symphony): deterministic at any
-  // thread count.
-  const Rng base = rng;
   return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    Rng node_rng = base.fork(m);
     ChildBuckets flat;  // no child ring: nothing filled
-    add_kademlia_links(net, ring, m, flat, choice, MergePolicy::kFrugal,
-                       node_rng, row, replication);
+    add_kademlia_links(net, ring, m, flat, MergePolicy::kFrugal, row);
   });
 }
 

@@ -1,6 +1,8 @@
 // Kademlia (Maymounkov & Mazieres, IPTPS 2002): XOR-metric buckets. For
-// each 0 <= k < N a node links to a node at XOR distance in [2^k, 2^{k+1})
-// (the paper ignores Kademlia's per-bucket replication, as we do).
+// each 0 <= k < N a node links to the XOR-closest node at XOR distance in
+// [2^k, 2^{k+1}); any bucket member would do, and the closest makes the
+// table deterministic. One link per bucket: the paper ignores Kademlia's
+// per-bucket replication, as we do.
 //
 // Kandy (Section 3.3) applies the same rule per hierarchy level with the
 // nondeterministic-choice caveat of Section 3.2 translated to buckets: when
@@ -17,18 +19,11 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/rng.h"
 #include "dht/chord.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
 
 namespace canon {
-
-/// How to resolve Kademlia's nondeterministic per-bucket choice.
-enum class BucketChoice {
-  kClosest,  ///< XOR-closest member of the bucket (deterministic)
-  kRandom,   ///< uniformly random member of the bucket
-};
 
 /// How the Canon merge treats a bucket the child ring already covers.
 enum class MergePolicy {
@@ -55,19 +50,16 @@ struct ChildBuckets {
   std::array<std::uint64_t, 64> closest{};
 };
 
-/// Adds node `m`'s Kademlia bucket links over `ring` (which contains m).
-/// `child` describes m's child ring, a subset of `ring`; its buckets are
-/// filtered per `MergePolicy` (see above). On return `child` describes
-/// `ring` itself, ready for the next level up. Only buckets that can yield
-/// a link are searched: none below the lowest non-empty one and, under
-/// kFrugal, none the child ring fills. `replication` > 1 keeps up to that
-/// many links per bucket (real Kademlia's k-buckets, which the paper sets
-/// aside "for resilience"): the primary link follows `choice`, the extras
-/// are random distinct bucket members.
+/// Adds node `m`'s Kademlia bucket links over `ring` (which contains m):
+/// in each bucket, the XOR-closest admissible member. `child` describes
+/// m's child ring, a subset of `ring`; its buckets are filtered per
+/// `MergePolicy` (see above). On return `child` describes `ring` itself,
+/// ready for the next level up. Only buckets that can yield a link are
+/// searched: none below the lowest non-empty one and, under kFrugal, none
+/// the child ring fills.
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, ChildBuckets& child,
-                        BucketChoice choice, MergePolicy policy, Rng& rng,
-                        LinkRow& out, int replication = 1);
+                        MergePolicy policy, LinkRow& out);
 
 /// XOR distance from `m` to its closest other member of `ring`
 /// (kNoLimit if `ring` holds only m).
@@ -85,8 +77,7 @@ std::size_t bucket_count(const OverlayNetwork& net, const RingView& ring,
                          NodeId m_id, int k);
 
 /// Builds the complete flat Kademlia network.
-LinkTable build_kademlia(const OverlayNetwork& net, BucketChoice choice,
-                         Rng& rng, int replication = 1);
+LinkTable build_kademlia(const OverlayNetwork& net);
 
 }  // namespace canon
 

@@ -36,13 +36,11 @@ void add_nondet_chord_links(const OverlayNetwork& net, const RingView& ring,
 LinkTable build_nondet_chord(const OverlayNetwork& net, Rng& rng) {
   telemetry::ScopedTimer timer("build.nondet_chord_ms");
   const RingView ring = net.ring();
-  // Per-node forked RNG streams (see build_symphony): deterministic at any
-  // thread count.
-  const Rng base = rng;
-  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    Rng node_rng = base.fork(m);
-    add_nondet_chord_links(net, ring, m, kNoLimit, node_rng, row);
-  });
+  return build_forked(net.ids(), rng,
+                      [&](NodeIndex m, Rng& node_rng, LinkRow& row) {
+                        add_nondet_chord_links(net, ring, m, kNoLimit,
+                                               node_rng, row);
+                      });
 }
 
 }  // namespace canon

@@ -8,8 +8,8 @@
 namespace canon {
 
 void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
-                        std::uint32_t m, std::uint64_t limit, int draws,
-                        Rng& rng, LinkRow& out) {
+                        std::uint32_t m, std::uint64_t limit, Rng& rng,
+                        LinkRow& out) {
   const IdSpace& space = net.space();
   const NodeId mid = net.id(m);
   const std::size_t n = ring.size();
@@ -19,7 +19,7 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
   const std::uint64_t succ_dist = ring.successor_distance(mid);
   if (succ_dist < limit) out.push_back(ring.first_at_distance(mid, 1));
 
-  if (draws < 0) draws = floor_log2(n);
+  const int draws = floor_log2(n);
   for (int i = 0; i < draws; ++i) {
     // Harmonic draw: x = n^(u-1) is distributed with pdf 1/(x ln n) on
     // [1/n, 1]; the link spans fraction x of the ring.
@@ -39,14 +39,11 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
 LinkTable build_symphony(const OverlayNetwork& net, Rng& rng) {
   telemetry::ScopedTimer timer("build.symphony_ms");
   const RingView ring = net.ring();
-  // Per-node RNG streams forked from the caller's generator: node m draws
-  // from base.fork(m) regardless of visit order, so serial and sharded
-  // builds produce byte-identical tables.
-  const Rng base = rng;
-  return LinkTable::build(net.ids(), [&](NodeIndex m, LinkRow& row) {
-    Rng node_rng = base.fork(m);
-    add_symphony_links(net, ring, m, kNoLimit, /*draws=*/-1, node_rng, row);
-  });
+  return build_forked(net.ids(), rng,
+                      [&](NodeIndex m, Rng& node_rng, LinkRow& row) {
+                        add_symphony_links(net, ring, m, kNoLimit, node_rng,
+                                           row);
+                      });
 }
 
 }  // namespace canon

@@ -16,14 +16,13 @@
 
 namespace canon {
 
-/// Adds node `m`'s Symphony links over `ring`: `draws` harmonic-distance
-/// draws (targets resolved to the manager of the drawn point), keeping only
-/// links with ring distance in (0, limit); plus the successor within `ring`
-/// when closer than `limit`. If `draws` is negative, floor(log2(ring size))
-/// draws are used.
+/// Adds node `m`'s Symphony links over `ring`: floor(log2(ring size))
+/// harmonic-distance draws (targets resolved to the manager of the drawn
+/// point), keeping only links with ring distance in (0, limit); plus the
+/// successor within `ring` when closer than `limit`.
 void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
-                        std::uint32_t m, std::uint64_t limit, int draws,
-                        Rng& rng, LinkRow& out);
+                        std::uint32_t m, std::uint64_t limit, Rng& rng,
+                        LinkRow& out);
 
 /// Builds the complete flat Symphony network.
 LinkTable build_symphony(const OverlayNetwork& net, Rng& rng);

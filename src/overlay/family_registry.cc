@@ -28,8 +28,8 @@ namespace {
 // build hooks
 //
 // The shared experiment conventions (tests/parallel_determinism_test.cc):
-// the proximity families group by the top bits (default target group size)
-// and rank endpoints with a synthetic but deterministic latency oracle.
+// the proximity families group by the top bits (kTargetGroupSize) and rank
+// endpoints with a synthetic but deterministic latency oracle.
 
 double synthetic_latency(std::uint32_t a, std::uint32_t b) {
   return static_cast<double>((a * 31u + b * 17u) % 97u + 1u);
@@ -44,8 +44,8 @@ LinkTable build_symphony_hook(const OverlayNetwork& net, Rng& rng) {
 LinkTable build_nondet_chord_hook(const OverlayNetwork& net, Rng& rng) {
   return build_nondet_chord(net, rng);
 }
-LinkTable build_kademlia_hook(const OverlayNetwork& net, Rng& rng) {
-  return build_kademlia(net, BucketChoice::kClosest, rng);
+LinkTable build_kademlia_hook(const OverlayNetwork& net, Rng&) {
+  return build_kademlia(net);
 }
 LinkTable build_can_hook(const OverlayNetwork& net, Rng&) {
   return build_can(net);
@@ -62,19 +62,19 @@ LinkTable build_cacophony_hook(const OverlayNetwork& net, Rng& rng) {
 LinkTable build_nondet_crescendo_hook(const OverlayNetwork& net, Rng& rng) {
   return build_nondet_crescendo(net, rng);
 }
-LinkTable build_kandy_hook(const OverlayNetwork& net, Rng& rng) {
-  return build_kandy(net, BucketChoice::kClosest, rng);
+LinkTable build_kandy_hook(const OverlayNetwork& net, Rng&) {
+  return build_kandy(net);
 }
 LinkTable build_cancan_hook(const OverlayNetwork& net, Rng&) {
   return build_cancan(net);
 }
 LinkTable build_chord_prox_hook(const OverlayNetwork& net, Rng& rng) {
-  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const GroupedOverlay groups(net);
   return build_chord_prox(net, groups, synthetic_latency, ProximityConfig{},
                           rng);
 }
 LinkTable build_crescendo_prox_hook(const OverlayNetwork& net, Rng& rng) {
-  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const GroupedOverlay groups(net);
   return build_crescendo_prox(net, groups, synthetic_latency,
                               ProximityConfig{}, rng);
 }
@@ -102,9 +102,7 @@ CanCanRouter cancan_router(const OverlayNetwork& net, const LinkTable& links) {
 }
 GroupRouter group_router(const OverlayNetwork& net, const LinkTable& links) {
   return GroupRouter(net,
-                     std::make_shared<const GroupedOverlay>(
-                         net, ProximityConfig{}.target_group_size),
-                     links);
+                     std::make_shared<const GroupedOverlay>(net), links);
 }
 
 template <auto Make>
@@ -232,7 +230,7 @@ audit::AuditReport audit_cancan(const OverlayNetwork& net,
 audit::AuditReport audit_chord_prox(const OverlayNetwork& net,
                                     const LinkTable& links) {
   Battery b(net, links);
-  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const GroupedOverlay groups(net);
   b.auditor.check_group_cliques(b.r, groups);
   return std::move(b.r);
 }
@@ -240,7 +238,7 @@ audit::AuditReport audit_chord_prox(const OverlayNetwork& net,
 audit::AuditReport audit_crescendo_prox(const OverlayNetwork& net,
                                         const LinkTable& links) {
   Battery b(net, links);
-  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const GroupedOverlay groups(net);
   b.auditor.check_group_cliques(b.r, groups);
   // Below the root the structure is plain Crescendo; the top-level merge
   // is group-based and not per-node ring-closed.

@@ -5,11 +5,12 @@
 //
 // Construction and CSR invariants
 // -------------------------------
-// Every table is made by LinkTable::build(ids, add_links), or derived from
-// one by LinkTable::derive (below): the builder appends each node's
-// out-links to a row, and build() sorts the row, drops duplicates and
-// self-links, and compacts the whole table into a flat CSR (compressed
-// sparse row) layout:
+// Every table is made by LinkTable::build(ids, add_links) (randomized
+// builders go through build_forked, below), or derived from one by
+// LinkTable::derive: the builder appends each node's out-links to a row,
+// and build() sorts the row, drops duplicates and self-links, and
+// compacts the whole table into a flat CSR (compressed sparse row)
+// layout:
 //
 //   offsets_  : node_count() + 1 monotone offsets into the flat arrays;
 //               node m's neighbors occupy [offsets_[m], offsets_[m + 1]).
@@ -44,6 +45,7 @@
 
 #include "common/ids.h"
 #include "common/prefetch.h"
+#include "common/rng.h"
 #include "common/splice.h"
 #include "common/stats.h"
 #include "telemetry/mem_stats.h"
@@ -203,6 +205,19 @@ class LinkTable {
   std::vector<NodeId> target_ids_;         // CSR, flat NodeIds
   telemetry::MemCharge mem_;      // ledger holding for the CSR arrays
 };
+
+/// LinkTable::build for a randomized builder: node m's row is
+/// add_links(m, node_rng, row), where node_rng is the stream `rng` forks
+/// for m. It does not depend on the visit order, so serial and sharded
+/// builds give the same table. `rng` itself is not advanced.
+template <typename AddLinks>
+LinkTable build_forked(std::span<const NodeId> ids, const Rng& rng,
+                       const AddLinks& add_links) {
+  return LinkTable::build(ids, [&](NodeIndex m, LinkRow& row) {
+    Rng node_rng = rng.fork(m);
+    add_links(m, node_rng, row);
+  });
+}
 
 }  // namespace canon
 

@@ -29,13 +29,9 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
       timeouts_counter_(telemetry::maybe_counter("message_sim.timeouts")),
       retries_counter_(telemetry::maybe_counter("message_sim.retries")),
       queue_hist_(telemetry::maybe_histogram("message_sim.queue_ms")) {
-  if (config_.candidates < 1 || config_.candidates > kMaxStepCandidates) {
+  if (config_.alpha < 1 || config_.alpha > kMaxStepCandidates) {
     throw std::invalid_argument(
-        "MessageSimulator: candidates must be in [1, kMaxStepCandidates]");
-  }
-  if (config_.alpha < 1 || config_.alpha > config_.candidates) {
-    throw std::invalid_argument(
-        "MessageSimulator: alpha must be in [1, candidates]");
+        "MessageSimulator: alpha must be in [1, kMaxStepCandidates]");
   }
   if (config_.inbox_capacity < 1) {
     throw std::invalid_argument(
@@ -219,10 +215,7 @@ void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
   }
   const double done = start + config_.service_ms;
   std::array<NodeIndex, kMaxStepCandidates> cands{};
-  const StepResult step = stepper_(
-      lk.frontier, result.key, lk.state,
-      std::span<NodeIndex>(cands.data(),
-                           static_cast<std::size_t>(config_.candidates)));
+  const StepResult step = stepper_(lk.frontier, result.key, lk.state, cands);
   if (step.done || step.count == 0) {
     complete(lookup, step.done && step.ok, done, lk.frontier);
     return;
@@ -309,9 +302,7 @@ void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
   std::array<NodeIndex, kMaxStepCandidates> cands{};
   const StepResult step = stepper_(
       probe.target, lookups_[static_cast<std::size_t>(probe.lookup)].key,
-      state_copy,
-      std::span<NodeIndex>(cands.data(),
-                           static_cast<std::size_t>(config_.candidates)));
+      state_copy, cands);
   probe.result = step;
   probe.state_after = state_copy;
   probe.next_cands = cands;

@@ -124,11 +124,10 @@ struct MessageSimConfig {
   /// A HopCost must likewise return a latency >= 0 (never NaN).
   double default_hop_ms = 1.0;
   /// Outstanding probes per round (Kademlia's α). 1 = the iterative
-  /// baseline; clamped by the candidate width below.
+  /// baseline; at most kMaxStepCandidates, the ranked candidates the
+  /// stepper returns per hop — the pool α probes draw from and timeouts
+  /// fall back to.
   int alpha = 1;
-  /// Ranked candidates requested from the stepper per hop — the pool α
-  /// probes draw from and timeouts fall back to.
-  int candidates = kMaxStepCandidates;
   /// Bounded inbox: a request finding this many messages queued ahead of
   /// it at the target is dropped (counts as inbox_drops, recovers via the
   /// sender's timeout).

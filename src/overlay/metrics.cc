@@ -54,17 +54,17 @@ std::optional<double> cost_overlap_fraction(const Route& first,
 
 void MulticastTree::add_route(const Route& route) {
   for (std::size_t i = 1; i < route.path.size(); ++i) {
-    edges_.emplace_back(route.path[i - 1], route.path[i]);
+    edges_.insert(std::uint64_t{route.path[i - 1]} << 32 | route.path[i]);
   }
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 }
 
 std::size_t MulticastTree::inter_domain_edges(const OverlayNetwork& net,
                                               int level) const {
   std::size_t count = 0;
-  for (const auto& [u, v] : edges_) {
-    if (net.lca_level(u, v) < level) ++count;
+  for (const std::uint64_t edge : edges_) {
+    const auto from = static_cast<NodeIndex>(edge >> 32);
+    const auto to = static_cast<NodeIndex>(edge & 0xFFFFFFFFu);
+    if (net.lca_level(from, to) < level) ++count;
   }
   return count;
 }

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
+#include <unordered_set>
 
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
@@ -47,12 +47,8 @@ class MulticastTree {
   /// depth `level` (i.e. edges crossing a level-`level` domain boundary).
   std::size_t inter_domain_edges(const OverlayNetwork& net, int level) const;
 
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges() const {
-    return edges_;
-  }
-
  private:
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  // sorted set
+  std::unordered_set<std::uint64_t> edges_;  // from << 32 | to
 };
 
 }  // namespace canon

@@ -34,17 +34,15 @@ std::vector<Query> uniform_workload(const OverlayNetwork& net,
 }
 
 std::vector<Query> zipf_workload(const OverlayNetwork& net, std::size_t count,
-                                 const Rng& base, double theta,
-                                 std::size_t key_pool) {
+                                 const Rng& base, double theta) {
   const std::size_t n = net.size();
   const IdSpace& space = net.space();
-  if (key_pool == 0) key_pool = n;
   // The pool is drawn serially from a dedicated fork so its contents don't
   // depend on count or thread count; rank r holds the r-th draw.
   Rng pool_rng = base.fork(0x6b657973ULL);  // "keys"
-  std::vector<NodeId> pool(key_pool);
+  std::vector<NodeId> pool(n);
   for (NodeId& key : pool) key = space.wrap(pool_rng());
-  const ZipfSampler zipf(key_pool, theta);
+  const ZipfSampler zipf(n, theta);
   return generate_workload(count, base, [&](Rng& rng, std::size_t) {
     Query q;
     q.from = static_cast<NodeIndex>(rng.uniform(n));

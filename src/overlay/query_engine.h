@@ -69,13 +69,12 @@ std::vector<Query> uniform_workload(const OverlayNetwork& net,
                                     std::size_t count, const Rng& base);
 
 /// Hot-key workload: source uniform over nodes, key drawn Zipf(theta) from
-/// a fixed pool of `key_pool` keys (default: one per node) whose rank
-/// order and values derive from `base` — rank 0 is the hottest key. Like
-/// uniform_workload the result is a pure function of (net, count, base,
-/// theta, key_pool), byte-identical at every thread count.
+/// a fixed pool of one key per node whose rank order and values derive
+/// from `base` — rank 0 is the hottest key. Like uniform_workload the
+/// result is a pure function of (net, count, base, theta), byte-identical
+/// at every thread count.
 std::vector<Query> zipf_workload(const OverlayNetwork& net, std::size_t count,
-                                 const Rng& base, double theta = 1.25,
-                                 std::size_t key_pool = 0);
+                                 const Rng& base, double theta = 1.25);
 
 /// Aggregated outcome of one batch. Mirrors what the serial benches
 /// accumulated by hand: `hops` and `cost` summarize OK queries only
@@ -154,11 +153,6 @@ class QueryEngine {
   /// own set_trace for candidate counts). nullptr detaches.
   void set_trace(telemetry::RouteTraceSink* sink) { sink_ = sink; }
 
-  /// Attaches an event journal: run_resilient records every crash/revive
-  /// its FaultPlan materializes (before any query routes). nullptr
-  /// detaches.
-  void set_journal(telemetry::EventJournal* journal) { journal_ = journal; }
-
   /// Attaches a load accountant (telemetry/load_stats.h): every routed
   /// query's path is tallied into per-shard scratch and merged into the
   /// accountant in fixed shard order after the batch — load reports are
@@ -181,10 +175,9 @@ class QueryEngine {
                            const RingRouter& router,
                            std::vector<RouteProbe>* per_query = nullptr) const;
 
-  /// The resilient batch mode: materializes `plan` once (journaling its
-  /// crash/revive events when a journal is attached) and runs the batch.
-  /// Dead-source queries are skipped (per_query gets {from, 0, false});
-  /// the rest walk the GreedyRouter's failure-aware path, each attempted
+  /// The resilient batch mode: materializes `plan` once and runs the
+  /// batch. Dead-source queries are skipped (per_query gets {from, 0,
+  /// false}); the rest walk the GreedyRouter's failure-aware path, each attempted
   /// query i drawing its drops from plan.drop_seed() forked by i, so
   /// results — like the plain batch's — are byte-identical at every
   /// thread count. A plan that kills nobody and drops nothing is the plain
@@ -196,7 +189,7 @@ class QueryEngine {
                                const Router& router, const FaultPlan& plan,
                                std::vector<RouteProbe>* per_query =
                                    nullptr) const {
-    const FailureSet dead = plan.materialize(*net_, journal_);
+    const FailureSet dead = plan.materialize(*net_);
     return drive(queries, router, &dead, plan, per_query);
   }
 
@@ -391,7 +384,6 @@ class QueryEngine {
   HopCost cost_;
   bool level_tracking_ = false;
   telemetry::RouteTraceSink* sink_ = nullptr;
-  telemetry::EventJournal* journal_ = nullptr;
   telemetry::LoadAccountant* load_ = nullptr;
   telemetry::Counter* batches_counter_;
   telemetry::Counter* queries_counter_;

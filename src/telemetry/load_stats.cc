@@ -42,19 +42,14 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> top_loaded_nodes(
 }
 
 LoadAccountant::LoadAccountant(const DomainTree& tree,
-                               std::span<const std::uint64_t> ids,
-                               int domain_level)
+                               std::span<const std::uint64_t> ids)
     : tree_(&tree),
       ids_(ids.begin(), ids.end()),
-      domain_level_(domain_level),
       slot_(tree.node_count(), kNoSlot),
       load_(tree.node_count(), 0),
       source_(tree.node_count(), 0),
       relay_(tree.node_count(), 0),
       terminal_(tree.node_count(), 0) {
-  if (domain_level < 0) {
-    throw std::invalid_argument("LoadAccountant: negative domain level");
-  }
   if (!ids_.empty() && ids_.size() != tree.node_count()) {
     throw std::invalid_argument("LoadAccountant: ids/population mismatch");
   }
@@ -63,17 +58,17 @@ LoadAccountant::LoadAccountant(const DomainTree& tree,
   std::vector<std::uint32_t> domain_slot(
       static_cast<std::size_t>(tree.domain_count()), kNoSlot);
   for (int d = 0; d < tree.domain_count(); ++d) {
-    if (tree.domain(d).depth != domain_level) continue;
+    if (tree.domain(d).depth != kDomainLevel) continue;
     domain_slot[static_cast<std::size_t>(d)] =
         static_cast<std::uint32_t>(slot_domain_.size());
     slot_domain_.push_back(d);
   }
   for (std::uint32_t v = 0; v < tree.node_count(); ++v) {
     const std::span<const std::int32_t> chain = tree.domain_chain(v);
-    if (static_cast<int>(chain.size()) > domain_level) {
+    if (static_cast<int>(chain.size()) > kDomainLevel) {
       slot_[v] =
           domain_slot[static_cast<std::size_t>(
-              chain[static_cast<std::size_t>(domain_level)])];
+              chain[static_cast<std::size_t>(kDomainLevel)])];
     }
   }
   domain_hops_.assign(slot_domain_.size(), 0);
@@ -255,7 +250,7 @@ JsonValue LoadAccountant::to_json(std::size_t top_k) const {
   o.set("queries", JsonValue(queries_));
   o.set("ok", JsonValue(ok_));
   o.set("total_hops", JsonValue(total_hops_));
-  o.set("domain_level", JsonValue(static_cast<std::int64_t>(domain_level_)));
+  o.set("domain_level", JsonValue(static_cast<std::int64_t>(kDomainLevel)));
 
   JsonValue dist = JsonValue::object();
   dist.set("mean", JsonValue(mean_load()));

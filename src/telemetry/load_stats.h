@@ -4,10 +4,11 @@
 // A LoadAccountant tallies, for every routed lookup, which nodes handled
 // the message and in which role (source, intermediate relay, terminal),
 // which key was looked up, at which hierarchy level each hop travelled,
-// and whether the hop stayed inside a level-L domain. From those tallies
-// it reports the load distribution (mean, max, Gini coefficient), the
-// top-k hotspot nodes and keys, per-level and per-domain traffic shares,
-// and the *domain-confinement ratio*: of the lookups whose source and
+// and whether the hop stayed inside a level-L domain (L = kDomainLevel,
+// the children of the root). From those tallies it reports the load
+// distribution (mean, max, Gini coefficient), the top-k hotspot nodes and
+// keys, per-level and per-domain traffic shares, and the
+// *domain-confinement ratio*: of the lookups whose source and
 // terminal share a level-L domain, the fraction whose entire path stayed
 // inside that domain. Canon's §5 claim is that this ratio is 1.0 — an
 // intra-domain lookup never leaves its domain, so a remote failure cannot
@@ -79,14 +80,15 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> top_loaded_nodes(
 /// See the file comment.
 class LoadAccountant {
  public:
+  /// The hierarchy level L the per-domain shares and the confinement
+  /// ratio are measured at: the children of the root, the paper's
+  /// "domains".
+  static constexpr int kDomainLevel = 1;
+
   /// Accounts against the hierarchy in `tree`; `ids` (parallel to node
   /// indices, may be empty) labels hotspot nodes with their overlay IDs.
-  /// `domain_level` selects which hierarchy level the per-domain shares
-  /// and the confinement ratio are measured at (1 = the children of the
-  /// root, the paper's "domains").
   explicit LoadAccountant(const DomainTree& tree,
-                          std::span<const std::uint64_t> ids = {},
-                          int domain_level = 1);
+                          std::span<const std::uint64_t> ids = {});
 
   /// Per-shard scratch: plain tallies, cheap to create per query shard.
   /// Only LoadAccountant reads or writes its internals.
@@ -121,7 +123,6 @@ class LoadAccountant {
   std::uint64_t queries() const { return queries_; }
   std::uint64_t ok() const { return ok_; }
   std::uint64_t total_hops() const { return total_hops_; }
-  int domain_level() const { return domain_level_; }
 
   /// Messages handled per node (one per path appearance).
   const std::vector<std::uint64_t>& load() const { return load_; }
@@ -172,7 +173,6 @@ class LoadAccountant {
 
   const DomainTree* tree_;
   std::vector<std::uint64_t> ids_;   // overlay IDs for labels (may be empty)
-  int domain_level_;
   std::vector<std::uint32_t> slot_;  // node -> dense level-L domain slot
   std::vector<int> slot_domain_;     // slot -> DomainTree domain index
 

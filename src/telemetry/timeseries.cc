@@ -45,20 +45,13 @@ void TimeSeriesRecorder::live_nodes(double at_ms, double live) {
   window_at(at_ms).live = live;
 }
 
-void TimeSeriesRecorder::rss_mb(double at_ms, double mb) {
-  window_at(at_ms).rss = mb;
-  has_rss_ = true;
-}
-
 JsonValue TimeSeriesRecorder::to_json() const {
   JsonValue rows = JsonValue::array();
   const double per_s = 1000.0 / window_ms_;
   double live = -1;  // carried forward; -1 until first reported
-  double rss = -1;   // carried forward; -1 until first sampled
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     const Window& win = windows_[w];
     if (win.live >= 0) live = win.live;
-    if (win.rss >= 0) rss = win.rss;
     JsonValue row = JsonValue::object();
     row.set("t_ms", JsonValue(static_cast<double>(w) * window_ms_));
     row.set("issued_per_s",
@@ -80,7 +73,6 @@ JsonValue TimeSeriesRecorder::to_json() const {
                                 static_cast<double>(win.messages)
                           : 0.0));
     row.set("live_nodes", JsonValue(live));
-    if (has_rss_) row.set("rss_mb", JsonValue(rss));
     rows.push_back(std::move(row));
   }
   return rows;

@@ -40,7 +40,6 @@ class TimeSeriesRecorder {
     double latency_sum_ms = 0;    ///< sum over completed lookups
     double queue_sum_ms = 0;      ///< sum over messages
     double live = -1;
-    double rss = -1;              ///< last rss_mb() sample, -1 when none
   };
 
   void lookup_issued(double at_ms);
@@ -50,14 +49,6 @@ class TimeSeriesRecorder {
   /// Reports the live-node count as of `at_ms` (last write in a window
   /// wins; the value is carried forward across silent windows).
   void live_nodes(double at_ms, double live);
-  /// Reports the process resident set size (MB) as of `at_ms` — the
-  /// memory-over-time channel of the resource observatory. Same
-  /// last-write-wins / carry-forward semantics as live_nodes; the rss_mb
-  /// column only appears in to_json() once a sample was recorded, so
-  /// existing series schemas are unchanged. RSS is a measured quantity:
-  /// recorders that must stay byte-identical across runs should not feed
-  /// this channel (bench_scale strips it for the determinism diff).
-  void rss_mb(double at_ms, double mb);
 
   const std::vector<Window>& windows() const { return windows_; }
   bool empty() const { return windows_.empty(); }
@@ -66,10 +57,9 @@ class TimeSeriesRecorder {
   std::size_t window_index(double at_ms) const;
 
   /// Array of rows {t_ms, issued_per_s, lookups_per_s, failures_per_s,
-  /// messages_per_s, mean_latency_ms, mean_queue_ms, live_nodes[, rss_mb]},
-  /// one per window from 0 to the last touched window. live_nodes (and
-  /// rss_mb, present only when sampled) are carried forward; -1 until the
-  /// first call.
+  /// messages_per_s, mean_latency_ms, mean_queue_ms, live_nodes}, one per
+  /// window from 0 to the last touched window. live_nodes is carried
+  /// forward; -1 until the first call.
   JsonValue to_json() const;
 
  private:
@@ -77,7 +67,6 @@ class TimeSeriesRecorder {
 
   double window_ms_;
   std::vector<Window> windows_;
-  bool has_rss_ = false;
 };
 
 }  // namespace canon::telemetry

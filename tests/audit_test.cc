@@ -174,7 +174,7 @@ TEST(AuditorMutation, ChordDroppedFarFinger) {
 TEST(AuditorMutation, KademliaEmptiedBucket) {
   const OverlayNetwork net = test_net();
   Rng rng(7 * 2 + 1);
-  LinkTable links = build_kademlia(net, BucketChoice::kClosest, rng);
+  LinkTable links = build_kademlia(net);
   const std::uint32_t m = 42;
   std::vector<std::uint32_t> row = row_copy(links, m);
   ASSERT_FALSE(row.empty());

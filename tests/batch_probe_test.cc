@@ -107,7 +107,7 @@ TEST(BatchProbe, RingKernelMatchesPerCallProbe) {
 TEST(BatchProbe, XorKernelMatchesPerCallProbe) {
   const auto net = make_net(1u << 12, 18);
   Rng rng(23);
-  const auto links = build_kandy(net, BucketChoice::kClosest, rng);
+  const auto links = build_kandy(net);
   const XorRouter router(net, links);
   const auto queries = uniform_workload(net, 1200, Rng(6));
   expect_kernel_matches_probe(router, queries, "xor");
@@ -116,8 +116,7 @@ TEST(BatchProbe, XorKernelMatchesPerCallProbe) {
 TEST(BatchProbe, GroupKernelMatchesPerCallProbe) {
   const auto net = make_net(1u << 12, 19);
   const auto links = registry::build_family(net, "crescendo_prox", 19);
-  const auto groups = std::make_shared<const GroupedOverlay>(
-      net, ProximityConfig{}.target_group_size);
+  const auto groups = std::make_shared<const GroupedOverlay>(net);
   const GroupRouter router(net, groups, links);
   const auto queries = uniform_workload(net, 1200, Rng(7));
   expect_kernel_matches_probe(router, queries, "group");

@@ -1,9 +1,11 @@
 // Tests for the other Canon family members: Cacophony (Symphony),
-// nondeterministic Crescendo, Kandy (Kademlia) and Can-Can (CAN).
+// nondeterministic Crescendo, Kandy (Kademlia) and Can-Can (CAN), plus the
+// flat-hierarchy check (invariant 6) for every Canonical family.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "canon/cacophony.h"
 #include "canon/cancan.h"
@@ -12,8 +14,6 @@
 #include "canon/nondet_crescendo.h"
 #include "common/rng.h"
 #include "dht/kademlia.h"
-#include "dht/nondet_chord.h"
-#include "dht/symphony.h"
 #include "link_oracles.h"
 #include "overlay/family_registry.h"
 #include "overlay/population.h"
@@ -67,16 +67,14 @@ TEST_P(FamilyLevelsTest, KandyRoutesSucceed) {
   const int levels = GetParam();
   Rng rng(321 + levels);
   const auto net = make_population(deep_spec(700, levels), rng);
-  for (const auto choice : {BucketChoice::kClosest, BucketChoice::kRandom}) {
-    const auto links = build_kandy(net, choice, rng);
-    const XorRouter router(net, links);
-    for (int t = 0; t < 200; ++t) {
-      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-      const NodeId key = net.space().wrap(rng());
-      const Route r = router.route(from, key);
-      EXPECT_TRUE(r.ok);
-      EXPECT_EQ(r.terminal(), net.xor_closest(key));
-    }
+  const auto links = build_kandy(net);
+  const XorRouter router(net, links);
+  for (int t = 0; t < 200; ++t) {
+    const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+    const NodeId key = net.space().wrap(rng());
+    const Route r = router.route(from, key);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.terminal(), net.xor_closest(key));
   }
 }
 
@@ -111,61 +109,52 @@ TEST_P(FamilyLevelsTest, DegreesStayLogarithmic) {
   const double logn = std::log2(1000.0);
   EXPECT_LE(build_cacophony(net, rng).mean_degree(), logn + 2);
   EXPECT_LE(build_nondet_crescendo(net, rng).mean_degree(), logn + 2);
-  EXPECT_LE(build_kandy(net, BucketChoice::kClosest, rng).mean_degree(),
-            logn + 2);
+  EXPECT_LE(build_kandy(net).mean_degree(), logn + 2);
   EXPECT_LE(build_cancan(net).mean_degree(), 3 * logn);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, FamilyLevelsTest,
                          ::testing::Values(1, 2, 3, 5));
 
-TEST(Kandy, FlatEqualsKademliaGivenSameSeed) {
-  PopulationSpec spec = deep_spec(400, 1);
-  Rng rng_net(351);
-  const auto net = make_population(spec, rng_net);
-  Rng r1(77);
-  Rng r2(77);
-  const auto kandy = build_kandy(net, BucketChoice::kRandom, r1);
-  const auto kademlia = build_kademlia(net, BucketChoice::kRandom, r2);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = kandy.neighbors(m);
-    const auto b = kademlia.neighbors(m);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+// DESIGN.md invariant 6: with a one-level hierarchy every Canonical
+// construction is its flat original, table for table (randomized pairs
+// draw from the same seed). The cases run the merge walk's leaf-only path
+// (canon/merge.h) for every family the invariant names.
+struct FlatPair {
+  const char* canonical;
+  const char* flat;
+};
+
+// Names each case after its Canonical family (ctest shows the printed
+// parameter in place of the case index).
+void PrintTo(const FlatPair& pair, std::ostream* os) { *os << pair.canonical; }
+
+constexpr FlatPair kFlatPairs[] = {
+    {"crescendo", "chord"},
+    {"cacophony", "symphony"},
+    {"nondet_crescendo", "nondet_chord"},
+    {"kandy", "kademlia"},
+    {"cancan", "can"},
+    {"crescendo_prox", "chord_prox"},
+};
+
+class FlatHierarchyTest : public ::testing::TestWithParam<FlatPair> {};
+
+TEST_P(FlatHierarchyTest, DegeneratesToFlatOriginal) {
+  const FlatPair& pair = GetParam();
+  for (const int bits : {kDefaultIdBits, 64}) {
+    SCOPED_TRACE(bits);
+    PopulationSpec spec = deep_spec(400, 1);
+    spec.id_bits = bits;
+    Rng rng(351);
+    const auto net = make_population(spec, rng);
+    EXPECT_TRUE(registry::build_family(net, pair.canonical, 77) ==
+                registry::build_family(net, pair.flat, 77));
   }
 }
 
-TEST(NondetCrescendo, FlatEqualsNondetChordGivenSameSeed) {
-  PopulationSpec spec = deep_spec(400, 1);
-  Rng rng_net(352);
-  const auto net = make_population(spec, rng_net);
-  Rng r1(78);
-  Rng r2(78);
-  const auto a_table = build_nondet_crescendo(net, r1);
-  const auto b_table = build_nondet_chord(net, r2);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = a_table.neighbors(m);
-    const auto b = b_table.neighbors(m);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
-TEST(Cacophony, FlatEqualsSymphonyGivenSameSeed) {
-  PopulationSpec spec = deep_spec(400, 1);
-  Rng rng_net(353);
-  const auto net = make_population(spec, rng_net);
-  Rng r1(79);
-  Rng r2(79);
-  const auto a_table = build_cacophony(net, r1);
-  const auto b_table = build_symphony(net, r2);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = a_table.neighbors(m);
-    const auto b = b_table.neighbors(m);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Invariant6, FlatHierarchyTest,
+                         ::testing::ValuesIn(kFlatPairs));
 
 TEST(NondetCrescendo, RespectsConditionB) {
   // Section 3.2: merge links must be strictly closer than the closest node
@@ -195,7 +184,7 @@ TEST(Kandy, RespectsPerBucketConditionB) {
   // any node in m's own ring").
   Rng rng(355);
   const auto net = make_population(deep_spec(500, 3), rng);
-  const auto links = build_kandy(net, BucketChoice::kClosest, rng);
+  const auto links = build_kandy(net);
   const DomainTree& dom = net.domains();
   for (std::uint32_t m = 0; m < net.size(); ++m) {
     const auto& chain = dom.domain_chain(m);
@@ -242,10 +231,8 @@ TEST(BruteForceOracle, KandyClosestPerBucketMatchesLinearScan) {
     const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 14);
     for (const MergePolicy policy :
          {MergePolicy::kFrugal, MergePolicy::kLiteral}) {
-      Rng rng(15);
       EXPECT_TRUE(oracle::rows_match(
-          net, build_kandy(net, BucketChoice::kClosest, rng, policy),
-          [&](NodeIndex m) {
+          net, build_kandy(net, policy), [&](NodeIndex m) {
             return oracle::kandy_closest_links(net, m, policy);
           }))
           << c.name() << " literal=" << (policy == MergePolicy::kLiteral);
@@ -323,19 +310,6 @@ TEST(RingLocality, HoldsForAllRingBasedFamilies) {
       }
     }
     EXPECT_GE(checked, 100) << name;
-  }
-}
-
-TEST(CanCan, FlatEqualsCan) {
-  Rng rng(357);
-  const auto net = make_population(deep_spec(300, 1), rng);
-  const LinkTable cancan = build_cancan(net);
-  const LinkTable flat = build_can(net);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = cancan.neighbors(m);
-    const auto b = flat.neighbors(m);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   }
 }
 

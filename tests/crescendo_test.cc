@@ -68,22 +68,6 @@ TEST(Crescendo, Figure2Node2FormsNoMergeLinks) {
   }
 }
 
-TEST(Crescendo, FlatPopulationEqualsChord) {
-  Rng rng(201);
-  PopulationSpec spec;
-  spec.node_count = 300;
-  spec.hierarchy.levels = 1;
-  const auto net = make_population(spec, rng);
-  const auto crescendo = build_crescendo(net);
-  const auto chord = build_chord(net);
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    const auto a = crescendo.neighbors(m);
-    const auto b = chord.neighbors(m);
-    ASSERT_EQ(a.size(), b.size()) << "node " << m;
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
 TEST(Crescendo, EveryDomainRingIsComplete) {
   // Each node must link its successor within every domain it belongs to,
   // so that each domain forms a routable ring of its own.

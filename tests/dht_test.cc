@@ -235,7 +235,7 @@ TEST(Kademlia, LinksOnePerBucketAndClosestIsClosest) {
   spec.node_count = 300;
   spec.id_bits = 16;
   const auto net = make_population(spec, rng);
-  const auto links = build_kademlia(net, BucketChoice::kClosest, rng);
+  const auto links = build_kademlia(net);
   for (std::uint32_t m = 0; m < net.size(); ++m) {
     std::map<int, std::uint64_t> bucket_min;
     for (std::uint32_t v = 0; v < net.size(); ++v) {
@@ -257,21 +257,19 @@ TEST(Kademlia, LinksOnePerBucketAndClosestIsClosest) {
   }
 }
 
-TEST(Kademlia, GreedyXorRoutingSucceedsBothChoices) {
+TEST(Kademlia, GreedyXorRoutingSucceeds) {
   Rng rng(112);
   PopulationSpec spec;
   spec.node_count = 600;
   const auto net = make_population(spec, rng);
-  for (const auto choice : {BucketChoice::kClosest, BucketChoice::kRandom}) {
-    const auto links = build_kademlia(net, choice, rng);
-    const XorRouter router(net, links);
-    for (int t = 0; t < 200; ++t) {
-      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
-      const NodeId key = net.space().wrap(rng());
-      const Route r = router.route(from, key);
-      EXPECT_TRUE(r.ok);
-      EXPECT_EQ(r.terminal(), net.xor_closest(key));
-    }
+  const auto links = build_kademlia(net);
+  const XorRouter router(net, links);
+  for (int t = 0; t < 200; ++t) {
+    const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+    const NodeId key = net.space().wrap(rng());
+    const Route r = router.route(from, key);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.terminal(), net.xor_closest(key));
   }
 }
 
@@ -320,10 +318,8 @@ TEST(BruteForceOracle, NondetChordBucketDrawsMatchLinearScan) {
 TEST(BruteForceOracle, KademliaClosestPerBucketMatchesLinearScan) {
   for (const oracle::Case& c : oracle::cases({1})) {
     const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 4);
-    Rng rng(5);
     EXPECT_TRUE(oracle::rows_match(
-        net, build_kademlia(net, BucketChoice::kClosest, rng),
-        [&](NodeIndex m) {
+        net, build_kademlia(net), [&](NodeIndex m) {
           return oracle::kandy_closest_links(net, m, MergePolicy::kFrugal);
         }))
         << c.name();

@@ -72,8 +72,8 @@ TEST(EdgeCases, GroupedOverlaySingleGroup) {
     spec.node_count = 8;
     spec.id_bits = bits;
     const auto net = make_population(spec, rng);
-    // Target size bigger than the population: one group, T == 0.
-    const GroupedOverlay groups(net, 100);
+    // A population below twice kTargetGroupSize: one group, T == 0.
+    const GroupedOverlay groups(net);
     EXPECT_EQ(groups.prefix_bits(), 0);
     EXPECT_EQ(groups.groups().size(), 1u);
     for (std::uint32_t i = 0; i < net.size(); ++i) {
@@ -95,7 +95,7 @@ TEST(EdgeCases, GroupRouterWithSingleGroupUsesClique) {
     spec.node_count = 16;
     spec.id_bits = bits;
     const auto net = make_population(spec, rng);
-    const auto groups = std::make_shared<const GroupedOverlay>(net, 100);
+    const auto groups = std::make_shared<const GroupedOverlay>(net);
     const HopCost cost = [](std::uint32_t, std::uint32_t) { return 1.0; };
     const ProximityConfig cfg;
     Rng brng(1);

@@ -118,8 +118,7 @@ void with_router(std::string_view family, const OverlayNetwork& net,
     fn(CanCanRouter(net, std::make_shared<const CanCanZones>(net), links));
   } else if (family == "chord_prox" || family == "crescendo_prox") {
     fn(GroupRouter(net,
-                   std::make_shared<const GroupedOverlay>(
-                       net, ProximityConfig{}.target_group_size),
+                   std::make_shared<const GroupedOverlay>(net),
                    links));
   } else if (oracle_of(family) == Oracle::kXorClosest) {
     fn(XorRouter(net, links));

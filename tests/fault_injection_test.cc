@@ -8,7 +8,7 @@
 //   3. Thread invariance: resilient batches — faults, drops and all — are
 //      identical at every --threads.
 //   4. Journaled faults: materialize() records every crash with strict
-//      sequence numbers, and the engine journals before routing.
+//      sequence numbers.
 //   5. Drop-retry: transient drops cost retries, not correctness, within
 //      the per-hop retry budget.
 #include <gtest/gtest.h>
@@ -247,28 +247,6 @@ TEST(FaultInjection, MaterializeJournalsEveryCrashWithStrictSeq) {
               net.id(node));
     ASSERT_NE(e.get("at"), nullptr);
   }
-}
-
-TEST(FaultInjection, EngineJournalsCrashesBeforeRouting) {
-  const auto net = make_net();
-  QueryEngine engine(net);
-  std::stringstream out;
-  telemetry::EventJournal journal(out);
-  engine.set_journal(&journal);
-  const auto queries = uniform_workload(net, 50, Rng(kSeed).fork(7));
-  const LinkTable links = registry::build_family(net, "crescendo", kSeed);
-  const auto router = registry::family("crescendo").make_router(net, links);
-  FaultPlan plan;
-  plan.crash(3);
-  plan.crash(17, /*at=*/5);
-  plan.revive(3, /*at=*/9);
-  router.run_resilient(engine, queries, plan);
-  const auto events = telemetry::read_journal(out);
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].get("type")->as_string(), "crash");
-  EXPECT_EQ(events[1].get("type")->as_string(), "crash");
-  EXPECT_EQ(events[2].get("type")->as_string(), "revive");
-  EXPECT_EQ(events[2].get("node")->as_int(), 3);
 }
 
 TEST(FaultInjection, DropsCostRetriesNotCorrectness) {

@@ -185,9 +185,9 @@ inline NodeIndex xor_closest_in_bucket(const OverlayNetwork& net, NodeIndex m,
   return best;
 }
 
-/// Kandy (Kademlia when flat) with BucketChoice::kClosest: at every level
-/// and bucket, the XOR-closest member, filtered by the child ring's
-/// closest member in the same bucket per `policy`.
+/// Kandy (Kademlia when flat): at every level and bucket, the XOR-closest
+/// member, filtered by the child ring's closest member in the same bucket
+/// per `policy`.
 inline std::set<NodeIndex> kandy_closest_links(const OverlayNetwork& net,
                                                NodeIndex m,
                                                MergePolicy policy) {

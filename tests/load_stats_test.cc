@@ -191,9 +191,9 @@ TEST(ZipfWorkload, SameSeedSameSequenceAtAnyThreadCount) {
 TEST(ZipfWorkload, MeasuredSkewTracksExponent) {
   const OverlayNetwork net = small_net(256, 2);
   const double theta = 1.25;
-  const std::size_t pool = 256;
+  const std::size_t pool = net.size();  // one key per node
   const std::size_t count = 60000;
-  const auto queries = zipf_workload(net, count, Rng(5), theta, pool);
+  const auto queries = zipf_workload(net, count, Rng(5), theta);
 
   std::unordered_map<std::uint64_t, std::uint64_t> freq;
   for (const Query& q : queries) ++freq[q.key];

@@ -62,7 +62,7 @@ constexpr Shape kShapes[] = {
     {"deep", 4, 10},
 };
 
-/// Population of the pinned digests: small enough to pin 126 tables.
+/// Population of the pinned digests: small enough to pin 90 tables.
 constexpr std::size_t kDigestNodes = 512;
 /// Population of the serial-vs-parallel checks: LinkTable::build runs in
 /// fixed node shards, and a population inside one shard runs inline on
@@ -125,29 +125,8 @@ const std::vector<Family>& families() {
          return build_nondet_chord(net, rng);
        }},
       {"kademlia_closest",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kademlia(net, BucketChoice::kClosest, rng);
-       }},
-      {"kademlia_closest_r3",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kademlia(net, BucketChoice::kClosest, rng, 3);
-       }},
-      {"kademlia_random",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kademlia(net, BucketChoice::kRandom, rng);
-       }},
-      {"kademlia_random_r2",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kademlia(net, BucketChoice::kRandom, rng, 2);
-       }},
-      {"kademlia_random_r3",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kademlia(net, BucketChoice::kRandom, rng, 3);
+       [](const OverlayNetwork& net, std::uint64_t) {
+         return build_kademlia(net);
        }},
       {"cacophony",
        [](const OverlayNetwork& net, std::uint64_t seed) {
@@ -155,26 +134,12 @@ const std::vector<Family>& families() {
          return build_cacophony(net, rng);
        }},
       {"kandy_closest",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kandy(net, BucketChoice::kClosest, rng);
-       }},
-      {"kandy_random",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kandy(net, BucketChoice::kRandom, rng);
+       [](const OverlayNetwork& net, std::uint64_t) {
+         return build_kandy(net);
        }},
       {"kandy_closest_literal",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kandy(net, BucketChoice::kClosest, rng,
-                            MergePolicy::kLiteral);
-       }},
-      {"kandy_random_literal",
-       [](const OverlayNetwork& net, std::uint64_t seed) {
-         Rng rng(seed * 2 + 1);
-         return build_kandy(net, BucketChoice::kRandom, rng,
-                            MergePolicy::kLiteral);
+       [](const OverlayNetwork& net, std::uint64_t) {
+         return build_kandy(net, MergePolicy::kLiteral);
        }},
       {"nondet_crescendo",
        [](const OverlayNetwork& net, std::uint64_t seed) {
@@ -183,7 +148,7 @@ const std::vector<Family>& families() {
        }},
       {"chord_prox",
        [](const OverlayNetwork& net, std::uint64_t seed) {
-         const GroupedOverlay groups(net, 16);
+         const GroupedOverlay groups(net);
          // Synthetic but deterministic pairwise cost: the builders only
          // need *some* latency oracle, identical across the two runs.
          const HopCost cost = [](std::uint32_t a, std::uint32_t b) {
@@ -194,7 +159,7 @@ const std::vector<Family>& families() {
        }},
       {"crescendo_prox",
        [](const OverlayNetwork& net, std::uint64_t seed) {
-         const GroupedOverlay groups(net, 16);
+         const GroupedOverlay groups(net);
          const HopCost cost = [](std::uint32_t a, std::uint32_t b) {
            return static_cast<double>((a * 31u + b * 17u) % 97u + 1u);
          };
@@ -273,15 +238,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "flat", 1, 0x1106a0df7e23b00eull},
     {"nondet_chord", "flat", 1, 0x64f264f820beb885ull},
     {"kademlia_closest", "flat", 1, 0x6ef508b84748fe19ull},
-    {"kademlia_closest_r3", "flat", 1, 0x5214c0374d6414c3ull},
-    {"kademlia_random", "flat", 1, 0x22fd831f8e66fcacull},
-    {"kademlia_random_r2", "flat", 1, 0x8a52dd26af20aec1ull},
-    {"kademlia_random_r3", "flat", 1, 0xa8b4587143a37713ull},
     {"cacophony", "flat", 1, 0x1106a0df7e23b00eull},
     {"kandy_closest", "flat", 1, 0x6ef508b84748fe19ull},
-    {"kandy_random", "flat", 1, 0x22fd831f8e66fcacull},
     {"kandy_closest_literal", "flat", 1, 0x6ef508b84748fe19ull},
-    {"kandy_random_literal", "flat", 1, 0x22fd831f8e66fcacull},
     {"nondet_crescendo", "flat", 1, 0x64f264f820beb885ull},
     {"chord_prox", "flat", 1, 0x5689804face35a67ull},
     {"crescendo_prox", "flat", 1, 0x5689804face35a67ull},
@@ -294,15 +253,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "flat", 42, 0x2b531564db63153bull},
     {"nondet_chord", "flat", 42, 0x5f31eb98ad1af050ull},
     {"kademlia_closest", "flat", 42, 0xc5c50d4b674d5692ull},
-    {"kademlia_closest_r3", "flat", 42, 0xf98ecae7b86806c3ull},
-    {"kademlia_random", "flat", 42, 0xcec31c92635c39d3ull},
-    {"kademlia_random_r2", "flat", 42, 0xc15648f6dbbfd366ull},
-    {"kademlia_random_r3", "flat", 42, 0x6907c5a54e9de785ull},
     {"cacophony", "flat", 42, 0x2b531564db63153bull},
     {"kandy_closest", "flat", 42, 0xc5c50d4b674d5692ull},
-    {"kandy_random", "flat", 42, 0xcec31c92635c39d3ull},
     {"kandy_closest_literal", "flat", 42, 0xc5c50d4b674d5692ull},
-    {"kandy_random_literal", "flat", 42, 0xcec31c92635c39d3ull},
     {"nondet_crescendo", "flat", 42, 0x5f31eb98ad1af050ull},
     {"chord_prox", "flat", 42, 0xff3814eeef7f6d00ull},
     {"crescendo_prox", "flat", 42, 0xff3814eeef7f6d00ull},
@@ -315,15 +268,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "flat", 1234, 0xa8336928a6e6bfb9ull},
     {"nondet_chord", "flat", 1234, 0xaf625875d288ad4bull},
     {"kademlia_closest", "flat", 1234, 0xc472c4a315f9d769ull},
-    {"kademlia_closest_r3", "flat", 1234, 0xbd086e239daad21aull},
-    {"kademlia_random", "flat", 1234, 0x986f8f7ca795bb24ull},
-    {"kademlia_random_r2", "flat", 1234, 0x7f7560f994cca8d6ull},
-    {"kademlia_random_r3", "flat", 1234, 0x8c47eabb2feee95full},
     {"cacophony", "flat", 1234, 0xa8336928a6e6bfb9ull},
     {"kandy_closest", "flat", 1234, 0xc472c4a315f9d769ull},
-    {"kandy_random", "flat", 1234, 0x986f8f7ca795bb24ull},
     {"kandy_closest_literal", "flat", 1234, 0xc472c4a315f9d769ull},
-    {"kandy_random_literal", "flat", 1234, 0x986f8f7ca795bb24ull},
     {"nondet_crescendo", "flat", 1234, 0xaf625875d288ad4bull},
     {"chord_prox", "flat", 1234, 0x706f3c02dc1e5205ull},
     {"crescendo_prox", "flat", 1234, 0x706f3c02dc1e5205ull},
@@ -336,15 +283,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "deep", 1, 0x1106a0df7e23b00eull},
     {"nondet_chord", "deep", 1, 0x64f264f820beb885ull},
     {"kademlia_closest", "deep", 1, 0x6ef508b84748fe19ull},
-    {"kademlia_closest_r3", "deep", 1, 0x5214c0374d6414c3ull},
-    {"kademlia_random", "deep", 1, 0x22fd831f8e66fcacull},
-    {"kademlia_random_r2", "deep", 1, 0x8a52dd26af20aec1ull},
-    {"kademlia_random_r3", "deep", 1, 0xa8b4587143a37713ull},
     {"cacophony", "deep", 1, 0xd1b8e3e206228906ull},
     {"kandy_closest", "deep", 1, 0xa173b9f8858167ddull},
-    {"kandy_random", "deep", 1, 0xe8eccc86e2c9269eull},
     {"kandy_closest_literal", "deep", 1, 0x15cbaa47650be4d3ull},
-    {"kandy_random_literal", "deep", 1, 0xf671300d7f322649ull},
     {"nondet_crescendo", "deep", 1, 0x979e8f5cfbd744c0ull},
     {"chord_prox", "deep", 1, 0x5689804face35a67ull},
     {"crescendo_prox", "deep", 1, 0x9c864fda2d85676ull},
@@ -357,15 +298,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "deep", 42, 0x2b531564db63153bull},
     {"nondet_chord", "deep", 42, 0x5f31eb98ad1af050ull},
     {"kademlia_closest", "deep", 42, 0xc5c50d4b674d5692ull},
-    {"kademlia_closest_r3", "deep", 42, 0xf98ecae7b86806c3ull},
-    {"kademlia_random", "deep", 42, 0xcec31c92635c39d3ull},
-    {"kademlia_random_r2", "deep", 42, 0xc15648f6dbbfd366ull},
-    {"kademlia_random_r3", "deep", 42, 0x6907c5a54e9de785ull},
     {"cacophony", "deep", 42, 0x9078275e2156311full},
     {"kandy_closest", "deep", 42, 0x84a8be43a707dbe8ull},
-    {"kandy_random", "deep", 42, 0xc7729de740e7full},
     {"kandy_closest_literal", "deep", 42, 0x4e8cc239e9109d1ull},
-    {"kandy_random_literal", "deep", 42, 0xee4dfaf0b1f60fffull},
     {"nondet_crescendo", "deep", 42, 0x1788fd9a82fab83dull},
     {"chord_prox", "deep", 42, 0xff3814eeef7f6d00ull},
     {"crescendo_prox", "deep", 42, 0xa1013519b6a25892ull},
@@ -378,15 +313,9 @@ constexpr PinnedDigest kPinnedDigests[] = {
     {"symphony", "deep", 1234, 0xa8336928a6e6bfb9ull},
     {"nondet_chord", "deep", 1234, 0xaf625875d288ad4bull},
     {"kademlia_closest", "deep", 1234, 0xc472c4a315f9d769ull},
-    {"kademlia_closest_r3", "deep", 1234, 0xbd086e239daad21aull},
-    {"kademlia_random", "deep", 1234, 0x986f8f7ca795bb24ull},
-    {"kademlia_random_r2", "deep", 1234, 0x7f7560f994cca8d6ull},
-    {"kademlia_random_r3", "deep", 1234, 0x8c47eabb2feee95full},
     {"cacophony", "deep", 1234, 0x8c2890562d2119eeull},
     {"kandy_closest", "deep", 1234, 0x59587f6b2ed218e6ull},
-    {"kandy_random", "deep", 1234, 0xb824b9df28e74f75ull},
     {"kandy_closest_literal", "deep", 1234, 0xccf97729ddd3826bull},
-    {"kandy_random_literal", "deep", 1234, 0x81b0ab021a51a6b7ull},
     {"nondet_crescendo", "deep", 1234, 0xac8e8eef0ad6b5e6ull},
     {"chord_prox", "deep", 1234, 0x706f3c02dc1e5205ull},
     {"crescendo_prox", "deep", 1234, 0x7962c0e40cb23456ull},

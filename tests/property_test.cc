@@ -156,7 +156,7 @@ TEST_P(ShapeTest, CacophonyAndKandyRouteEverywhere) {
   const auto net = build();
   Rng build_rng(99);
   const auto caco = build_cacophony(net, build_rng);
-  const auto kandy = build_kandy(net, BucketChoice::kClosest, build_rng);
+  const auto kandy = build_kandy(net);
   const RingRouter ring_router(net, caco);
   const XorRouter xor_router(net, kandy);
   for (int t = 0; t < 80; ++t) {

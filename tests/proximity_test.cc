@@ -29,7 +29,7 @@ TEST(GroupedOverlay, GroupsAreContiguousAndSized) {
   PopulationSpec spec;
   spec.node_count = 1024;
   const auto net = make_population(spec, rng);
-  const GroupedOverlay groups(net, 16);
+  const GroupedOverlay groups(net);
   EXPECT_EQ(groups.prefix_bits(), 6);  // 1024/16 = 64 groups
   std::size_t total = 0;
   NodeId prev_gid = 0;
@@ -53,7 +53,7 @@ TEST(GroupedOverlay, ResponsibleGroupWraps) {
   PopulationSpec spec;
   spec.node_count = 256;
   const auto net = make_population(spec, rng);
-  const GroupedOverlay groups(net, 16);
+  const GroupedOverlay groups(net);
   for (int t = 0; t < 200; ++t) {
     const NodeId key = net.space().wrap(rng());
     const int gi = groups.responsible_group(key);
@@ -73,7 +73,7 @@ TEST(GroupedOverlay, ResponsibleUsuallyGlobalPredecessor) {
   PopulationSpec spec;
   spec.node_count = 2048;
   const auto net = make_population(spec, rng);
-  const GroupedOverlay groups(net, 16);
+  const GroupedOverlay groups(net);
   int agree = 0;
   const int kTrials = 1000;
   for (int t = 0; t < kTrials; ++t) {
@@ -90,7 +90,7 @@ class ProxFixture : public ::testing::Test {
         phys_(tiny_topology(), rng_),
         net_(make_physical_population(800, phys_, 32, rng_)),
         cost_(host_hop_cost(net_, phys_)),
-        groups_(std::make_shared<const GroupedOverlay>(net_, 16)) {}
+        groups_(std::make_shared<const GroupedOverlay>(net_)) {}
 
   Rng rng_;
   PhysicalNetwork phys_;

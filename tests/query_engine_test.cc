@@ -138,7 +138,7 @@ TEST(QueryEngine, RingLookaheadIsThreadInvariant) {
 TEST(QueryEngine, XorRouterIsThreadInvariant) {
   const auto net = make_net();
   Rng brng(3);
-  const auto links = build_kandy(net, BucketChoice::kClosest, brng);
+  const auto links = build_kandy(net);
   const XorRouter router(net, links);
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 2000, Rng(3));
@@ -149,7 +149,7 @@ TEST(QueryEngine, XorRouterIsThreadInvariant) {
 
 TEST(QueryEngine, GroupRouterWithCostIsThreadInvariant) {
   const auto net = make_net();
-  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net);
   const HopCost cost = synthetic_cost();
   Rng brng(4);
   const auto links =
@@ -211,9 +211,9 @@ TEST(Probe, AgreesWithFullRoutingOn1kQueries) {
   const auto crescendo = build_crescendo(net);
   const RingRouter ring(net, crescendo);
   Rng brng(8);
-  const auto kandy = build_kandy(net, BucketChoice::kClosest, brng);
+  const auto kandy = build_kandy(net);
   const XorRouter xr(net, kandy);
-  const auto groups = std::make_shared<const GroupedOverlay>(net, 16);
+  const auto groups = std::make_shared<const GroupedOverlay>(net);
   Rng prng(9);
   const auto prox =
       build_chord_prox(net, *groups, synthetic_cost(), ProximityConfig{}, prng);

@@ -1,11 +1,9 @@
-// Tests for failure-aware routing (leaf-set fallback) and Kademlia bucket
-// replication.
+// Tests for failure-aware routing (leaf-set fallback).
 #include <gtest/gtest.h>
 
 #include "canon/crescendo.h"
 #include "common/rng.h"
 #include "dht/chord.h"
-#include "dht/kademlia.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
 
@@ -104,87 +102,6 @@ TEST(ResilientRouting, RejectsDeadSource) {
   failures.kill(0);
   const RingRouter router(net, links);
   EXPECT_THROW(router.route(0, 1, failures), std::invalid_argument);
-}
-
-TEST(KademliaReplication, ExtraBucketEntriesIncreaseDegree) {
-  Rng rng(909);
-  const auto net = make_population(spec_of(400, 1), rng);
-  Rng r1(5);
-  Rng r2(5);
-  const auto single = build_kademlia(net, BucketChoice::kClosest, r1, 1);
-  const auto tripled = build_kademlia(net, BucketChoice::kClosest, r2, 3);
-  EXPECT_GT(tripled.mean_degree(), 1.8 * single.mean_degree());
-  // The primary (closest) entries are still present.
-  for (std::uint32_t m = 0; m < net.size(); m += 13) {
-    for (const auto v : single.neighbors(m)) {
-      EXPECT_TRUE(tripled.has_link(m, v));
-    }
-  }
-}
-
-TEST(KademliaReplication, ImprovesLookupSurvivalUnderFailures) {
-  Rng rng(910);
-  const auto net = make_population(spec_of(600, 1), rng);
-  Rng r1(6);
-  Rng r2(6);
-  const auto single = build_kademlia(net, BucketChoice::kClosest, r1, 1);
-  const auto tripled = build_kademlia(net, BucketChoice::kClosest, r2, 3);
-  // Kill 25% of nodes; greedy XOR routing skips dead neighbors.
-  std::vector<bool> dead(net.size(), false);
-  for (std::uint32_t i = 0; i < net.size(); ++i) {
-    dead[i] = rng.uniform(4) == 0;
-  }
-  const auto survive = [&](const LinkTable& links) {
-    int ok = 0;
-    int total = 0;
-    Rng qrng(911);
-    for (int t = 0; t < 600; ++t) {
-      const auto from = static_cast<std::uint32_t>(qrng.uniform(net.size()));
-      if (dead[from]) continue;
-      ++total;
-      const NodeId key = net.space().wrap(qrng());
-      // Greedy XOR over live neighbors only.
-      std::uint32_t cur = from;
-      for (int step = 0; step < 200; ++step) {
-        std::uint32_t best = cur;
-        std::uint64_t best_d = net.space().xor_distance(net.id(cur), key);
-        for (const auto nb : links.neighbors(cur)) {
-          if (dead[nb]) continue;
-          const auto d = net.space().xor_distance(net.id(nb), key);
-          if (d < best_d) {
-            best_d = d;
-            best = nb;
-          }
-        }
-        if (best == cur) break;
-        cur = best;
-      }
-      // Success: terminal is the closest LIVE node to the key.
-      std::uint32_t want = from;
-      std::uint64_t want_d = ~std::uint64_t{0};
-      for (std::uint32_t i = 0; i < net.size(); ++i) {
-        if (dead[i]) continue;
-        const auto d = net.space().xor_distance(net.id(i), key);
-        if (d < want_d) {
-          want_d = d;
-          want = i;
-        }
-      }
-      ok += (cur == want);
-    }
-    return static_cast<double>(ok) / total;
-  };
-  const double lone = survive(single);
-  const double redundant = survive(tripled);
-  EXPECT_GT(redundant, lone);
-  EXPECT_GT(redundant, 0.9);
-}
-
-TEST(KademliaReplication, RejectsBadFactor) {
-  Rng rng(912);
-  const auto net = make_population(spec_of(20, 1), rng);
-  EXPECT_THROW(build_kademlia(net, BucketChoice::kClosest, rng, 0),
-               std::invalid_argument);
 }
 
 }  // namespace
