@@ -17,8 +17,10 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_prox_sampling");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 16384);
-  const std::uint64_t trials = run.u64("trials", 2000);
+  // Group links need two groups, which GroupedOverlay forms from
+  // 2 * kTargetGroupSize nodes on; route latency needs one query.
+  const std::uint64_t n = run.u64("nodes", 16384, 2 * kTargetGroupSize);
+  const std::uint64_t trials = run.u64("trials", 2000, 1);
   run.header("Ablation A8: proximity sampling budget s",
                 "mean link and route latency of Chord (Prox.) vs the "
                 "number of sampled endpoints per group link");

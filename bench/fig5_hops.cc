@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig5_hops");
   const std::uint64_t min_n = run.u64("min-nodes", 1024, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
-  const std::uint64_t trials = run.u64("trials", 4000);
+  const std::uint64_t trials = run.u64("trials", 4000, 1);
   const bool faulty = run.present("crash-rate");
   const double crash_rate = faulty ? run.f64("crash-rate", 0.0) : 0.0;
   run.header("Figure 5: average routing hops",

@@ -10,6 +10,7 @@
 // hop overlap.
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "canon/crescendo.h"
@@ -24,8 +25,10 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig8_overlap");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 32768);
-  const std::uint64_t trials = run.u64("trials", 3000);
+  // A pair of same-domain nodes and one query are the least a level's
+  // overlap can be measured from.
+  const std::uint64_t n = run.u64("nodes", 32768, 2);
+  const std::uint64_t trials = run.u64("trials", 3000, 1);
   run.header("Figure 8: path overlap fraction vs domain level (32K)",
                 "hop & latency overlap of two same-domain queries; "
                 "Crescendo vs Chord (Prox.)");
@@ -47,6 +50,11 @@ int main(int argc, char** argv) {
                    "Chord(Prox) hops", "Chord(Prox) latency"});
   const char* labels[] = {"Top Level", "Level 1", "Level 2", "Level 3",
                           "Level 4"};
+  // In a small population a deep level may yield no measured pair: its
+  // cell shows "-".
+  const auto mean_or_dash = [](const Summary& s) {
+    return s.count() == 0 ? std::string("-") : TextTable::num(s.mean(), 3);
+  };
   for (int level = 0; level <= 4; ++level) {
     Summary cr_hops;
     Summary cr_ms;
@@ -78,10 +86,8 @@ int main(int argc, char** argv) {
         if (const auto f = cost_overlap_fraction(p1, p2, cost)) ch_ms.add(*f);
       }
     }
-    table.add_row({labels[level], TextTable::num(cr_hops.mean(), 3),
-                   TextTable::num(cr_ms.mean(), 3),
-                   TextTable::num(ch_hops.mean(), 3),
-                   TextTable::num(ch_ms.mean(), 3)});
+    table.add_row({labels[level], mean_or_dash(cr_hops), mean_or_dash(cr_ms),
+                   mean_or_dash(ch_hops), mean_or_dash(ch_ms)});
   }
   table.print(std::cout);
   std::cout << "\n(paper: Crescendo overlap climbs toward ~0.9 with domain "

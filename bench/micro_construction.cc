@@ -6,9 +6,11 @@
 #include "bench/bench_util.h"
 #include "bench/micro_util.h"
 
+#include "canon/cacophony.h"
 #include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
+#include "canon/nondet_crescendo.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
 #include "hierarchy/generators.h"
@@ -39,6 +41,28 @@ void BM_BuildCrescendo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BuildCrescendo)->Arg(1024)->Arg(8192)->Arg(32768)->Arg(65536);
+
+void BM_BuildNondetCrescendo(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 4);
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_nondet_crescendo(net, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BuildNondetCrescendo)->Arg(1024)->Arg(8192);
+
+void BM_BuildCacophony(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 4);
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_cacophony(net, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BuildCacophony)->Arg(1024)->Arg(8192);
 
 void BM_BuildKandy(benchmark::State& state) {
   const auto net = bench::bench_population(

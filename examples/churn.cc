@@ -29,8 +29,9 @@ using namespace canon;
 
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "churn");
-  const std::uint64_t target_nodes = run.u64("nodes", 600);
-  const std::uint64_t pairs = run.u64("pairs", 200);
+  // The mean join and leave costs need one join and one leave.
+  const std::uint64_t target_nodes = run.u64("nodes", 600, 1);
+  const std::uint64_t pairs = run.u64("pairs", 200, 1);
   const std::uint64_t snapshot_every = run.u64("snapshot-every", 100);
   const std::string journal_path = run.str("journal", "");
   run.check_flags();

@@ -39,8 +39,10 @@ using namespace canon;
 
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "soak");
-  const std::uint64_t node_count = run.u64("nodes", 4096);
-  const std::uint64_t lookup_count = run.u64("lookups", 20000);
+  // Lookups need a node to start from, and the latency percentiles one
+  // lookup.
+  const std::uint64_t node_count = run.u64("nodes", 4096, 1);
+  const std::uint64_t lookup_count = run.u64("lookups", 20000, 1);
   const std::string journal_path = run.str("journal", "");
   const std::string trace_path = run.str("trace", "");
   run.check_flags();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "canon/merge.h"
-#include "dht/kademlia.h"
 #include "overlay/greedy_walk.h"
 #include "telemetry/scoped_timer.h"
 
@@ -55,14 +54,18 @@ LinkTable build_cancan(const OverlayNetwork& net) {
       // lower zone covers exactly the faces at positions < len(lower
       // zone), so deeper faces are always kept, and a shallower face
       // survives only when the child domain has no member at all across
-      // it (its ID bucket is empty).
-      const int lower_len =
-          ZoneTree::primary_len(zones.slot(m, level + 1).lcps);
+      // it: its ID bucket, the aligned block of m's ID with bit N-1-pos
+      // flipped, is empty. A gallop from m's own child-list position finds
+      // the block's first member.
+      const CanCanZones::Slot& below = zones.slot(m, level + 1);
+      const int lower_len = ZoneTree::primary_len(below.lcps);
       const int len = ZoneTree::primary_len(here.lcps);
       for (int pos = 0; pos < len; ++pos) {
-        if (pos < lower_len &&
-            bucket_count(net, *child, net.id(m), bits - 1 - pos) != 0) {
-          continue;
+        if (pos < lower_len) {
+          const NodeId span = NodeId{1} << (bits - 1 - pos);
+          const NodeId lo = (net.id(m) ^ span) & ~(span - 1);
+          const std::size_t p = child->seek(lo, below.pos);
+          if (p < child->size() && child->id_at(p) - lo < span) continue;
         }
         t.append_face_owners(here.pos, pos, row);
       }

@@ -11,8 +11,8 @@ namespace canon {
 
 ZoneTree::ZoneTree(const OverlayNetwork& net,
                    std::span<const std::uint32_t> members)
-    : ids_(net.ids().data()),
-      members_(members),
+    : ring_(net.space(), net.ids(), members),
+      ids_(net.ids().data()),
       bits_(net.space().bits()),
       mask_(net.space().mask()) {
   if (members.empty()) throw std::invalid_argument("ZoneTree: no members");
@@ -23,18 +23,9 @@ ZoneTree::ZoneTree(const OverlayNetwork& net,
   }
 }
 
-std::size_t ZoneTree::lower_pos(NodeId x, std::size_t lo,
-                                std::size_t hi) const {
-  const auto it = std::lower_bound(
-      members_.begin() + static_cast<std::ptrdiff_t>(lo),
-      members_.begin() + static_cast<std::ptrdiff_t>(hi), x,
-      [this](std::uint32_t m, NodeId k) { return ids_[m] < k; });
-  return static_cast<std::size_t>(it - members_.begin());
-}
-
 std::size_t ZoneTree::position(std::uint32_t node) const {
-  const std::size_t pos = lower_pos(ids_[node], 0, members_.size());
-  return pos < members_.size() && members_[pos] == node ? pos : kNoPos;
+  const std::size_t pos = ring_.successor_pos(ids_[node]);
+  return ring_.at(pos) == node ? pos : kNoPos;
 }
 
 std::size_t ZoneTree::checked_position(std::uint32_t node,
@@ -54,7 +45,7 @@ ZoneTree::Lcps ZoneTree::lcps(std::size_t pos) const {
     l.pred = static_cast<std::int8_t>(
         std::countl_zero((id_at(pos - 1) ^ id) << shift));
   }
-  if (pos + 1 < members_.size()) {
+  if (pos + 1 < ring_.size()) {
     l.succ = static_cast<std::int8_t>(
         std::countl_zero((id_at(pos + 1) ^ id) << shift));
   }
@@ -63,7 +54,7 @@ ZoneTree::Lcps ZoneTree::lcps(std::size_t pos) const {
 
 std::size_t ZoneTree::resolve_owner(std::size_t succ, NodeId point) const {
   if (succ == 0) return 0;
-  if (succ == members_.size()) return succ - 1;
+  if (succ == ring_.size()) return succ - 1;
   // The zones of consecutive members meet at their split point: the owner
   // is whichever of the two shares the longer prefix with the point.
   return (id_at(succ - 1) ^ point) < (id_at(succ) ^ point) ? succ - 1 : succ;
@@ -71,43 +62,22 @@ std::size_t ZoneTree::resolve_owner(std::size_t succ, NodeId point) const {
 
 std::uint32_t ZoneTree::owner_of(NodeId point) const {
   point &= mask_;
-  return members_[resolve_owner(lower_pos(point, 0, members_.size()), point)];
-}
-
-std::size_t ZoneTree::seek(NodeId x, std::size_t from) const {
-  const std::size_t n = members_.size();
-  // Gallop away from `from` until [lo, hi] brackets the answer.
-  std::size_t lo;
-  std::size_t hi;
-  if (id_at(from) < x) {
-    lo = from + 1;
-    hi = lo;
-    for (std::size_t step = 1; hi < n && id_at(hi) < x; step *= 2) {
-      lo = hi + 1;
-      hi = from + 2 * step;
-    }
-    hi = std::min(hi, n);
-  } else {
-    hi = from;
-    lo = 0;
-    for (std::size_t step = 1; step <= from; step *= 2) {
-      if (id_at(from - step) < x) {
-        lo = from - step + 1;
-        break;
-      }
-      hi = from - step;
-    }
-  }
-  return lower_pos(x, lo, hi);
+  // successor_pos wraps to 0 past the last member; the owner rule wants
+  // the list end there.
+  std::size_t succ = ring_.successor_pos(point);
+  if (succ == 0 && id_at(0) < point) succ = ring_.size();
+  return ring_.at(resolve_owner(succ, point));
 }
 
 void ZoneTree::append_block_owners(NodeId prefix, int len, std::size_t from,
                                    std::vector<std::uint32_t>& out) const {
   const NodeId last_point = prefix | (len >= 64 ? 0 : mask_ >> len);
-  const std::size_t first = resolve_owner(seek(prefix, from), prefix);
-  const std::size_t last = resolve_owner(seek(last_point, first), last_point);
-  out.insert(out.end(), members_.begin() + static_cast<std::ptrdiff_t>(first),
-             members_.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+  const std::size_t first = resolve_owner(ring_.seek(prefix, from), prefix);
+  const std::size_t last =
+      resolve_owner(ring_.seek(last_point, first), last_point);
+  const auto members = ring_.members();
+  out.insert(out.end(), members.begin() + static_cast<std::ptrdiff_t>(first),
+             members.begin() + static_cast<std::ptrdiff_t>(last) + 1);
 }
 
 ZoneTree::Zone ZoneTree::block(NodeId x, int len) const {

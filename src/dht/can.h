@@ -47,10 +47,12 @@
 
 namespace canon {
 
-/// The CAN zone partition of one member list (see file comment): a search
-/// view over the ID-sorted list, like RingView. Cheap to copy; it owns
-/// nothing, so `net` and the member list must outlive it. The builders and
-/// the CAN/Can-Can kernels pass list positions they already know.
+/// The CAN zone partition of one member list (see file comment): a view
+/// over the ID-sorted list through a RingView, whose gallop (RingView::seek)
+/// finds a block's owners from the member's own position. Cheap to copy;
+/// it owns nothing, so `net` and the member list must outlive it. The
+/// builders and the CAN/Can-Can kernels pass list positions they already
+/// know.
 class ZoneTree {
  public:
   /// Views `members` (node indices sorted by strictly ascending ID — domain
@@ -129,9 +131,7 @@ class ZoneTree {
  private:
   static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-  NodeId id_at(std::size_t pos) const { return ids_[members_[pos]]; }
-  /// First position in [lo, hi) with ID >= `x`, or hi.
-  std::size_t lower_pos(NodeId x, std::size_t lo, std::size_t hi) const;
+  NodeId id_at(std::size_t pos) const { return ring_.id_at(pos); }
   /// List position of `node`, or kNoPos when it is not a member.
   std::size_t position(std::uint32_t node) const;
   std::size_t checked_position(std::uint32_t node, const char* what) const;
@@ -140,9 +140,6 @@ class ZoneTree {
   /// The member owning `point`, given the position of its first member
   /// with ID >= point (the list size when there is none).
   std::size_t resolve_owner(std::size_t succ, NodeId point) const;
-  /// First position with ID >= `x` (or the list size), galloping from
-  /// position `from`.
-  std::size_t seek(NodeId x, std::size_t from) const;
   /// Appends the owners of the aligned block `prefix`/`len`, searching
   /// from position `from`.
   void append_block_owners(NodeId prefix, int len, std::size_t from,
@@ -152,8 +149,8 @@ class ZoneTree {
   template <typename Fn>
   void for_each_zone(std::size_t pos, Fn&& fn) const;
 
-  const NodeId* ids_;
-  std::span<const std::uint32_t> members_;
+  RingView ring_;      // the member list, searched by position
+  const NodeId* ids_;  // node index -> ID, for the node-index API
   int bits_;
   NodeId mask_;
 };

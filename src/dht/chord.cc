@@ -12,11 +12,13 @@ void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
   const NodeId mid = net.id(m);
   // A finger found at distance d is also finger j for every 2^j <= d, so
   // each search jumps to the first exponent past d: one search per
-  // distinct finger.
+  // distinct finger. The targets mid + 2^k only move clockwise, so each
+  // search gallops on from the last finger's position.
+  RingCursor cursor(ring, mid, ring.successor_pos(space.advance(mid, 1)));
   for (int k = 0; k < space.bits();) {
     const std::uint64_t dist = std::uint64_t{1} << k;
     if (dist >= limit) break;  // all further fingers are at least this far
-    const std::uint32_t v = ring.successor(space.advance(mid, dist));
+    const std::uint32_t v = ring.at(cursor.next(space.advance(mid, dist)));
     const std::uint64_t d = space.ring_distance(mid, net.id(v));
     if (v != m && d < limit) out.push_back(v);
     // d < dist: the search wrapped back to m (or past it, when m is not a

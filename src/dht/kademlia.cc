@@ -2,7 +2,6 @@
 
 #include "telemetry/scoped_timer.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "dht/xor_util.h"
@@ -11,36 +10,31 @@ namespace canon {
 
 namespace {
 
-std::uint64_t bucket_top(const IdSpace& space, int k) {
-  return k + 1 >= space.bits() ? (space.mask() + (space.bits() == 64 ? 0 : 1))
-                               : (std::uint64_t{1} << (k + 1));
-}
-
-/// Visits the aligned ranges of the bucket {x : xor(m, x) in [2^k, hi)}:
-/// the XOR ball of radius hi - 2^k around center = m ^ 2^k (every bucket
-/// element has bit k flipped). A whole bucket is one range.
+/// Visits the aligned ranges of the part of bucket k within XOR distance
+/// 2^k + radius of m: the XOR ball of that radius around center = m ^ 2^k
+/// (every bucket element has bit k flipped). The whole bucket, radius 2^k,
+/// is one range; in a 64-bit space its top end 2^64 is never represented.
 template <typename Visit>
 void for_each_bucket_range(const IdSpace& space, NodeId m_id, int k,
-                           std::uint64_t hi, Visit&& visit) {
-  const std::uint64_t lo = std::uint64_t{1} << k;
-  if (hi <= lo) return;
-  for_each_xor_ball_range(space.wrap(m_id ^ lo), hi - lo, space, visit);
+                           std::uint64_t radius, Visit&& visit) {
+  for_each_xor_ball_range(space.wrap(m_id ^ (std::uint64_t{1} << k)), radius,
+                          space, visit);
 }
 
-/// The XOR-closest member of the bucket {x : xor(m, x) in [2^k, hi)}, or
-/// RingView::kNone if it holds none.
+/// The XOR-closest member of bucket k within XOR distance 2^k + radius of
+/// m, or RingView::kNone if that part of the bucket holds none.
 std::uint32_t closest_in_bucket(const OverlayNetwork& net,
                                 const RingView& ring, NodeId m_id, int k,
-                                std::uint64_t hi) {
+                                std::uint64_t radius) {
   const IdSpace& space = net.space();
   std::uint32_t best = RingView::kNone;
   std::uint64_t best_d = kNoLimit;
-  for_each_bucket_range(space, m_id, k, hi, [&](const IdRange& r) {
+  for_each_bucket_range(space, m_id, k, radius, [&](const IdRange& r) {
     const std::uint32_t c = xor_closest_in_range(net, ring, r.lo, r.size,
                                                  m_id);
     if (c == RingView::kNone) return;
     const std::uint64_t d = space.xor_distance(m_id, net.id(c));
-    if (d < best_d) {
+    if (best == RingView::kNone || d < best_d) {
       best_d = d;
       best = c;
     }
@@ -73,19 +67,9 @@ std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       const RingView& ring, NodeId m_id,
                                       int k) {
   const std::uint32_t c =
-      closest_in_bucket(net, ring, m_id, k, bucket_top(net.space(), k));
+      closest_in_bucket(net, ring, m_id, k, std::uint64_t{1} << k);
   if (c == RingView::kNone) return kNoLimit;
   return net.space().xor_distance(m_id, net.id(c));
-}
-
-std::size_t bucket_count(const OverlayNetwork& net, const RingView& ring,
-                         NodeId m_id, int k) {
-  std::size_t count = 0;
-  for_each_bucket_range(net.space(), m_id, k, bucket_top(net.space(), k),
-                        [&](const IdRange& r) {
-                          count += ring.count_in(r.lo, r.size);
-                        });
-  return count;
 }
 
 std::uint64_t closest_xor_distance(const OverlayNetwork& net,
@@ -104,15 +88,15 @@ void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
   // Buckets below the lowest non-empty one hold no member and draw nothing.
   for (int k = lowest_bucket(net, ring, m_id); k < space.bits(); ++k) {
     const std::uint64_t bit = std::uint64_t{1} << k;
-    std::uint64_t hi = bucket_top(space, k);
+    std::uint64_t radius = bit;  // the whole bucket [2^k, 2^{k+1})
     if ((child.filled & bit) != 0) {
       // The child ring already covers this bucket: no merge link.
       if (policy == MergePolicy::kFrugal) continue;
       // Literal rule: candidates must be strictly closer than every
       // child-ring node within this bucket.
-      hi = std::min(hi, child.closest[static_cast<std::size_t>(k)]);
+      radius = child.closest[static_cast<std::size_t>(k)] - bit;
     }
-    const std::uint32_t v = closest_in_bucket(net, ring, m_id, k, hi);
+    const std::uint32_t v = closest_in_bucket(net, ring, m_id, k, radius);
     if (v == RingView::kNone) continue;
     out.push_back(v);
     // Leave `ring`'s bucket state for the level above: this bucket is

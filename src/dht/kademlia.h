@@ -72,10 +72,6 @@ std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       const RingView& ring, NodeId m_id,
                                       int k);
 
-/// Number of members of `ring` within id `m_id`'s bucket [2^k, 2^{k+1}).
-std::size_t bucket_count(const OverlayNetwork& net, const RingView& ring,
-                         NodeId m_id, int k);
-
 /// Builds the complete flat Kademlia network.
 LinkTable build_kademlia(const OverlayNetwork& net);
 

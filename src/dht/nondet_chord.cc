@@ -11,25 +11,36 @@ void add_nondet_chord_links(const OverlayNetwork& net, const RingView& ring,
                             LinkRow& out) {
   const IdSpace& space = net.space();
   const NodeId mid = net.id(m);
+  const std::size_t n = ring.size();
 
+  // Walking the list cyclically from m's successor visits the other
+  // members in order of distance from m, and ends at m itself, so every
+  // bucket is a run of positions and its size a difference of ranks
+  // (positions counted from the successor).
+  const std::size_t succ = ring.successor_pos(space.advance(mid, 1));
+  const std::uint64_t succ_dist = space.ring_distance(mid, ring.id_at(succ));
+  if (succ_dist == 0) return;  // m is alone in `ring`
   // Successor link (distance >= 1), required for routing completeness.
-  const std::uint64_t succ_dist = ring.successor_distance(mid);
-  if (succ_dist == std::numeric_limits<std::uint64_t>::max()) return;
-  if (succ_dist < limit) out.push_back(ring.first_at_distance(mid, 1));
+  if (succ_dist < limit) out.push_back(ring.at(succ));
+  const auto rank = [&](std::size_t pos) { return (pos + n - succ) % n; };
 
-  // Every bucket below the successor's is empty and draws nothing.
+  // Every bucket below the successor's is empty and draws nothing. Each
+  // bucket starts where the last one ended: one search per bucket, for its
+  // end, galloping on from the last end.
+  RingCursor cursor(ring, mid, succ);
+  std::size_t start = succ;
   for (int k = floor_log2(succ_dist); k < space.bits(); ++k) {
-    const std::uint64_t lo_dist = std::uint64_t{1} << k;
-    if (lo_dist >= limit) break;
-    const std::uint64_t hi_dist =
-        std::min(limit, k + 1 >= space.bits()
-                            ? (space.mask() + (space.bits() == 64 ? 0 : 1))
-                            : (std::uint64_t{1} << (k + 1)));
-    if (hi_dist <= lo_dist) continue;
-    const NodeId start = space.advance(mid, lo_dist);
-    const std::size_t count = ring.count_in(start, hi_dist - lo_dist);
-    if (count == 0) continue;
-    out.push_back(ring.select_in(start, hi_dist - lo_dist, rng.uniform(count)));
+    if ((std::uint64_t{1} << k) >= limit) break;
+    // Bucket k ends at distance 2^{k+1}, cut at the limit; the top bucket
+    // runs to m itself (its own position) unless the limit cuts it.
+    const std::uint64_t hi =
+        k + 1 < space.bits() ? std::min(limit, std::uint64_t{2} << k) : limit;
+    const std::size_t end = hi == kNoLimit
+                                ? (succ + n - 1) % n
+                                : cursor.next(space.advance(mid, hi));
+    const std::size_t count = rank(end) - rank(start);
+    if (count != 0) out.push_back(ring.at((start + rng.uniform(count)) % n));
+    start = end;
   }
 }
 

@@ -15,10 +15,12 @@
 
 namespace canon {
 
-/// Adds node `m`'s nondeterministic-Chord links over `ring`: for each k, a
-/// uniformly random member at ring distance in [2^k, min(2^{k+1}, limit)).
-/// Always links the successor within `ring` when it is inside `limit`, so
-/// greedy clockwise routing stays complete.
+/// Adds node `m`'s nondeterministic-Chord links over `ring` (which
+/// contains m): for each k, a uniformly random member at ring distance in
+/// [2^k, min(2^{k+1}, limit)); the top bucket k = N-1 runs up to m itself
+/// (distance 2^N, exclusive) unless `limit` cuts it. Always links the
+/// successor within `ring` when it is inside `limit`, so greedy clockwise
+/// routing stays complete.
 void add_nondet_chord_links(const OverlayNetwork& net, const RingView& ring,
                             std::uint32_t m, std::uint64_t limit, Rng& rng,
                             LinkRow& out);

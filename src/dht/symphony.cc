@@ -3,7 +3,6 @@
 #include "telemetry/scoped_timer.h"
 
 #include <cmath>
-#include <limits>
 
 namespace canon {
 
@@ -16,8 +15,8 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
   if (n <= 1) return;
 
   // Successor link, required for routing completeness.
-  const std::uint64_t succ_dist = ring.successor_distance(mid);
-  if (succ_dist < limit) out.push_back(ring.first_at_distance(mid, 1));
+  const NodeIndex succ = ring.successor(space.advance(mid, 1));
+  if (space.ring_distance(mid, net.id(succ)) < limit) out.push_back(succ);
 
   const int draws = floor_log2(n);
   for (int i = 0; i < draws; ++i) {
@@ -27,12 +26,13 @@ void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
     const double x = std::pow(static_cast<double>(n), u - 1.0);
     const std::uint64_t dist =
         static_cast<std::uint64_t>(x * space.size());
-    if (dist == 0) continue;
-    // Link to the manager of the drawn point.
+    // The drawn point's manager lies between m and the point, so a draw
+    // below the limit links it unless it is m. The limit is a member's
+    // distance, so a draw at or past it never links: it costs no search.
+    if (dist == 0 || dist >= limit) continue;
     const std::uint32_t v =
         ring.predecessor_or_self(space.advance(mid, dist));
-    if (v == m) continue;
-    if (space.ring_distance(mid, net.id(v)) < limit) out.push_back(v);
+    if (v != m) out.push_back(v);
   }
 }
 

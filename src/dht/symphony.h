@@ -16,10 +16,14 @@
 
 namespace canon {
 
-/// Adds node `m`'s Symphony links over `ring`: floor(log2(ring size))
-/// harmonic-distance draws (targets resolved to the manager of the drawn
-/// point), keeping only links with ring distance in (0, limit); plus the
-/// successor within `ring` when closer than `limit`.
+/// Adds node `m`'s Symphony links over `ring` (which contains m):
+/// floor(log2(ring size)) harmonic-distance draws (targets resolved to the
+/// manager of the drawn point), keeping only links with ring distance in
+/// (0, limit); plus the successor within `ring` when closer than `limit`.
+/// `limit` is kNoLimit or the ring distance of a member of `ring` (the
+/// merge walk's child successor always is), so a draw at or past it can
+/// only resolve to a member at least that far and is skipped without a
+/// search; every draw still consumes its value from `rng`.
 void add_symphony_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, std::uint64_t limit, Rng& rng,
                         LinkRow& out);

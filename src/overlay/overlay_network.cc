@@ -77,12 +77,8 @@ OverlayNetwork::Soa OverlayNetwork::sort_by_id(
 std::size_t RingView::successor_pos(NodeId key) const {
   if (members_.empty()) throw std::logic_error("RingView: empty view");
   // First member with id >= key; wrap to position 0 if none.
-  const auto cmp = [this](NodeIndex m, NodeId k) {
-    return (*ids_)[m] < k;
-  };
-  const auto it = std::lower_bound(members_.begin(), members_.end(), key, cmp);
-  return it == members_.end() ? 0
-                              : static_cast<std::size_t>(it - members_.begin());
+  const std::size_t pos = lower_pos(key, 0, members_.size());
+  return pos == members_.size() ? 0 : pos;
 }
 
 NodeIndex RingView::successor(NodeId key) const {
@@ -94,7 +90,7 @@ NodeIndex RingView::predecessor_or_self(NodeId key) const {
   const std::size_t pos = successor_pos(key);
   // If the successor sits exactly on the key, it manages the key itself;
   // otherwise the manager is the member just before the successor.
-  if ((*ids_)[members_[pos]] == key) return members_[pos];
+  if (id_at(pos) == key) return members_[pos];
   return members_[(pos + members_.size() - 1) % members_.size()];
 }
 
@@ -111,15 +107,8 @@ std::size_t RingView::count_in(NodeId lo, std::uint64_t len) const {
     return members_.size();
   }
   const NodeId hi = space_.advance(lo, len);  // exclusive end
-  const auto cmp = [this](NodeIndex m, NodeId k) {
-    return (*ids_)[m] < k;
-  };
-  const std::size_t plo = static_cast<std::size_t>(
-      std::lower_bound(members_.begin(), members_.end(), lo, cmp) -
-      members_.begin());
-  const std::size_t phi = static_cast<std::size_t>(
-      std::lower_bound(members_.begin(), members_.end(), hi, cmp) -
-      members_.begin());
+  const std::size_t plo = lower_pos(lo, 0, members_.size());
+  const std::size_t phi = lower_pos(hi, 0, members_.size());
   if (lo < hi) {
     // Non-wrapping interval [lo, hi).
     return phi - plo;
@@ -129,19 +118,10 @@ std::size_t RingView::count_in(NodeId lo, std::uint64_t len) const {
   return (members_.size() - plo) + phi;
 }
 
-NodeIndex RingView::select_in(NodeId lo, std::uint64_t len,
-                              std::size_t k) const {
-  if (k >= count_in(lo, len)) {
-    throw std::out_of_range("RingView::select_in: k out of range");
-  }
-  const std::size_t start = successor_pos(lo);
-  return members_[(start + k) % members_.size()];
-}
-
 std::uint64_t RingView::successor_distance(NodeId from) const {
   if (members_.empty()) throw std::logic_error("RingView: empty view");
   const NodeIndex succ = successor(space_.advance(from, 1));
-  const std::uint64_t d = space_.ring_distance(from, (*ids_)[succ]);
+  const std::uint64_t d = space_.ring_distance(from, ids_[succ]);
   if (d == 0) {
     // The only member ahead is `from` itself: the view is a singleton
     // containing from. Treat the distance as unbounded.

@@ -23,6 +23,7 @@
 #ifndef CANON_OVERLAY_OVERLAY_NETWORK_H
 #define CANON_OVERLAY_OVERLAY_NETWORK_H
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,20 +47,33 @@ struct OverlayNode {
 /// A search view over an ID-sorted member list (a "ring" in Chord terms).
 /// Used for finger computation, responsibility lookups and range counting
 /// within any domain. Cheap to copy; does not own the member list.
+///
+/// Searches come in two forms. successor_pos and the queries built on it
+/// binary-search the whole list. seek gallops from a position the caller
+/// already holds, so a run of searches for keys that move one way (finger
+/// targets, bucket bounds, a zone's block ends) costs O(log gap) each
+/// instead of O(log n); it is the only gallop in the library.
 class RingView {
  public:
   RingView(const IdSpace& space, const std::vector<NodeId>& ids,
            std::span<const NodeIndex> members)
-      : space_(space), ids_(&ids), members_(members) {}
+      : space_(space), ids_(ids.data()), members_(members) {}
 
   std::size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
   NodeIndex at(std::size_t pos) const { return members_[pos]; }
+  /// ID of the member at list position `pos`.
+  NodeId id_at(std::size_t pos) const { return ids_[members_[pos]]; }
   std::span<const NodeIndex> members() const { return members_; }
 
   /// Position of the first member with ID >= key, wrapping to 0 past the
   /// end. Requires a non-empty view.
   std::size_t successor_pos(NodeId key) const;
+
+  /// Position of the first member with ID >= key, or size() when there is
+  /// none (no wrap), galloping from position `from` (0 <= from <= size())
+  /// in whichever direction the key lies: O(log |answer - from|).
+  std::size_t seek(NodeId key, std::size_t from) const;
 
   /// The member with the smallest ID >= key (wrapping): Chord's successor.
   NodeIndex successor(NodeId key) const;
@@ -76,10 +90,6 @@ class RingView {
   /// Number of members with ID in the wrapped interval [lo, lo+len).
   std::size_t count_in(NodeId lo, std::uint64_t len) const;
 
-  /// The k-th member (k < count_in(lo, len)) of the wrapped interval,
-  /// in clockwise order starting at lo.
-  NodeIndex select_in(NodeId lo, std::uint64_t len, std::size_t k) const;
-
   /// Clockwise distance from `from` to the view's successor of `from`+1,
   /// i.e. to the nearest other member ahead. Returns the full ring size if
   /// the view contains only `from` itself.
@@ -88,9 +98,80 @@ class RingView {
   static constexpr NodeIndex kNone = kInvalidNodeIndex;
 
  private:
+  /// First position in [lo, hi) with ID >= key, or hi.
+  std::size_t lower_pos(NodeId key, std::size_t lo, std::size_t hi) const;
+
   IdSpace space_;
-  const std::vector<NodeId>* ids_;
+  const NodeId* ids_;  // the network's ID array, indexed by node
   std::span<const NodeIndex> members_;
+};
+
+// Inline: the builders call these once per link, across libraries.
+
+inline std::size_t RingView::lower_pos(NodeId key, std::size_t lo,
+                                      std::size_t hi) const {
+  const auto it = std::lower_bound(
+      members_.begin() + static_cast<std::ptrdiff_t>(lo),
+      members_.begin() + static_cast<std::ptrdiff_t>(hi), key,
+      [this](NodeIndex m, NodeId k) { return ids_[m] < k; });
+  return static_cast<std::size_t>(it - members_.begin());
+}
+
+inline std::size_t RingView::seek(NodeId key, std::size_t from) const {
+  const std::size_t n = members_.size();
+  // Gallop away from `from` with doubling steps until [lo, hi] brackets
+  // the answer, then binary-search the bracket. Position n stands for a
+  // member above every key.
+  std::size_t lo;
+  std::size_t hi;
+  if (from < n && id_at(from) < key) {
+    lo = from + 1;
+    hi = lo;
+    for (std::size_t step = 1; hi < n && id_at(hi) < key; step *= 2) {
+      lo = hi + 1;
+      hi = from + 2 * step;
+    }
+    hi = std::min(hi, n);
+  } else {
+    hi = from;
+    lo = 0;
+    for (std::size_t step = 1; step <= from; step *= 2) {
+      if (id_at(from - step) < key) {
+        lo = from - step + 1;
+        break;
+      }
+      hi = from - step;
+    }
+  }
+  return lower_pos(key, lo, hi);
+}
+
+/// Successor positions for a run of keys that move clockwise from `origin`
+/// (finger targets, bucket bounds): each search gallops on from the last
+/// answer (RingView::seek), restarting once from the front of the list when
+/// the keys wrap past the top of the space.
+class RingCursor {
+ public:
+  /// The first search gallops from position `from` (0 <= from <= size()).
+  RingCursor(const RingView& ring, NodeId origin, std::size_t from)
+      : ring_(&ring), origin_(origin), pos_(from) {}
+
+  /// RingView::successor_pos(key). Exact for any key; cheap when each key
+  /// lies clockwise of the last, within one turn from `origin`.
+  std::size_t next(NodeId key) {
+    if (!wrapped_ && key < origin_) {
+      wrapped_ = true;
+      pos_ = 0;
+    }
+    pos_ = ring_->seek(key, pos_);
+    return pos_ == ring_->size() ? 0 : pos_;
+  }
+
+ private:
+  const RingView* ring_;
+  NodeId origin_;
+  std::size_t pos_;
+  bool wrapped_ = false;
 };
 
 /// Immutable node population. See file comment.

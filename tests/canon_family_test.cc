@@ -226,6 +226,19 @@ TEST(BruteForceOracle, NondetCrescendoBucketDrawsMatchLinearScan) {
   }
 }
 
+TEST(BruteForceOracle, CacophonyDrawsMatchLinearScan) {
+  for (const oracle::Case& c : oracle::cases({3})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 17);
+    Rng rng(c.n + 18);
+    const Rng base = rng;
+    EXPECT_TRUE(oracle::rows_match(
+        net, build_cacophony(net, rng), [&](NodeIndex m) {
+          return oracle::cacophony_links(net, m, base.fork(m));
+        }))
+        << c.name();
+  }
+}
+
 TEST(BruteForceOracle, KandyClosestPerBucketMatchesLinearScan) {
   for (const oracle::Case& c : oracle::cases({3})) {
     const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 14);
@@ -261,7 +274,7 @@ TEST(BruteForceOracle, CanCanChildBucketEmptinessMatchesLinearScan) {
         const int k = bits - 1 - pos;
         if (pos < lower_len &&
             oracle::xor_closest_in_bucket(net, m, child, k,
-                                          oracle::bucket_top(bits, k)) !=
+                                          std::uint64_t{1} << k) !=
                 kInvalidNodeIndex) {
           continue;
         }

@@ -315,6 +315,19 @@ TEST(BruteForceOracle, NondetChordBucketDrawsMatchLinearScan) {
   }
 }
 
+TEST(BruteForceOracle, SymphonyDrawsMatchLinearScan) {
+  for (const oracle::Case& c : oracle::cases({1})) {
+    const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 5);
+    Rng rng(c.n + 6);
+    const Rng base = rng;
+    EXPECT_TRUE(oracle::rows_match(
+        net, build_symphony(net, rng), [&](NodeIndex m) {
+          return oracle::cacophony_links(net, m, base.fork(m));
+        }))
+        << c.name();
+  }
+}
+
 TEST(BruteForceOracle, KademliaClosestPerBucketMatchesLinearScan) {
   for (const oracle::Case& c : oracle::cases({1})) {
     const auto net = oracle::population(c.bits, c.n, c.levels, c.n + 4);

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -87,12 +89,16 @@ inline std::vector<NodeIndex> others(const OverlayNetwork& net, NodeIndex m,
   return out;
 }
 
-/// Exclusive upper bound on the distances of bucket k, [2^k, 2^{k+1}).
-/// In a 64-bit space the top bucket stops at 2^64 - 1, the largest
-/// representable bound, exactly as the builders do.
-inline std::uint64_t bucket_top(int bits, int k) {
-  if (k + 1 < bits) return std::uint64_t{1} << (k + 1);
-  return bits == 64 ? ~std::uint64_t{0} : std::uint64_t{1} << bits;
+/// Whether distance d lies in bucket k, [2^k, 2^{k+1}). The top bucket of
+/// a 64-bit space ends at 2^64, so it holds distance 2^64 - 1.
+inline bool in_bucket(std::uint64_t d, int k) {
+  return static_cast<int>(std::bit_width(d)) == k + 1;
+}
+
+/// Condition (b): distance d is strictly below the merge limit; kNoLimit
+/// (no child ring, or a singleton one) admits every distance.
+inline bool below_limit(std::uint64_t d, std::uint64_t limit) {
+  return limit == kNoLimit || d < limit;
 }
 
 /// Clockwise distance from m to its nearest other member of `members`
@@ -151,12 +157,10 @@ inline std::set<NodeIndex> nondet_crescendo_links(const OverlayNetwork& net,
       if (d == succ_d && d < limit) links.insert(v);
     }
     for (int k = 0; k < space.bits(); ++k) {
-      const std::uint64_t lo = std::uint64_t{1} << k;
-      const std::uint64_t hi = std::min(limit, bucket_top(space.bits(), k));
       std::vector<std::pair<std::uint64_t, NodeIndex>> bucket;
       for (const NodeIndex v : ring) {
         const std::uint64_t d = space.ring_distance(net.id(m), net.id(v));
-        if (d >= lo && d < hi) bucket.emplace_back(d, v);
+        if (in_bucket(d, k) && below_limit(d, limit)) bucket.emplace_back(d, v);
       }
       if (bucket.empty()) continue;
       std::sort(bucket.begin(), bucket.end());
@@ -167,16 +171,59 @@ inline std::set<NodeIndex> nondet_crescendo_links(const OverlayNetwork& net,
   return links;
 }
 
-/// The XOR-closest member of `members` in m's bucket k below `hi`, or
+/// Cacophony (Symphony when flat): at every level the successor, then
+/// floor(log2 ring size) harmonic draws from `rng`, each resolved by scan
+/// to the member managing the drawn point (the farthest member at ring
+/// distance <= the draw; m itself at distance 0), kept if closer than the
+/// child-ring successor. Every draw is resolved, none skipped; a level
+/// where m is alone draws nothing. Leaf level first.
+inline std::set<NodeIndex> cacophony_links(const OverlayNetwork& net,
+                                           NodeIndex m, Rng rng) {
+  const IdSpace& space = net.space();
+  std::set<NodeIndex> links;
+  std::uint64_t limit = kNoLimit;
+  for (int level = leaf_level(net, m); level >= 0; --level) {
+    const std::vector<NodeIndex> ring = others(net, m, level);
+    const std::uint64_t succ_d = successor_distance(net, m, ring);
+    if (!ring.empty()) {
+      for (const NodeIndex v : ring) {
+        const std::uint64_t d = space.ring_distance(net.id(m), net.id(v));
+        if (d == succ_d && d < limit) links.insert(v);
+      }
+      const std::size_t n = ring.size() + 1;  // m is a member too
+      for (int i = 0; i < floor_log2(n); ++i) {
+        const double u = rng.uniform_double();
+        const double x = std::pow(static_cast<double>(n), u - 1.0);
+        const auto dist = static_cast<std::uint64_t>(x * space.size());
+        if (dist == 0) continue;
+        NodeIndex manager = m;
+        std::uint64_t manager_d = 0;
+        for (const NodeIndex v : ring) {
+          const std::uint64_t d = space.ring_distance(net.id(m), net.id(v));
+          if (d <= dist && d > manager_d) {
+            manager = v;
+            manager_d = d;
+          }
+        }
+        if (manager != m && manager_d < limit) links.insert(manager);
+      }
+    }
+    limit = succ_d;
+  }
+  return links;
+}
+
+/// The XOR-closest member of `members` in m's bucket k at XOR distance
+/// below 2^k + radius (radius 2^k: the whole bucket), or
 /// kInvalidNodeIndex.
 inline NodeIndex xor_closest_in_bucket(const OverlayNetwork& net, NodeIndex m,
                                        const std::vector<NodeIndex>& members,
-                                       int k, std::uint64_t hi) {
+                                       int k, std::uint64_t radius) {
   NodeIndex best = kInvalidNodeIndex;
   std::uint64_t best_d = 0;
   for (const NodeIndex v : members) {
     const std::uint64_t d = net.space().xor_distance(net.id(m), net.id(v));
-    if (d < (std::uint64_t{1} << k) || d >= hi) continue;
+    if (!in_bucket(d, k) || d - (std::uint64_t{1} << k) >= radius) continue;
     if (best == kInvalidNodeIndex || d < best_d) {
       best = v;
       best_d = d;
@@ -197,13 +244,15 @@ inline std::set<NodeIndex> kandy_closest_links(const OverlayNetwork& net,
   for (int level = leaf_level(net, m); level >= 0; --level) {
     const std::vector<NodeIndex> ring = others(net, m, level);
     for (int k = 0; k < space.bits(); ++k) {
-      std::uint64_t hi = bucket_top(space.bits(), k);
-      const NodeIndex child_best = xor_closest_in_bucket(net, m, child, k, hi);
+      const std::uint64_t lo = std::uint64_t{1} << k;
+      std::uint64_t radius = lo;
+      const NodeIndex child_best =
+          xor_closest_in_bucket(net, m, child, k, radius);
       if (child_best != kInvalidNodeIndex) {
         if (policy == MergePolicy::kFrugal) continue;
-        hi = space.xor_distance(net.id(m), net.id(child_best));
+        radius = space.xor_distance(net.id(m), net.id(child_best)) - lo;
       }
-      const NodeIndex v = xor_closest_in_bucket(net, m, ring, k, hi);
+      const NodeIndex v = xor_closest_in_bucket(net, m, ring, k, radius);
       if (v != kInvalidNodeIndex) links.insert(v);
     }
     child = ring;

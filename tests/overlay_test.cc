@@ -146,9 +146,90 @@ TEST(RingView, CountAndSelect) {
   EXPECT_EQ(ring.count_in(13, 4), 1u);  // wraps: id 0
   EXPECT_EQ(ring.count_in(0, 16), 6u);  // full ring
   EXPECT_EQ(ring.count_in(6, 0), 0u);
-  EXPECT_EQ(net.id(ring.select_in(0, 6, 1)), 3u);
-  EXPECT_EQ(net.id(ring.select_in(13, 4, 0)), 0u);
-  EXPECT_THROW(ring.select_in(0, 6, 3), std::out_of_range);
+  // The k-th member of [lo, lo+len) sits k positions past lo's successor.
+  EXPECT_EQ(ring.id_at((ring.successor_pos(0) + 1) % ring.size()), 3u);
+  EXPECT_EQ(ring.id_at(ring.successor_pos(13)), 0u);
+}
+
+// RingView::seek against std::lower_bound over the member IDs, for a key
+// from every valid start position 0..size(): a fixed case beside a seeded
+// sweep.
+::testing::AssertionResult seek_matches_lower_bound(const RingView& ring,
+                                                    NodeId key) {
+  std::vector<NodeId> ids;
+  for (std::size_t p = 0; p < ring.size(); ++p) ids.push_back(ring.id_at(p));
+  const auto want = static_cast<std::size_t>(
+      std::lower_bound(ids.begin(), ids.end(), key) - ids.begin());
+  for (std::size_t from = 0; from <= ring.size(); ++from) {
+    const std::size_t got = ring.seek(key, from);
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << "seek(" << key << ", " << from << ") = " << got << ", want "
+             << want << " (ring of " << ring.size() << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RingView, SeekFixedCaseMatchesLowerBound) {
+  // The Figure 2 ring, flat and split into the domains {0, 5, 10} and
+  // {3, 8, 12}; the second leaves keys below its list.
+  std::vector<OverlayNode> nodes;
+  for (const auto& [id, branch] :
+       {std::pair<NodeId, std::uint16_t>{0, 0}, {3, 1}, {5, 0}, {8, 1},
+        {10, 0}, {12, 1}}) {
+    nodes.push_back(OverlayNode{id, DomainPath{branch}, -1});
+  }
+  const OverlayNetwork net(IdSpace(4), std::move(nodes));
+  const RingView flat = net.ring();
+  const RingView low = net.domain_ring(net.domains().domain_of(0, 1));
+  const RingView high = net.domain_ring(net.domains().domain_of(1, 1));
+  ASSERT_EQ(low.size(), 3u);
+  ASSERT_EQ(high.id_at(0), 3u);
+  for (const RingView& ring : {flat, low, high}) {
+    for (NodeId key = 0; key < 16; ++key) {
+      EXPECT_TRUE(seek_matches_lower_bound(ring, key));
+    }
+  }
+  // On a member, between two, above every member, below every member.
+  EXPECT_EQ(flat.seek(8, 0), 3u);
+  EXPECT_EQ(flat.seek(9, 6), 4u);
+  EXPECT_EQ(flat.seek(13, 2), 6u);
+  EXPECT_EQ(high.seek(1, 3), 0u);
+}
+
+TEST(RingView, SeekRandomSweepMatchesLowerBound) {
+  Rng rng(2201);
+  for (const int bits : {10, 32, 64}) {
+    for (const std::size_t n : {1u, 2u, 7u, 200u}) {
+      for (const int levels : {1, 3}) {
+        PopulationSpec spec;
+        spec.node_count = n;
+        spec.id_bits = bits;
+        spec.hierarchy.levels = levels;
+        spec.hierarchy.fanout = 3;
+        const auto net = make_population(spec, rng);
+        const IdSpace& space = net.space();
+        for (int d = 0; d < net.domains().domain_count(); ++d) {
+          const RingView ring = net.domain_ring(d);
+          // Keys on, just below and just above every member, the ends of
+          // the space, and random keys.
+          std::vector<NodeId> keys = {0, space.mask()};
+          for (std::size_t p = 0; p < ring.size(); ++p) {
+            const NodeId id = ring.id_at(p);
+            keys.insert(keys.end(),
+                        {id, space.wrap(id - 1), space.wrap(id + 1)});
+          }
+          for (int i = 0; i < 20; ++i) keys.push_back(space.wrap(rng()));
+          for (const NodeId key : keys) {
+            ASSERT_TRUE(seek_matches_lower_bound(ring, key))
+                << "bits=" << bits << " n=" << n << " levels=" << levels
+                << " domain " << d;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RingView, SuccessorDistance) {
