@@ -60,8 +60,8 @@ RunResult run(const OverlayNetwork& net, const LinkTable& links,
 int main(int argc, char** argv) {
   bench::BenchRun bench_run(argc, argv, "ablation_caching");
   const std::uint64_t seed = bench_run.seed;
-  const std::uint64_t n = bench_run.u64("nodes", 8192);
-  const std::uint64_t queries = bench_run.u64("queries", 30000);
+  const std::uint64_t n = bench_run.u64("nodes", 8192, 1);
+  const std::uint64_t queries = bench_run.u64("queries", 30000, 1);
   bench_run.header("Ablation A3: hierarchical proxy caching",
                 "Zipf(0.9) workload with per-domain locality, 512 keys, "
                 "Crescendo with 4-level hierarchy");

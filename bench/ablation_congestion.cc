@@ -45,7 +45,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_congestion");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 512);
+  const std::uint64_t n = run.u64("nodes", 512, 1);
   const std::uint64_t lookups = run.u64("lookups", 4000);
   const double theta = run.f64("theta", 1.25);
   // Submission gap (ms) between consecutive lookups at offered load 1.0;

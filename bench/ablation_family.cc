@@ -64,8 +64,8 @@ Row measure_family(const std::string& name, std::string_view family,
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_family");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 8192);
-  const std::uint64_t trials = run.u64("trials", 2000);
+  const std::uint64_t n = run.u64("nodes", 8192, 1);
+  const std::uint64_t trials = run.u64("trials", 2000, 1);
   run.header("Ablation A4: the Canon family vs flat originals",
                 "degree / hops / success; 8192 nodes, 3-level hierarchy "
                 "(fanout 10, Zipf)");

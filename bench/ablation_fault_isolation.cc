@@ -25,7 +25,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_fault_isolation");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 8192);
+  const std::uint64_t n = run.u64("nodes", 8192, 1);
   const std::uint64_t trials = run.u64("trials", 2000);
   run.header("Ablation A5: fault isolation",
                 "all nodes outside one level-1 domain fail (injected "

@@ -38,11 +38,11 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_load");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 8192);
-  const std::uint64_t lookups = run.u64("lookups", 50000);
+  const std::uint64_t n = run.u64("nodes", 8192, 1);
+  const std::uint64_t lookups = run.u64("lookups", 50000, 1);
   const std::string workload = run.str("workload", "zipf");
   const double theta = run.f64("theta", 1.25);
-  const double crash_fraction = run.f64("crash_fraction", 0.25);
+  const double crash_fraction = run.fraction("crash-fraction", 0.25);
   run.header("Ablation A9: the load observatory",
              "per-node load spread, hotspots, per-domain traffic shares and "
              "the §5 confinement ratio; flat Chord vs Crescendo levels 2-5, "

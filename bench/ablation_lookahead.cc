@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = run.seed;
   const std::uint64_t min_n = run.u64("min-nodes", 1024, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 32768);
-  const std::uint64_t trials = run.u64("trials", 2000);
+  const std::uint64_t trials = run.u64("trials", 2000, 1);
   run.header("Ablation A1: greedy-with-lookahead routing",
                 "Symphony & Cacophony (3 levels), hops with/without "
                 "lookahead");
@@ -39,11 +39,11 @@ int main(int argc, char** argv) {
       const auto net = make_population(spec, rng);
       const auto links = hierarchical ? build_cacophony(net, rng)
                                       : build_symphony(net, rng);
-      const RingRouter router(net, links);
       const QueryEngine engine(net);
       const auto queries = uniform_workload(net, trials, rng);
-      const Summary greedy = engine.run(queries, router).hops;
-      const Summary ahead = engine.run_lookahead(queries, router).hops;
+      const Summary greedy = engine.run(queries, RingRouter(net, links)).hops;
+      const Summary ahead =
+          engine.run(queries, LookaheadRouter(net, links)).hops;
       row.push_back(TextTable::num(greedy.mean(), 2));
       row.push_back(TextTable::num(ahead.mean(), 2));
       row.push_back(

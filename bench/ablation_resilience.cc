@@ -53,12 +53,12 @@ telemetry::JsonValue resilience_row(std::string_view family, int fail_pct,
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "ablation_resilience");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 4096);
+  const std::uint64_t n = run.u64("nodes", 4096, 1);
   const std::uint64_t trials = run.u64("trials", 2000);
   // Out of the recorded params unless passed: a drop-free report stays
   // byte-identical to one from a build without the flag.
   const double drop_rate =
-      run.present("drop-rate") ? run.f64("drop-rate", 0.0) : 0.0;
+      run.present("drop-rate") ? run.fraction("drop-rate", 0.0) : 0.0;
   run.header("Ablation A6: routing availability under failures",
                 "fraction of lookups that reach the live responsible node; "
                 "every family, fail-stop {0,10,30,50}% + leaf-set sweep");

@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "bench_scale");
   const std::uint64_t min_n = run.u64("min-nodes", std::uint64_t{1} << 18, 1);
   const std::uint64_t max_n = run.u64("max-nodes", std::uint64_t{1} << 20);
-  const std::uint64_t lookups = run.u64("lookups", 100000);
-  const int levels = static_cast<int>(run.u64("levels", 3));
+  const std::uint64_t lookups = run.u64("lookups", 100000, 1);
+  const int levels = static_cast<int>(run.u64("levels", 3, 1));
   const std::uint64_t physical_nodes =
       run.u64("physical-nodes", std::uint64_t{1} << 16);
   run.header("Mega-scale crescendo: streamed build + batch lookups",

@@ -162,6 +162,15 @@ class BenchRun {
     record(name, buf, telemetry::JsonValue(v));
     return v;
   }
+  /// f64 for a fraction of nodes or messages: a value outside [0, 1)
+  /// exits with code 2 (reject_flag), naming the flag and the range.
+  double fraction(const char* name, double fallback) {
+    const double v = f64(name, fallback);
+    if (!(v >= 0 && v < 1)) {
+      reject_flag(name, flag_raw(argc_, argv_, name), "a number in [0, 1)");
+    }
+    return v;
+  }
   std::string str(const char* name, const char* fallback) {
     known_.emplace_back(name);
     std::string v = flag_str(argc_, argv_, name, fallback);

@@ -15,7 +15,7 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig4_degree_pdf");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 32768);
+  const std::uint64_t n = run.u64("nodes", 32768, 1);
   run.header("Figure 4: PDF of links per node (32K nodes)",
                 "fraction of nodes with a given degree, levels 1-5");
 

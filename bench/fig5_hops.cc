@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
   const std::uint64_t trials = run.u64("trials", 4000, 1);
   const bool faulty = run.present("crash-rate");
-  const double crash_rate = faulty ? run.f64("crash-rate", 0.0) : 0.0;
+  const double crash_rate = faulty ? run.fraction("crash-rate", 0.0) : 0.0;
   run.header("Figure 5: average routing hops",
              "avg #hops vs n, levels 1-5, fanout 10, Zipf(1.25)");
 

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = run.seed;
   const std::uint64_t min_n = run.u64("min-nodes", 2048, 1);
   const std::uint64_t max_n = run.u64("max-nodes", 65536);
-  const std::uint64_t trials = run.u64("trials", 2000);
+  const std::uint64_t trials = run.u64("trials", 2000, 1);
   run.header(
       "Figure 6: latency and stretch on the transit-stub topology",
       "Chord / Crescendo x (no prox / prox), 2040 routers, 5-level hierarchy");

@@ -30,8 +30,8 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig7_locality");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 32768);
-  const std::uint64_t trials = run.u64("trials", 3000);
+  const std::uint64_t n = run.u64("nodes", 32768, 1);
+  const std::uint64_t trials = run.u64("trials", 3000, 1);
   run.header("Figure 7: latency vs query locality (32K nodes)",
                 "latency of level-k-local queries; Chord(Prox), "
                 "Crescendo(No Prox), Crescendo(Prox)");

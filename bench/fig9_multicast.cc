@@ -25,9 +25,9 @@ using namespace canon;
 int main(int argc, char** argv) {
   bench::BenchRun run(argc, argv, "fig9_multicast");
   const std::uint64_t seed = run.seed;
-  const std::uint64_t n = run.u64("nodes", 32768);
+  const std::uint64_t n = run.u64("nodes", 32768, 1);
   const std::uint64_t sources = run.u64("sources", 1000);
-  const std::uint64_t repeats = run.u64("repeats", 10);
+  const std::uint64_t repeats = run.u64("repeats", 10, 1);
   run.header("Figure 9: inter-domain links in a 1000-source multicast "
                 "tree (32K nodes)",
                 "Crescendo vs Chord (Prox.), domain levels 1-3");

@@ -86,12 +86,12 @@ void BM_RouteCrescendoLookahead(benchmark::State& state) {
   const auto net = bench::bench_population(
       static_cast<std::size_t>(state.range(0)), 4);
   const auto links = build_crescendo(net);
-  const RingRouter router(net, links);
+  const LookaheadRouter router(net, links);
   const auto queries = uniform_workload(net, kWorkload, Rng(12));
   std::size_t i = 0;
   for (auto _ : state) {
     const Query& q = queries[i++ & kMask];
-    benchmark::DoNotOptimize(router.route_lookahead(q.from, q.key));
+    benchmark::DoNotOptimize(router.route(q.from, q.key));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -321,7 +321,7 @@ void StructureAuditor::check_xor_buckets(AuditReport& r,
       }
       for (int k = 0; k < bits; ++k) {
         ++evaluated;
-        if (bucket_closest_distance(*net_, ring, net_->id(m), k) == kNoLimit) {
+        if (bucket_closest_distance(*net_, ring, net_->id(m), k) == 0) {
           continue;  // bucket empty within this domain
         }
         if (!covered[static_cast<std::size_t>(k)]) {

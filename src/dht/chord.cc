@@ -20,7 +20,7 @@ void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
     if (dist >= limit) break;  // all further fingers are at least this far
     const std::uint32_t v = ring.at(cursor.next(space.advance(mid, dist)));
     const std::uint64_t d = space.ring_distance(mid, net.id(v));
-    if (v != m && d < limit) out.push_back(v);
+    if (v != m && (limit == kNoLimit || d < limit)) out.push_back(v);
     // d < dist: the search wrapped back to m (or past it, when m is not a
     // member), so every further exponent finds v again.
     if (d < dist) break;

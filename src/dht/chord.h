@@ -19,7 +19,9 @@ inline constexpr std::uint64_t kNoLimit =
 /// Adds node `m`'s Chord finger links over the members of `ring`: for each
 /// 0 <= k < N, the closest member at ring distance >= 2^k (condition (a) of
 /// the paper), keeping only links with ring distance strictly below `limit`
-/// (condition (b); pass kNoLimit for plain Chord).
+/// (condition (b)). kNoLimit admits every distance, 2^64 - 1 included, so
+/// plain Chord passes it; a real limit of 2^64 - 1 could only exclude the
+/// child successor, which the level below already links.
 void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
                        std::uint32_t m, std::uint64_t limit, LinkRow& out);
 

@@ -68,7 +68,7 @@ std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       int k) {
   const std::uint32_t c =
       closest_in_bucket(net, ring, m_id, k, std::uint64_t{1} << k);
-  if (c == RingView::kNone) return kNoLimit;
+  if (c == RingView::kNone) return 0;
   return net.space().xor_distance(m_id, net.id(c));
 }
 

@@ -67,7 +67,8 @@ std::uint64_t closest_xor_distance(const OverlayNetwork& net,
                                    const RingView& ring, std::uint32_t m);
 
 /// XOR distance from id `m_id` to the closest member of `ring` within the
-/// bucket [2^k, 2^{k+1}), or kNoLimit if that bucket is empty.
+/// bucket [2^k, 2^{k+1}), or 0 if that bucket is empty: no member's
+/// distance is 0, while the top bucket of a 64-bit space holds 2^64 - 1.
 std::uint64_t bucket_closest_distance(const OverlayNetwork& net,
                                       const RingView& ring, NodeId m_id,
                                       int k);

@@ -134,15 +134,6 @@ ResilientProbe fault_walk(const Kernel& kernel, NodeIndex from, NodeId key,
 void resolve_router_counters(const char* prefix,
                              std::span<telemetry::Counter*, 3> out);
 
-/// route()'s telemetry epilogue: bumps the counters and, when a sink is
-/// attached, replays the completed path as begin/on_hop*/end events (a
-/// hop's `candidates` is the out-degree of its `from` node, its level the
-/// endpoints' LCA depth).
-void finish_route(const Route& r, NodeId key, const OverlayNetwork& net,
-                  const LinkTable& links,
-                  std::span<telemetry::Counter* const, 3> counters,
-                  telemetry::RouteTraceSink* sink);
-
 }  // namespace detail
 
 template <typename Kernel>
@@ -182,7 +173,7 @@ template <typename Kernel>
 Route GreedyRouter<Kernel>::route(NodeIndex from, NodeId key) const {
   Route r;
   route_into(from, key, r);
-  finish(r, key);
+  finish(r);
   return r;
 }
 
@@ -226,15 +217,19 @@ Stepper GreedyRouter<Kernel>::stepper() const {
   return kernel_stepper(kernel_);
 }
 
+/// route()'s telemetry epilogue: bumps the kernel's counters.
 template <typename Kernel>
-void GreedyRouter<Kernel>::finish(const Route& r, NodeId key) const {
+void GreedyRouter<Kernel>::finish(const Route& r) const {
   if constexpr (Kernel::kCounterPrefix != nullptr) {
     if (counters_[0] == nullptr && telemetry::registry() != nullptr) {
       detail::resolve_router_counters(Kernel::kCounterPrefix, counters_);
     }
+    if (counters_[0] != nullptr) {
+      counters_[0]->inc();
+      counters_[1]->inc(static_cast<std::uint64_t>(r.hops()));
+      if (!r.ok) counters_[2]->inc();
+    }
   }
-  detail::finish_route(r, key, kernel_.net(), kernel_.links(), counters_,
-                       sink_);
 }
 
 }  // namespace canon

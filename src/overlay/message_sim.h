@@ -70,7 +70,7 @@
 
 namespace canon::telemetry {
 class EventJournal;        // telemetry/journal.h
-class RouteTraceSink;      // telemetry/trace.h
+class RecordingTraceSink;  // telemetry/trace.h
 class TimeSeriesRecorder;  // telemetry/timeseries.h
 }  // namespace canon::telemetry
 
@@ -83,7 +83,7 @@ namespace canon {
 struct SimSinks {
   /// Per-hop route tracing (begin/on_hop/end, keyed by lookup id). Each
   /// hop carries the request leg's link latency and its inbox wait.
-  telemetry::RouteTraceSink* trace = nullptr;
+  telemetry::RecordingTraceSink* trace = nullptr;
 
   /// Event journal: lookup failures, applied crash/revive events, load
   /// snapshots.

@@ -107,16 +107,9 @@ QueryEngine::QueryEngine(const OverlayNetwork& net)
       hops_counter_(telemetry::maybe_counter("query_engine.hops")),
       failures_counter_(telemetry::maybe_counter("query_engine.failures")) {}
 
-QueryStats QueryEngine::run_lookahead(
-    std::span<const Query> queries, const RingRouter& router,
-    std::vector<RouteProbe>* per_query) const {
-  return drive(queries, Lookahead{router}, nullptr, FaultPlan{}, per_query)
-      .base;
-}
-
 void QueryEngine::observe_route(
-    const Query& q, const Route& route, QueryStats& stats,
-    telemetry::LoadAccountant::Shard* load_shard) const {
+    const Query& q, const Route& route, const LinkTable& links,
+    QueryStats& stats, telemetry::LoadAccountant::Shard* load_shard) const {
   if (load_shard) load_->observe(route.path, route.ok, q.key, *load_shard);
   if (level_tracking_) {
     for (std::size_t j = 0; j + 1 < route.path.size(); ++j) {
@@ -138,6 +131,8 @@ void QueryEngine::observe_route(
       hop.to = route.path[j + 1];
       hop.hop_index = static_cast<int>(j);
       hop.level = net_->lca_level(route.path[j], route.path[j + 1]);
+      hop.candidates =
+          static_cast<std::uint32_t>(links.neighbors(route.path[j]).size());
       sink_->on_hop(hop);
     }
     sink_->end_lookup(trace_id, route.ok, route.terminal());

@@ -16,9 +16,10 @@
 //      identical at every thread count, making every derived figure
 //      byte-identical serial vs. parallel.
 //
-// Every entry point (run, run_lookahead, run_resilient,
-// run_resilient_with) runs through one private function, drive(). A batch
-// in which no node is dead and no message drops takes the plain walk, so
+// Every entry point (run, run_resilient, run_resilient_with) runs through
+// one private function, drive(), over any GreedyRouter (overlay/routing.h)
+// — greedy, lookahead, XOR, proximity, CAN or Can-Can alike. A batch in
+// which no node is dead and no message drops takes the plain walk, so
 // run_resilient with an empty FaultPlan is run() by construction; only a
 // faulty batch takes the router's failure-aware walk.
 //
@@ -26,8 +27,10 @@
 // overlay/routing.h). The engine tallies hops/failures into per-shard
 // scratch and flushes the aggregate to the `query_engine.*` counters on
 // the calling thread after the merge; a plain telemetry::Counter is never
-// shared across shards. Attaching a trace sink (set_trace) forces the
-// whole batch onto one thread, since sinks observe a global event order.
+// shared across shards. The engine is where routes are traced: attaching
+// a trace sink (set_trace) replays every routed path into it and forces
+// the whole batch onto one thread, since a sink observes a global event
+// order.
 #ifndef CANON_OVERLAY_QUERY_ENGINE_H
 #define CANON_OVERLAY_QUERY_ENGINE_H
 
@@ -146,12 +149,12 @@ class QueryEngine {
   /// QueryStats::hops_by_level (disables probe mode).
   void set_level_tracking(bool on) { level_tracking_ = on; }
 
-  /// Attaches a sink receiving the familiar begin/on_hop/end event stream
-  /// for every query. Forces the batch onto the calling thread in workload
-  /// order. Engine-emitted HopRecords carry from/to/hop_index/level;
-  /// `candidates` is left 0 (the engine has no link table — use a router's
-  /// own set_trace for candidate counts). nullptr detaches.
-  void set_trace(telemetry::RouteTraceSink* sink) { sink_ = sink; }
+  /// Attaches a sink receiving the begin/on_hop/end event stream for
+  /// every query. Forces the batch onto the calling thread in workload
+  /// order (disables probe mode). Each HopRecord carries from/to/
+  /// hop_index/level and, as `candidates`, the out-degree of `from` in the
+  /// router's link table. nullptr detaches.
+  void set_trace(telemetry::RecordingTraceSink* sink) { sink_ = sink; }
 
   /// Attaches a load accountant (telemetry/load_stats.h): every routed
   /// query's path is tallied into per-shard scratch and merged into the
@@ -169,11 +172,6 @@ class QueryEngine {
                  std::vector<RouteProbe>* per_query = nullptr) const {
     return drive(queries, router, nullptr, FaultPlan{}, per_query).base;
   }
-
-  /// Same, through RingRouter's lookahead variant.
-  QueryStats run_lookahead(std::span<const Query> queries,
-                           const RingRouter& router,
-                           std::vector<RouteProbe>* per_query = nullptr) const;
 
   /// The resilient batch mode: materializes `plan` once and runs the
   /// batch. Dead-source queries are skipped (per_query gets {from, 0,
@@ -206,32 +204,6 @@ class QueryEngine {
   }
 
  private:
-  /// RingRouter's lookahead walk under the plain names drive() calls. It
-  /// has no batch kernel and no failure-aware walk.
-  struct Lookahead {
-    const RingRouter& router;
-    RouteProbe probe(NodeIndex from, NodeId key) const {
-      return router.probe_lookahead(from, key);
-    }
-    void route_into(NodeIndex from, NodeId key, Route& out) const {
-      router.route_lookahead_into(from, key, out);
-    }
-  };
-
-  template <typename Router>
-  static constexpr bool kHasBatchKernel =
-      requires(std::span<const Query> q, std::span<RouteProbe> out) {
-        std::declval<const Router&>().probe_batch(q, out);
-      };
-
-  template <typename Router>
-  static constexpr bool kHasFaultWalk =
-      requires(const FailureSet& dead, DropRoller& drops,
-               typename Router::Scratch& scratch) {
-        std::declval<const Router&>().probe(NodeIndex{}, NodeId{}, dead,
-                                            drops, scratch);
-      };
-
   /// The one shard loop behind every entry point. A batch is faulty iff
   /// `dead` is given and either holds a dead node or `plan` drops
   /// messages; only then does it skip dead sources and take the
@@ -239,7 +211,8 @@ class QueryEngine {
   /// point it came from. Probe mode (no path recorded at all) is used iff
   /// nothing needs paths: no cost fn, no level tracking, no sink, no load
   /// accountant; a plain probe-mode shard runs through the router's
-  /// interleaved batch kernel, which writes exactly probe() per query.
+  /// interleaved batch kernel, which writes exactly probe() per query, and
+  /// a plain full-mode shard through route_into.
   template <typename Router>
   ResilientStats drive(std::span<const Query> queries, const Router& router,
                        const FailureSet* dead, const FaultPlan& plan,
@@ -252,6 +225,7 @@ class QueryEngine {
     const bool faulty =
         dead != nullptr && (dead->any() || plan.has_drops());
     const Rng drop_base(plan.drop_seed());
+    const LinkTable& links = router.kernel().links();
 
     std::vector<ResilientStats> per_shard(shards);
     std::vector<telemetry::LoadAccountant::Shard> load_shards(
@@ -275,53 +249,44 @@ class QueryEngine {
         if (per_query) (*per_query)[i] = rp.to_probe();
       };
       if (faulty) {
-        if constexpr (kHasFaultWalk<Router>) {
-          typename Router::Scratch scratch;
-          for (std::size_t i = begin; i < end; ++i) {
-            const Query& q = queries[i];
-            if (dead->dead(q.from)) {
-              ++stats.skipped_dead_source;
-              if (per_query) (*per_query)[i] = RouteProbe{q.from, 0, false};
-              continue;
-            }
-            DropRoller drops(plan.drop_probability(), drop_base.fork(i));
-            ResilientProbe rp;
-            if (use_probe) {
-              rp = router.probe(q.from, q.key, *dead, drops, scratch);
-            } else {
-              rp = router.route_into(q.from, q.key, *dead, drops, scratch,
-                                     route);
-              observe_route(q, route, stats.base, load_shard);
-            }
-            record(i, rp);
+        typename Router::Scratch scratch;
+        for (std::size_t i = begin; i < end; ++i) {
+          const Query& q = queries[i];
+          if (dead->dead(q.from)) {
+            ++stats.skipped_dead_source;
+            if (per_query) (*per_query)[i] = RouteProbe{q.from, 0, false};
+            continue;
           }
+          DropRoller drops(plan.drop_probability(), drop_base.fork(i));
+          ResilientProbe rp;
+          if (use_probe) {
+            rp = router.probe(q.from, q.key, *dead, drops, scratch);
+          } else {
+            rp = router.route_into(q.from, q.key, *dead, drops, scratch,
+                                   route);
+            observe_route(q, route, links, stats.base, load_shard);
+          }
+          record(i, rp);
         }
       } else {
         // The interleaved kernel routes the whole shard up front; the loop
         // below then drains its results in query order, so every
         // accumulation (and with it every figure) is identical to the
-        // per-query probe path.
-        bool use_batch = false;
-        if constexpr (kHasBatchKernel<Router>) {
-          use_batch = use_probe;
-          if (use_batch) {
-            batch_out.resize(end - begin);
-            router.probe_batch(queries.subspan(begin, end - begin),
-                               batch_out);
-          }
+        // per-query path.
+        if (use_probe) {
+          batch_out.resize(end - begin);
+          router.probe_batch(queries.subspan(begin, end - begin), batch_out);
         }
         for (std::size_t i = begin; i < end; ++i) {
           const Query& q = queries[i];
           RouteProbe p;
-          if (use_batch) {
+          if (use_probe) {
             p = batch_out[i - begin];
-          } else if (use_probe) {
-            p = router.probe(q.from, q.key);
           } else {
             router.route_into(q.from, q.key, route);
             p = RouteProbe{route.terminal(), route.hops(), route.ok,
                            route.hop_guard};
-            observe_route(q, route, stats.base, load_shard);
+            observe_route(q, route, links, stats.base, load_shard);
           }
           record(i, ResilientProbe{p.terminal, p.hops, p.ok, 0, 0,
                                    p.hop_guard});
@@ -364,9 +329,11 @@ class QueryEngine {
   }
 
   /// The path-dependent tallies of full (non-probe) mode: level tracking,
-  /// path cost, trace replay, load accounting (into `load_shard` when a
-  /// LoadAccountant is attached).
-  void observe_route(const Query& q, const Route& route, QueryStats& stats,
+  /// path cost, trace replay (each hop's `candidates` is the out-degree
+  /// of its `from` node in `links`), load accounting (into `load_shard`
+  /// when a LoadAccountant is attached).
+  void observe_route(const Query& q, const Route& route,
+                     const LinkTable& links, QueryStats& stats,
                      telemetry::LoadAccountant::Shard* load_shard) const;
 
   /// Post-merge flush of the query_engine.{batches,queries,hops,failures}
@@ -383,7 +350,7 @@ class QueryEngine {
   const OverlayNetwork* net_;
   HopCost cost_;
   bool level_tracking_ = false;
-  telemetry::RouteTraceSink* sink_ = nullptr;
+  telemetry::RecordingTraceSink* sink_ = nullptr;
   telemetry::LoadAccountant* load_ = nullptr;
   telemetry::Counter* batches_counter_;
   telemetry::Counter* queries_counter_;

@@ -3,7 +3,8 @@
 // Routing in every Canon family is plain greedy routing on the family's
 // metric over the union of a node's links (Section 2.2). The one decision
 // that differs between families — which neighbor to forward to — is
-// written once per metric as a *hop kernel*: RingKernel and XorKernel
+// written once per metric as a *hop kernel*: RingKernel, LookaheadKernel
+// (Symphony's two-hop plans over the ring kernel) and XorKernel
 // (overlay/routing.h), GroupKernel (canon/proximity.h), CanKernel
 // (dht/can.h) and CanCanKernel (canon/cancan.h). Every routing mode is a
 // driver over a kernel, so the modes agree by construction:
@@ -37,8 +38,8 @@
 //   leaf set, the group sidestep, the CAN XOR-closer neighbor.
 // * `state` is a small per-lookup word, 0 on the first hop (the group
 //   target, CAN's target and previous node, Can-Can's stage domain and
-//   previous node). rank() may update it; drivers commit it only when
-//   the hop is taken.
+//   previous node, the lookahead's committed second step). rank() may
+//   update it; drivers commit it only when the hop is taken.
 // * `ctx` is NoFaults or the failure-aware walk's Faults: it decides
 //   which candidates the pick skips and whether targets are the live
 //   ones. Kernels are immutable and safe to share across threads.

@@ -1,13 +1,13 @@
 // Route tracing: per-hop event capture for any lookup in the stack.
 //
-// Every GreedyRouter and MessageSimulator accept an optional
-// RouteTraceSink. When one is attached, every routed lookup emits
+// The batch QueryEngine and the MessageSimulator accept an optional
+// RecordingTraceSink. When one is attached, every routed lookup emits
 // begin_lookup / on_hop* / end_lookup events carrying the chosen link, how
-// many candidates were evaluated at the hop, the hierarchy level the hop
+// many candidates the forwarding node had, the hierarchy level the hop
 // happened at (the depth of the lowest common domain of its endpoints, as
 // computed against the DomainTree), and — in the message simulator — the
-// inbox wait and network latency of the hop. With no sink attached
-// (the default) the instrumented loops pay one pointer test per hop.
+// inbox wait and network latency of the hop. With no sink attached (the
+// default) the instrumented loops pay one pointer test per hop.
 //
 // The "level" of a hop follows the paper's convergence vocabulary: a hop
 // at level l stays inside a common level-l domain but crosses level-(l+1)
@@ -30,29 +30,17 @@ struct HopRecord {
   std::uint32_t to = 0;          ///< node index receiving it
   int hop_index = 0;             ///< 0-based position along the path
   int level = -1;                ///< LCA depth of (from, to); -1 if unknown
-  std::uint32_t candidates = 0;  ///< neighbors evaluated at `from`
+  /// Candidates at `from`: its out-degree (the row its kernel ranked) in
+  /// QueryEngine traces, the ranked candidates in the message simulator.
+  std::uint32_t candidates = 0;
   double queue_ms = 0;           ///< wait in `to`'s inbox (simulator only)
   double hop_ms = 0;             ///< modeled network latency of the hop
 };
 
-/// Receiver interface for route traces. Implementations must tolerate
-/// interleaved lookups (the message simulator runs many concurrently) by
-/// keying on HopRecord::lookup.
-class RouteTraceSink {
- public:
-  virtual ~RouteTraceSink() = default;
-
-  /// Announces a lookup from node `from` towards `key`; the returned id
-  /// tags all subsequent events of this lookup.
-  virtual std::uint64_t begin_lookup(std::uint32_t from,
-                                     std::uint64_t key) = 0;
-  virtual void on_hop(const HopRecord& hop) = 0;
-  virtual void end_lookup(std::uint64_t lookup, bool ok,
-                          std::uint32_t terminal) = 0;
-};
-
 /// Records complete traces in memory for replay and aggregate breakdowns.
-class RecordingTraceSink : public RouteTraceSink {
+/// Lookups may interleave (the message simulator runs many concurrently):
+/// events are keyed by HopRecord::lookup.
+class RecordingTraceSink {
  public:
   struct LookupTrace {
     std::uint32_t from = 0;
@@ -63,10 +51,11 @@ class RecordingTraceSink : public RouteTraceSink {
     std::vector<HopRecord> hops;
   };
 
-  std::uint64_t begin_lookup(std::uint32_t from, std::uint64_t key) override;
-  void on_hop(const HopRecord& hop) override;
-  void end_lookup(std::uint64_t lookup, bool ok,
-                  std::uint32_t terminal) override;
+  /// Announces a lookup from node `from` towards `key`; the returned id
+  /// tags all subsequent events of this lookup.
+  std::uint64_t begin_lookup(std::uint32_t from, std::uint64_t key);
+  void on_hop(const HopRecord& hop);
+  void end_lookup(std::uint64_t lookup, bool ok, std::uint32_t terminal);
 
   const std::vector<LookupTrace>& lookups() const { return lookups_; }
   void clear() { lookups_.clear(); }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -197,6 +198,27 @@ TEST(AuditorMutation, KademliaEmptiedBucket) {
     EXPECT_EQ(v.node, m);
     EXPECT_EQ(v.level, 0);
   }
+}
+
+// Mutation: in the 64-bit population {0, 2^64 - 1} each node's only
+// Kademlia link is its bitwise complement, in the top bucket at XOR
+// distance 2^64 - 1. Dropping node 0's link must be caught: that bucket is
+// populated, not read as empty.
+TEST(AuditorMutation, KademliaDroppedComplementInTopBucket) {
+  const IdSpace space(64);
+  const OverlayNetwork net(space, {{0, {}, -1}, {space.mask(), {}, -1}});
+  LinkTable links = build_kademlia(net);
+  ASSERT_EQ(row_copy(links, 0), (std::vector<std::uint32_t>{1}));
+  ASSERT_TRUE(registry::audit_family("kademlia", net, links).ok());
+  links = with_row(net, links, 0, {});
+
+  const audit::AuditReport report =
+      registry::audit_family("kademlia", net, links);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].check, "xor.bucket");
+  EXPECT_EQ(report.violations[0].node, 0u);
+  EXPECT_NE(report.violations[0].detail.find("2^63"), std::string::npos)
+      << report.violations[0].detail;
 }
 
 // Mutation: truncate a Cacophony node's neighbor list to nothing — every

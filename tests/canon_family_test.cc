@@ -196,7 +196,10 @@ TEST(Kandy, RespectsPerBucketConditionB) {
       const std::uint64_t d = net.space().xor_distance(net.id(m), net.id(v));
       const std::uint64_t leaf_bucket_best =
           bucket_closest_distance(net, leaf_ring, net.id(m), floor_log2(d));
-      EXPECT_LT(d, leaf_bucket_best);
+      // 0: the leaf ring leaves this bucket empty, so any member may link.
+      if (leaf_bucket_best != 0) {
+        EXPECT_LT(d, leaf_bucket_best);
+      }
     }
   }
 }

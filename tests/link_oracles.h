@@ -125,15 +125,18 @@ inline std::set<NodeIndex> crescendo_links(const OverlayNetwork& net,
     const std::vector<NodeIndex> ring = others(net, m, level);
     for (int k = 0; k < space.bits(); ++k) {
       NodeIndex finger = kInvalidNodeIndex;
-      std::uint64_t finger_d = kNoLimit;
+      std::uint64_t finger_d = 0;
       for (const NodeIndex v : ring) {
         const std::uint64_t d = space.ring_distance(net.id(m), net.id(v));
-        if (d >= (std::uint64_t{1} << k) && d < finger_d) {
+        if (d >= (std::uint64_t{1} << k) &&
+            (finger == kInvalidNodeIndex || d < finger_d)) {
           finger = v;
           finger_d = d;
         }
       }
-      if (finger != kInvalidNodeIndex && finger_d < limit) links.insert(finger);
+      if (finger != kInvalidNodeIndex && below_limit(finger_d, limit)) {
+        links.insert(finger);
+      }
     }
     limit = successor_distance(net, m, ring);
   }

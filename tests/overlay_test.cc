@@ -519,12 +519,13 @@ TEST(RingRouter, LookaheadNoWorseThanGreedy) {
   const auto net = make_population(spec, rng);
   const auto links = full_chord_links(net);
   const RingRouter router(net, links);
+  const LookaheadRouter lookahead(net, links);
   for (int trial = 0; trial < 100; ++trial) {
     const std::uint32_t from =
         static_cast<std::uint32_t>(rng.uniform(net.size()));
     const NodeId key = net.space().wrap(rng());
     const Route greedy = router.route(from, key);
-    const Route ahead = router.route_lookahead(from, key);
+    const Route ahead = lookahead.route(from, key);
     EXPECT_TRUE(greedy.ok);
     EXPECT_TRUE(ahead.ok);
     EXPECT_EQ(ahead.terminal(), greedy.terminal());

@@ -127,11 +127,11 @@ TEST(QueryEngine, RingRouterIsThreadInvariant) {
 TEST(QueryEngine, RingLookaheadIsThreadInvariant) {
   const auto net = make_net();
   const auto links = build_crescendo(net);
-  const RingRouter router(net, links);
+  const LookaheadRouter router(net, links);
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 2000, Rng(2));
   expect_thread_invariant([&](std::vector<RouteProbe>* pq) {
-    return engine.run_lookahead(queries, router, pq);
+    return engine.run(queries, router, pq);
   });
 }
 
@@ -181,6 +181,7 @@ TEST(RouteInto, MatchesRouteHopForHopAndReusesCapacity) {
   const auto net = make_net();
   const auto links = build_crescendo(net);
   const RingRouter router(net, links);
+  const LookaheadRouter lookahead(net, links);
   const auto queries = uniform_workload(net, 500, Rng(6));
 
   Route scratch;
@@ -190,8 +191,8 @@ TEST(RouteInto, MatchesRouteHopForHopAndReusesCapacity) {
     EXPECT_EQ(fresh.path, scratch.path);
     EXPECT_EQ(fresh.ok, scratch.ok);
 
-    Route fresh_la = router.route_lookahead(q.from, q.key);
-    router.route_lookahead_into(q.from, q.key, scratch);
+    Route fresh_la = lookahead.route(q.from, q.key);
+    lookahead.route_into(q.from, q.key, scratch);
     EXPECT_EQ(fresh_la.path, scratch.path);
     EXPECT_EQ(fresh_la.ok, scratch.ok);
   }
@@ -210,6 +211,7 @@ TEST(Probe, AgreesWithFullRoutingOn1kQueries) {
   const auto net = make_net(1024);
   const auto crescendo = build_crescendo(net);
   const RingRouter ring(net, crescendo);
+  const LookaheadRouter lookahead(net, crescendo);
   Rng brng(8);
   const auto kandy = build_kandy(net);
   const XorRouter xr(net, kandy);
@@ -224,8 +226,8 @@ TEST(Probe, AgreesWithFullRoutingOn1kQueries) {
     const Route r1 = ring.route(q.from, q.key);
     EXPECT_EQ(ring.probe(q.from, q.key),
               (RouteProbe{r1.terminal(), r1.hops(), r1.ok}));
-    const Route r2 = ring.route_lookahead(q.from, q.key);
-    EXPECT_EQ(ring.probe_lookahead(q.from, q.key),
+    const Route r2 = lookahead.route(q.from, q.key);
+    EXPECT_EQ(lookahead.probe(q.from, q.key),
               (RouteProbe{r2.terminal(), r2.hops(), r2.ok}));
     const Route r3 = xr.route(q.from, q.key);
     EXPECT_EQ(xr.probe(q.from, q.key),

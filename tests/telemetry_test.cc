@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "canon/crescendo.h"
 #include "common/rng.h"
@@ -280,20 +281,29 @@ OverlayNetwork small_hierarchy() {
 TEST(RouteTrace, RingRouterPerLevelHopsSumToTotal) {
   const auto net = small_hierarchy();
   const auto links = build_crescendo(net);
-  RingRouter router(net, links);
+  const RingRouter router(net, links);
   telemetry::RecordingTraceSink sink;
-  router.set_trace(&sink);
+  QueryEngine engine(net);
+  engine.set_trace(&sink);
 
+  std::vector<Query> queries;
   std::uint64_t expected_hops = 0;
   for (NodeId key = 0; key < 256; key += 5) {
     for (const std::uint32_t from : {0u, 7u, 16u, 31u}) {
       const Route r = router.route(from, key);
       ASSERT_TRUE(r.ok);
       expected_hops += static_cast<std::uint64_t>(r.hops());
+      queries.push_back({from, key});
     }
   }
+  engine.run(queries, router);
 
   EXPECT_EQ(sink.total_hops(), expected_hops);
+  for (const auto& trace : sink.lookups()) {
+    for (const telemetry::HopRecord& hop : trace.hops) {
+      EXPECT_EQ(hop.candidates, links.degree(hop.from));
+    }
+  }
   const auto by_level = sink.hops_by_level();
   ASSERT_LE(by_level.size(), 3u);  // levels 0..2 in a depth-2 hierarchy
   std::uint64_t sum = 0;
@@ -308,11 +318,14 @@ TEST(RouteTrace, RingRouterPerLevelHopsSumToTotal) {
 TEST(RouteTrace, RecordedPathMatchesRoute) {
   const auto net = small_hierarchy();
   const auto links = build_crescendo(net);
-  RingRouter router(net, links);
+  const RingRouter router(net, links);
   telemetry::RecordingTraceSink sink;
-  router.set_trace(&sink);
+  QueryEngine engine(net);
+  engine.set_trace(&sink);
 
   const Route r = router.route(3, 200);
+  const std::vector<Query> one = {{3, 200}};
+  engine.run(one, router);
   ASSERT_EQ(sink.lookups().size(), 1u);
   const auto& trace = sink.lookups()[0];
   EXPECT_TRUE(trace.done);
@@ -326,11 +339,13 @@ TEST(RouteTrace, RecordedPathMatchesRoute) {
     EXPECT_EQ(trace.hops[i].level,
               net.lca_level(r.path[i], r.path[i + 1]));
     EXPECT_GT(trace.hops[i].candidates, 0u);
+    EXPECT_EQ(trace.hops[i].candidates, links.degree(r.path[i]));
   }
 
   // Detaching stops event delivery.
-  router.set_trace(nullptr);
-  router.route(3, 100);
+  engine.set_trace(nullptr);
+  const std::vector<Query> another = {{3, 100}};
+  engine.run(another, router);
   EXPECT_EQ(sink.lookups().size(), 1u);
 }
 
